@@ -32,6 +32,7 @@ back to the explicit builder in :mod:`repro.core.synthesis`.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -586,8 +587,9 @@ class _BuildTemplate:
 
 
 #: Process-global LRU of build templates keyed by job geometry
-#: ``(job.key(), forces.shape, max_aspect, families)``.
-_TEMPLATE_CACHE: "dict[tuple, _BuildTemplate]" = {}
+#: ``(job.key(), forces.shape, max_aspect, families)``.  A build hit
+#: refreshes its entry; ``build_dedup_token`` only peeks.
+_TEMPLATE_CACHE: "OrderedDict[tuple, _BuildTemplate]" = OrderedDict()
 _TEMPLATE_CACHE_MAX = 64
 
 #: Guards cache mutation and the lazy per-template fuse.  The serve layer
@@ -601,6 +603,7 @@ def clear_build_template_cache() -> None:
     this; regular code never needs it — revalues are bit-identical)."""
     with _TEMPLATE_LOCK:
         _TEMPLATE_CACHE.clear()
+        perf.set_gauge("fastmdp.template.size", 0)
 
 
 def _fuse_shape_records(sh: _ShapeRecord, k: int) -> None:
@@ -837,6 +840,8 @@ def build_routing_model_fast(
     )
     with _TEMPLATE_LOCK:
         tpl = _TEMPLATE_CACHE.get(key)
+        if tpl is not None:
+            _TEMPLATE_CACHE.move_to_end(key)
     if tpl is not None:
         model = _revalue_template(tpl, job, forces)
         if model is not None:
@@ -847,9 +852,11 @@ def build_routing_model_fast(
         perf.incr("fastmdp.template.misses")
     model, tpl = _build_fast(job, forces, max_aspect, families)
     with _TEMPLATE_LOCK:
-        if len(_TEMPLATE_CACHE) >= _TEMPLATE_CACHE_MAX:
-            _TEMPLATE_CACHE.pop(next(iter(_TEMPLATE_CACHE)))
         _TEMPLATE_CACHE[key] = tpl
+        _TEMPLATE_CACHE.move_to_end(key)
+        while len(_TEMPLATE_CACHE) > _TEMPLATE_CACHE_MAX:
+            _TEMPLATE_CACHE.popitem(last=False)
+        perf.set_gauge("fastmdp.template.size", len(_TEMPLATE_CACHE))
     return model
 
 

@@ -1,4 +1,4 @@
-"""Batched certified solving of same-shape MDP families.
+"""Certified solving of same-shape MDP families — the production solver.
 
 Adaptive routing re-synthesizes the same routing-job model over and over
 with different health fingerprints: the sparsity pattern (which cells can
@@ -7,24 +7,27 @@ reach which) is fixed by the chip geometry while the transition
 repeats two kinds of work:
 
 * **graph precompute** — qualitative prob0/prob1 sets, the total-reward
-  region and the SCC condensation depend only on the transition *support*,
-  so models sharing a support share all of it (:class:`SharedContext`,
-  memoized on a structural fingerprint);
+  region, the SCC condensation and the per-level row/column gathers depend
+  only on the transition *support*, so models sharing a support share all
+  of it (:class:`SharedContext`, memoized on a structural fingerprint);
 * **sweep scheduling** — the value-iteration settling prelude that costs
   most of a warm solve runs the same reductions per model; stacking the
   models into one ``(models, choices)`` value array turns ``m`` sweeps
   into one block-diagonal matvec plus one axis-1 segment reduction.
 
-The kernel is *exact*, not approximate: every per-model operation either
-reuses the solo code verbatim (:func:`interval._solve_reward_level`,
+A solo solve (:func:`~repro.modelcheck.compiled.solve_reach_avoid_reward`
+and ``solve_reach_avoid_probability``) is a batch of one, so every
+re-synthesis of a known shape reuses the memoized precompute.  A model
+whose stored sparsity is not its support (an explicit zero) gets a
+context built for it alone, uncached, through the same code.
+
+Stacking is *exact*, not approximate: every per-model operation either
+reuses the per-level body verbatim (:func:`interval._solve_reward_level`,
 :func:`interval._pi_finish`) or mirrors it op-for-op with no cross-model
 data flow, so each model's float sequence — and therefore its certified
 ``lower``/``upper`` bounds, gap and extracted strategy — is bit-identical
-to a solo :func:`~repro.modelcheck.compiled.solve_reach_avoid_reward` call
-with the same seed.  Models retire from the active set as they settle;
-any model the batch path cannot handle (stored zero probabilities,
-unsorted owners, a solver failure) falls back to the full solo solve,
-which reproduces solo behavior including its exceptions.
+whether it is solved alone or in a family.  Models retire from the active
+set as they settle.
 
 The boundary is pure array-in/array-out: callers hand in compiled models
 (plus optional warm seeds) and get :class:`ValueResult` objects back —
@@ -34,6 +37,7 @@ nothing here knows about routing jobs, strategies or engines.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -82,7 +86,7 @@ def supports_batching(cm) -> bool:
 
     A stored zero would make two equal-key models have different
     qualitative sets, silently invalidating the shared precompute; such
-    models take the solo path instead.
+    models get a context of their own that is never cached.
     """
     return bool((interval._rows(cm).data > 0.0).all())
 
@@ -128,7 +132,11 @@ def _block_diag_csr(mats: "list[sparse.csr_matrix]") -> sparse.csr_matrix:
 
 @dataclass(frozen=True)
 class _Level:
-    """Shared per-condensation-level structure (support-derived)."""
+    """Shared per-condensation-level structure (support-derived).
+
+    The gather arrays are int32: they index one model's nonzeros, far
+    below ``2**31``, and they are most of a cached context's bytes.
+    """
 
     block: np.ndarray  # bool state mask of the level
     idx: np.ndarray  # global choice indices of the level
@@ -163,13 +171,9 @@ class _Level:
 class SharedContext:
     """Support-derived precompute shared by a same-shape model family."""
 
-    key: str
-    goal: str
-    avoid: str
     goal_zero: np.ndarray
     active: np.ndarray
     usable: np.ndarray
-    num_levels: int
     levels: tuple[_Level, ...]
 
 
@@ -199,19 +203,18 @@ def _build_level(
     # structure records, in the exact data order scipy's slicing produces,
     # which Tl entry lands where — so per-model Tblocks are one gather.
     marker = sparse.csr_matrix(
-        (np.arange(1, total + 1, dtype=np.int64), tl_indices, tl_indptr),
+        (np.arange(1, total + 1, dtype=np.int32), tl_indices, tl_indptr),
         shape=(idx.size, T.shape[1]),
     )
     msub = marker[:, states]
-    blockpos = np.asarray(msub.data, dtype=np.int64) - 1
+    blockpos = msub.data - 1
     tb_indices = msub.indices
     tb_indptr = msub.indptr
 
-    fast = interval._make_argopt(own)
-    if fast is not None and own.size:
+    if own.size and not np.any(own[1:] < own[:-1]):
         newseg = np.r_[True, own[1:] != own[:-1]]
         argopt_starts = np.flatnonzero(newseg)
-        argopt_seg = np.cumsum(newseg) - 1
+        argopt_seg = (np.cumsum(newseg) - 1).astype(np.int32)
     else:
         argopt_starts = argopt_seg = None
     return _Level(
@@ -219,7 +222,7 @@ def _build_level(
         idx=idx,
         own=own,
         states=states,
-        rowpos=rowpos,
+        rowpos=rowpos.astype(np.int32),
         tl_indices=tl_indices,
         tl_indptr=tl_indptr,
         blockpos=blockpos,
@@ -256,47 +259,86 @@ def build_context(cm, goal: str, avoid: str, minimize: bool) -> SharedContext:
         for level in range(num_levels)
     )
     return SharedContext(
-        key=structural_key(cm),
-        goal=goal,
-        avoid=avoid,
-        goal_zero=goal_zero,
-        active=active,
-        usable=usable,
-        num_levels=num_levels,
-        levels=levels,
+        goal_zero=goal_zero, active=active, usable=usable, levels=levels
     )
 
 
-#: Shared-context memo.  Worker processes solve many batches for the same
-#: assay geometry, so a small LRU holds the handful of live shapes.
+#: Support-keyed memos of the reward contexts and the probability
+#: objective's qualitative sets.  Every synthesis reads them, so the cap
+#: is sized to the working set of job shapes: a 120-assay lifetime run on
+#: the 60x30 chip solves 108 shapes, and an LRU of 64 contexts hits 89% of
+#: its solves (32: 54%, 96: 93%) while each context costs memory.
 _CONTEXT_CACHE: OrderedDict[tuple, SharedContext] = OrderedDict()
-_CONTEXT_CACHE_MAX = 32
+_CONTEXT_CACHE_MAX = 64
+_QUAL_CACHE: OrderedDict[tuple, precompute.QualitativeSets] = OrderedDict()
+_QUAL_CACHE_MAX = 64
+
+#: Guards lookup, insertion and eviction of both memos and the size gauge
+#: (so the last published size is the current one): serve workers solve
+#: on threads, and an unguarded ``move_to_end`` racing a ``popitem`` can
+#: raise mid-job.  Builds run outside the lock.
+_CACHE_LOCK = threading.Lock()
+
+
+def _memoized(cache: OrderedDict, cap: int, key: tuple, build):
+    """LRU lookup of ``key`` in ``cache``, building and inserting on a miss.
+
+    Publishes ``vi.batch.precompute.{hits,misses}`` and the combined size
+    of both memos as the ``vi.batch.precompute.size`` gauge.
+    """
+    with _CACHE_LOCK:
+        value = cache.get(key)
+        if value is not None:
+            cache.move_to_end(key)
+    if value is not None:
+        perf.incr("vi.batch.precompute.hits")
+        return value
+    perf.incr("vi.batch.precompute.misses")
+    value = build()
+    with _CACHE_LOCK:
+        cache[key] = value
+        while len(cache) > cap:
+            cache.popitem(last=False)
+        perf.set_gauge(
+            "vi.batch.precompute.size", len(_CONTEXT_CACHE) + len(_QUAL_CACHE)
+        )
+    return value
 
 
 def reward_context(cm, goal: str, avoid: str, minimize: bool) -> SharedContext:
     """Memoized :func:`build_context` keyed on the structural fingerprint."""
-    key = (structural_key(cm), goal, avoid, minimize)
-    ctx = _CONTEXT_CACHE.get(key)
-    if ctx is not None:
-        _CONTEXT_CACHE.move_to_end(key)
-        perf.incr("vi.batch.precompute.hits")
-        return ctx
-    perf.incr("vi.batch.precompute.misses")
-    ctx = build_context(cm, goal, avoid, minimize)
-    _CONTEXT_CACHE[key] = ctx
-    while len(_CONTEXT_CACHE) > _CONTEXT_CACHE_MAX:
-        _CONTEXT_CACHE.popitem(last=False)
-    return ctx
+    return _memoized(
+        _CONTEXT_CACHE, _CONTEXT_CACHE_MAX,
+        (structural_key(cm), goal, avoid, minimize),
+        lambda: build_context(cm, goal, avoid, minimize),
+    )
+
+
+def qualitative_context(
+    cm, goal: str, avoid: str, maximize: bool
+) -> precompute.QualitativeSets:
+    """Memoized qualitative prob0/prob1 sets for a model family."""
+    return _memoized(
+        _QUAL_CACHE, _QUAL_CACHE_MAX,
+        (structural_key(cm), goal, avoid, maximize),
+        lambda: precompute.qualitative(
+            cm, cm.label_mask(goal), cm.label_mask(avoid), maximize
+        ),
+    )
 
 
 def clear_context_cache() -> None:
-    _CONTEXT_CACHE.clear()
+    """Drop both support-keyed memos (reward contexts, qualitative sets)."""
+    with _CACHE_LOCK:
+        _CONTEXT_CACHE.clear()
+        _QUAL_CACHE.clear()
+        perf.set_gauge("vi.batch.precompute.size", 0)
 
 
 class _ModelState:
     """Mutable per-model solve state threaded through the levels."""
 
-    __slots__ = ("cm", "T", "lower", "upper", "budget", "seed", "failed")
+    __slots__ = ("cm", "T", "lower", "upper", "budget", "seed")
 
     def __init__(self, cm, ctx: SharedContext, max_iterations: int, seed):
         n = cm.num_states
@@ -311,7 +353,6 @@ class _ModelState:
             max_iterations, "reward iteration did not converge"
         )
         self.seed = seed
-        self.failed = False
 
 
 def _batched_settle(
@@ -329,30 +370,18 @@ def _batched_settle(
     data flow between models — stacking only amortizes the matvec and
     reduction calls — so each model's iterate sequence is identical to
     its solo run.  Returns each model's held policy (``None`` where the
-    prelude failed to settle, matching solo).
+    prelude did not settle, matching solo).  Only called on
+    ``direct_ok`` levels, whose segment reduction covers every block
+    state.
     """
-    ns = lvl.states.size
     nc = lvl.own.size
     starts = lvl.argopt_starts
     seg = lvl.argopt_seg
     idxarr = np.arange(nc, dtype=np.int64)
     minimize_red = np.minimum.reduceat
 
-    active = [i for i, m in enumerate(ms) if not m.failed]
     held: "list[np.ndarray | None]" = [None] * len(ms)
-    stable = {i: 0 for i in active}
-    done: "set[int]" = set()
-
-    if starts is None or starts.size != ns:
-        # Solo settling would bail on the first value-only round (the
-        # reduction cannot cover every block state); replicate its single
-        # budget tick and report failure for every model.
-        for i in active:
-            try:
-                ms[i].budget.tick()
-            except interval.NonConvergence:
-                ms[i].failed = True
-        return held
+    stable = [0] * len(ms)
 
     def rebuild(models: "list[int]"):
         B = _block_diag_csr([tblocks[i] for i in models])
@@ -364,22 +393,16 @@ def _batched_settle(
     # once half are dead — a retired lane keeps sweeping into values nobody
     # reads (block-diagonal structure means it cannot influence a live
     # lane), which is cheaper than rebuilding the stack per retirement.
-    lanes = list(active)
-    live = set(active)
+    lanes = list(range(len(ms)))
+    live = set(lanes)
     B, Base = rebuild(lanes)
     X = np.stack([x0s[i] for i in lanes])
     sweeps = 0
     for k in range(interval._PI_PRELUDE_MAX):
         if not live:
             break
-        for i in list(live):
-            try:
-                ms[i].budget.tick()
-            except interval.NonConvergence:
-                ms[i].failed = True
-                live.discard(i)
-        if not live:
-            break
+        for i in live:
+            ms[i].budget.tick()
         if 2 * len(live) <= len(lanes):
             keep = [row for row, i in enumerate(lanes) if i in live]
             lanes = [i for i in lanes if i in live]
@@ -410,7 +433,6 @@ def _batched_settle(
             else:
                 stable[i] += 1
                 if stable[i] >= interval._PI_PRELUDE_STABLE:
-                    done.add(i)
                     live.discard(i)
                     if live:
                         perf.incr("vi.batch.retired_early")
@@ -418,30 +440,99 @@ def _batched_settle(
     return held
 
 
-def _solve_level_for_model(
-    lvl: _Level,
-    m: _ModelState,
-    Tl: sparse.csr_matrix,
-    rl: np.ndarray,
-    target: float,
+def _solve_levels(
+    ctx: SharedContext,
+    ms: "list[_ModelState]",
     epsilon: float,
     minimize: bool,
-    presettled,
 ) -> None:
-    interval._solve_reward_level(
-        m.lower,
-        m.upper,
-        lvl.block,
-        Tl,
-        rl,
-        lvl.own,
-        m.budget,
-        target=target,
-        epsilon=epsilon,
-        minimize=minimize,
-        seed=None,
-        presettled=presettled,
+    """Run every condensation level, successors first, for all models."""
+    targets = interval._level_targets(epsilon, len(ctx.levels))
+    for lvl, target in zip(ctx.levels, targets):
+        target = float(target)
+        tls = [lvl.make_tl(m.T, m.cm.num_states) for m in ms]
+        rls = [m.cm.choice_reward[lvl.idx] for m in ms]
+
+        if not lvl.direct_ok:
+            # No batched prelude possible (maximization, oversized or
+            # degenerate level): run the per-level body whole per model.
+            for m, Tl, rl in zip(ms, tls, rls):
+                interval._solve_reward_level(
+                    m.lower, m.upper, lvl.block, Tl, rl, lvl.own, m.budget,
+                    target=target, epsilon=epsilon, minimize=minimize,
+                    seed=m.seed,
+                )
+            continue
+
+        # Seed verification (per-level body order: before the direct
+        # attempt).
+        for m, Tl, rl in zip(ms, tls, rls):
+            if m.seed is None:
+                continue
+            opt = interval._make_opt(lvl.own, m.cm.num_states, not minimize)
+            interval._verify_reward_seed(
+                m.lower, lvl.block,
+                lambda vec, opt=opt, Tl=Tl, rl=rl: opt(rl + Tl @ vec),
+                m.seed, epsilon, m.budget,
+            )
+
+        # Inputs of the settling prelude, exactly as
+        # interval._policy_fixpoint derives them.
+        x0s, bases, tblocks = [], [], []
+        for m, Tl, rl in zip(ms, tls, rls):
+            vals = m.lower.copy()
+            certified = np.isfinite(m.upper)
+            vals[certified] = 0.5 * (m.lower[certified] + m.upper[certified])
+            x0 = vals[lvl.states].copy()
+            x0[~np.isfinite(x0)] = 0.0
+            vals[lvl.states] = 0.0
+            bases.append(rl + Tl @ vals)
+            x0s.append(x0)
+            tblocks.append(lvl.make_tblock(Tl))
+
+        held = _batched_settle(lvl, ms, x0s, bases, tblocks)
+        for row, (m, Tl, rl) in enumerate(zip(ms, tls, rls)):
+            interval._solve_reward_level(
+                m.lower, m.upper, lvl.block, Tl, rl, lvl.own, m.budget,
+                target=target, epsilon=epsilon, minimize=minimize, seed=None,
+                presettled=(held[row], tblocks[row], bases[row]),
+            )
+
+
+def _reward_result(
+    cm, ctx: SharedContext, m: _ModelState, minimize: bool
+) -> ValueResult:
+    solution = interval.IntervalSolution(
+        m.lower, m.upper, m.budget.iterations, len(ctx.levels)
     )
+    values = np.where(
+        np.isfinite(solution.lower) & np.isfinite(solution.upper),
+        0.5 * (solution.lower + solution.upper),
+        solution.lower,
+    )
+    remapped = compiled._extract(
+        cm, values, ctx.usable, cm.choice_reward, not minimize
+    )
+    # The extraction Bellman application counts as an iteration.
+    iterations = solution.iterations + 1
+    perf.incr("vi.reward.iterations", iterations)
+    perf.incr("vi.interval.iters", solution.iterations)
+    perf.observe("vi.interval.gap", solution.gap, bounds=compiled.GAP_BUCKETS)
+    return ValueResult(
+        values=values,
+        choice=compiled._to_local(cm, remapped),
+        iterations=iterations,
+        lower=solution.lower,
+        upper=solution.upper,
+    )
+
+
+def _check_family(models, initial_values) -> list:
+    if initial_values is None:
+        return [None] * len(models)
+    if len(initial_values) != len(models):
+        raise ValueError("initial_values length does not match models")
+    return list(initial_values)
 
 
 def solve_reach_avoid_reward_batch(
@@ -452,212 +543,60 @@ def solve_reach_avoid_reward_batch(
     epsilon: float = DEFAULT_EPSILON,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     initial_values=None,
-    context: SharedContext | None = None,
 ) -> "list[ValueResult]":
     """Solve a same-shape family of reward queries in one batched pass.
 
-    Every entry of the returned list is bit-identical — bounds, values,
-    choices, iteration counts — to what
-    :func:`compiled.solve_reach_avoid_reward` returns for that model and
-    seed.  Models the batch cannot handle fall back to exactly that call
-    (``vi.batch.fallbacks``), so failure modes (including
-    :class:`~repro.modelcheck.interval.NonConvergence`) also match solo
-    behavior.  Raises ``ValueError`` when the models do not share a
-    structural key — callers bucket by :func:`structural_key` first.
+    The semantics are those documented on
+    :func:`compiled.solve_reach_avoid_reward` (a solo solve is this call
+    on one model), per model: each result — bounds, values, choices,
+    iteration counts — is bit-identical to solving that model alone with
+    the same seed.  :class:`~repro.modelcheck.interval.NonConvergence`
+    from any model propagates.  Raises ``ValueError`` when the models do
+    not share a structural key — callers bucket by :func:`structural_key`
+    first.
     """
     models = list(models)
-    if initial_values is None:
-        initial_values = [None] * len(models)
-    if len(initial_values) != len(models):
-        raise ValueError("initial_values length does not match models")
+    initial_values = _check_family(models, initial_values)
     if not models:
         return []
-
-    def solo(cm, seed):
-        perf.incr("vi.batch.fallbacks")
-        return compiled.solve_reach_avoid_reward(
-            cm, goal, avoid, minimize=minimize, epsilon=epsilon,
-            max_iterations=max_iterations, initial_values=seed,
-        )
-
-    keys = [structural_key(cm) for cm in models]
-    if len(set(keys)) != 1:
+    keys = {structural_key(cm) for cm in models}
+    if len(keys) != 1:
         raise ValueError(
             "batched solve requires a single shape bucket; got "
-            f"{len(set(keys))} distinct structural keys"
+            f"{len(keys)} distinct structural keys"
         )
 
     perf.incr("vi.batch.solves")
     perf.incr("vi.batch.models", len(models))
+    seeds = []
+    for cm, values in zip(models, initial_values):
+        if values is None:
+            seeds.append(None)
+            perf.incr("vi.reward.cold_solves")
+        else:
+            seeds.append(compiled._sanitize_reward_seed(values, cm.num_states))
+            perf.incr("vi.reward.warm_solves")
 
-    results: "list[ValueResult | None]" = [None] * len(models)
-    batchable: "list[int]" = []
+    shared, families = [], []
     for i, cm in enumerate(models):
         if supports_batching(cm):
-            batchable.append(i)
+            shared.append(i)
         else:
-            results[i] = solo(cm, initial_values[i])
-    if not batchable:
-        return results
-    # A single batchable model still runs the shared-context machinery:
-    # the per-epoch win in resynthesis storms is the memoized prob0/prob1
-    # and SCC precompute (keyed on support), which the plain solo path
-    # would recompute from scratch every call.
-
-    rep = models[batchable[0]]
-    if context is None or context.key != keys[batchable[0]] or (
-        context.goal != goal or context.avoid != avoid
-    ):
-        context = reward_context(rep, goal, avoid, minimize)
-    ctx = context
-
-    states_list: "list[_ModelState]" = []
-    for i in batchable:
-        cm = models[i]
-        seed = None
-        if initial_values[i] is not None:
-            seed = compiled._sanitize_reward_seed(
-                initial_values[i], cm.num_states
-            )
-            perf.incr("vi.reward.warm_solves")
-        else:
-            perf.incr("vi.reward.cold_solves")
-        states_list.append(_ModelState(cm, ctx, max_iterations, seed))
-
-    targets = interval._level_targets(epsilon, ctx.num_levels)
-    if ctx.active.any():
-        for level in range(ctx.num_levels):
-            lvl = ctx.levels[level]
-            target = float(targets[level])
-            live = [m for m in states_list if not m.failed]
-            if not live:
-                break
-            tls = {id(m): lvl.make_tl(m.T, m.cm.num_states) for m in live}
-            rls = {id(m): m.cm.choice_reward[lvl.idx] for m in live}
-
-            if not lvl.direct_ok or len(live) == 1:
-                # No batched prelude possible (maximization, oversized or
-                # degenerate level), or a single live model (nothing to
-                # batch) — run the solo per-level body whole.  Either way
-                # the shared-context precompute is still amortized.
-                for m in live:
-                    try:
-                        interval._solve_reward_level(
-                            m.lower, m.upper, lvl.block, tls[id(m)],
-                            rls[id(m)], lvl.own, m.budget, target=target,
-                            epsilon=epsilon, minimize=minimize, seed=m.seed,
-                        )
-                    except interval.NonConvergence:
-                        m.failed = True
-                continue
-
-            # Seed verification (solo order: before the direct attempt).
-            for m in live:
-                if m.seed is None:
-                    continue
-                try:
-                    opt = interval._make_opt(
-                        lvl.own, m.cm.num_states, not minimize
-                    )
-                    interval._verify_reward_seed(
-                        m.lower, lvl.block,
-                        lambda vec, m=m, opt=opt: opt(
-                            rls[id(m)] + tls[id(m)] @ vec
-                        ),
-                        m.seed, epsilon, m.budget,
-                    )
-                except interval.NonConvergence:
-                    m.failed = True
-            live = [m for m in live if not m.failed]
-            if not live:
-                continue
-
-            # Inputs of the settling prelude, exactly as
-            # interval._policy_fixpoint derives them.
-            x0s, bases, tblocks = [], [], []
-            for m in live:
-                vals = m.lower.copy()
-                certified = np.isfinite(m.upper)
-                vals[certified] = 0.5 * (
-                    m.lower[certified] + m.upper[certified]
-                )
-                x0 = vals[lvl.states].copy()
-                x0[~np.isfinite(x0)] = 0.0
-                vals[lvl.states] = 0.0
-                bases.append(rls[id(m)] + tls[id(m)] @ vals)
-                x0s.append(x0)
-                tblocks.append(lvl.make_tblock(tls[id(m)]))
-
-            held = _batched_settle(
-                lvl, live, x0s, bases, tblocks
-            )
-            for row, m in enumerate(live):
-                if m.failed:
-                    continue
-                try:
-                    _solve_level_for_model(
-                        lvl, m, tls[id(m)], rls[id(m)], target, epsilon,
-                        minimize,
-                        (held[row], tblocks[row], bases[row]),
-                    )
-                except interval.NonConvergence:
-                    m.failed = True
-
-    for i, m in zip(batchable, states_list):
-        if m.failed:
-            results[i] = solo(models[i], initial_values[i])
-            continue
-        solution = interval.IntervalSolution(
-            m.lower, m.upper, m.budget.iterations, ctx.num_levels
+            families.append(([i], build_context(cm, goal, avoid, minimize)))
+    if shared:
+        families.append(
+            (shared, reward_context(models[shared[0]], goal, avoid, minimize))
         )
-        cm = models[i]
-        values = np.where(
-            np.isfinite(solution.lower) & np.isfinite(solution.upper),
-            0.5 * (solution.lower + solution.upper),
-            solution.lower,
-        )
-        remapped = compiled._extract(
-            cm, values, ctx.usable, cm.choice_reward, not minimize
-        )
-        iterations = solution.iterations + 1
-        perf.incr("vi.reward.iterations", iterations)
-        perf.incr("vi.interval.iters", solution.iterations)
-        perf.observe(
-            "vi.interval.gap", solution.gap, bounds=compiled.GAP_BUCKETS
-        )
-        results[i] = ValueResult(
-            values=values,
-            choice=compiled._to_local(cm, remapped),
-            iterations=iterations,
-            lower=solution.lower,
-            upper=solution.upper,
-        )
+    results: "list[ValueResult | None]" = [None] * len(models)
+    for idxs, ctx in families:
+        ms = [
+            _ModelState(models[i], ctx, max_iterations, seeds[i])
+            for i in idxs
+        ]
+        _solve_levels(ctx, ms, epsilon, minimize)
+        for i, m in zip(idxs, ms):
+            results[i] = _reward_result(models[i], ctx, m, minimize)
     return results
-
-
-#: Probability-objective memo: qualitative sets depend only on support.
-_QUAL_CACHE: OrderedDict[tuple, precompute.QualitativeSets] = OrderedDict()
-_QUAL_CACHE_MAX = 64
-
-
-def qualitative_context(
-    cm, goal: str, avoid: str, maximize: bool
-) -> precompute.QualitativeSets:
-    """Memoized qualitative prob0/prob1 sets for a model family."""
-    key = (structural_key(cm), goal, avoid, maximize)
-    sets = _QUAL_CACHE.get(key)
-    if sets is not None:
-        _QUAL_CACHE.move_to_end(key)
-        perf.incr("vi.batch.precompute.hits")
-        return sets
-    perf.incr("vi.batch.precompute.misses")
-    sets = precompute.qualitative(
-        cm, cm.label_mask(goal), cm.label_mask(avoid), maximize
-    )
-    _QUAL_CACHE[key] = sets
-    while len(_QUAL_CACHE) > _QUAL_CACHE_MAX:
-        _QUAL_CACHE.popitem(last=False)
-    return sets
 
 
 def solve_reach_avoid_probability_batch(
@@ -674,14 +613,11 @@ def solve_reach_avoid_probability_batch(
     Production routing solves reward objectives, so this path stays thin:
     the graph precompute (the shape-dependent half of a probability solve)
     is shared across the family and the numeric interval iteration runs
-    per model through the untouched solo code, keeping results trivially
-    bit-identical to :func:`compiled.solve_reach_avoid_probability`.
+    per model.  Semantics per model are those documented on
+    :func:`compiled.solve_reach_avoid_probability`, a batch of one.
     """
     models = list(models)
-    if initial_values is None:
-        initial_values = [None] * len(models)
-    if len(initial_values) != len(models):
-        raise ValueError("initial_values length does not match models")
+    initial_values = _check_family(models, initial_values)
     if not models:
         return []
     perf.incr("vi.batch.solves")
@@ -716,6 +652,8 @@ def solve_reach_avoid_probability_batch(
             cm, values, ~frozen[cm.choice_state], None, maximize
         )
         remapped[frozen] = -1
+        # The extraction Bellman application counts as an iteration, so
+        # even a fully precomputed solve reports >= 1.
         iterations = solution.iterations + 1
         perf.incr("vi.probability.iterations", iterations)
         perf.incr("vi.interval.iters", solution.iterations)

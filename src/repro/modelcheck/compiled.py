@@ -11,8 +11,8 @@ into flat numpy/scipy-sparse arrays:
 * ``transitions`` — a ``(num_choices, num_states)`` CSR matrix of successor
   probabilities.
 
-Solving is a *sound* three-stage pipeline (see :mod:`.precompute` and
-:mod:`.interval`):
+Solving is a *sound* three-stage pipeline (see :mod:`.precompute`,
+:mod:`.interval` and :mod:`.batch`):
 
 1. **qualitative precomputation** pins every state whose value is exactly
    0 or 1 from the graph alone (``prob0``/``prob1`` under both ``Pmax``
@@ -24,6 +24,12 @@ Solving is a *sound* three-stage pipeline (see :mod:`.precompute` and
    certified ``lower``/``upper`` arrays with ``gap <= epsilon``;
 3. **topological SCC ordering** solves the unknown region one condensation
    level at a time, successors first.
+
+Stage 1, the SCC levels and the per-level row/column gathers depend only
+on the transition *support*.  A solve here is the batch kernel of
+:mod:`.batch` run on one model, so that support-derived work comes from a
+process-wide memo keyed on the model's structural fingerprint: a routing
+job re-synthesized under new health values pays only for stage 2.
 
 Warm-start seeds are *validated*, not trusted: values outside the
 documented bound raise ``ValueError``, non-finite entries are filled with
@@ -264,53 +270,34 @@ def solve_reach_avoid_probability(
     fixpoint, otherwise the solve silently cold-starts
     (``vi.warm.rejected``).
 
+    The qualitative sets come from the support-keyed memo of
+    :func:`repro.modelcheck.batch.qualitative_context` (a batch of one).
+
     ``certified=False`` runs the legacy single-sided sweep loop (no
     precomputation, no bounds) — ablation use only; it diverges on models
     with goal-dodging end components (hypothesis seed 1186).
     """
+    if certified:
+        from repro.modelcheck.batch import solve_reach_avoid_probability_batch
+
+        return solve_reach_avoid_probability_batch(
+            [cm], goal, avoid, maximize=maximize, epsilon=epsilon,
+            max_iterations=max_iterations, initial_values=[initial_values],
+        )[0]
     goal_mask = cm.label_mask(goal)
     avoid_mask = cm.label_mask(avoid)
     if np.any(goal_mask & avoid_mask):
         raise ValueError("goal and avoid labels overlap")
-    n = cm.num_states
     seed: np.ndarray | None = None
     if initial_values is not None:
-        seed = _sanitize_probability_seed(initial_values, n, maximize)
+        seed = _sanitize_probability_seed(
+            initial_values, cm.num_states, maximize
+        )
         perf.incr("vi.probability.warm_solves")
     else:
         perf.incr("vi.probability.cold_solves")
-
-    if not certified:
-        return _solve_probability_plain(
-            cm, goal_mask, avoid_mask, maximize, epsilon, max_iterations, seed
-        )
-
-    sets = precompute.qualitative(cm, goal_mask, avoid_mask, maximize)
-    solution = interval.solve_probability_interval(
-        cm,
-        zero=sets.zero,
-        one=sets.one,
-        maximize=maximize,
-        epsilon=epsilon,
-        max_iterations=max_iterations,
-        seed=seed,
-    )
-    values = 0.5 * (solution.lower + solution.upper)
-    frozen = goal_mask | avoid_mask
-    remapped = _extract(cm, values, ~frozen[cm.choice_state], None, maximize)
-    remapped[frozen] = -1
-    # The extraction Bellman application counts as an iteration, so even a
-    # fully precomputed solve reports >= 1.
-    iterations = solution.iterations + 1
-    perf.incr("vi.probability.iterations", iterations)
-    perf.incr("vi.interval.iters", solution.iterations)
-    perf.observe("vi.interval.gap", solution.gap, bounds=GAP_BUCKETS)
-    return ValueResult(
-        values=values,
-        choice=_to_local(cm, remapped),
-        iterations=iterations,
-        lower=solution.lower,
-        upper=solution.upper,
+    return _solve_probability_plain(
+        cm, goal_mask, avoid_mask, maximize, epsilon, max_iterations, seed
     )
 
 
@@ -426,51 +413,31 @@ def solve_reach_avoid_reward(
     per SCC level with a Bellman application and dropped where it fails
     (``vi.warm.rejected``).  Goal states and states outside the prob-1
     region keep their pinned values regardless of the seed.
+
+    The certified solve is the batch kernel on one model
+    (:func:`~repro.modelcheck.batch.solve_reach_avoid_reward_batch`),
+    sharing its support-keyed context memo.  ``certified=False`` runs the
+    legacy single-sided sweep loop — ablation use only.
     """
-    goal_mask = cm.label_mask(goal)
-    avoid_mask = cm.label_mask(avoid)
-    n = cm.num_states
+    if certified:
+        from repro.modelcheck.batch import solve_reach_avoid_reward_batch
+
+        return solve_reach_avoid_reward_batch(
+            [cm], goal, avoid, minimize=minimize, epsilon=epsilon,
+            max_iterations=max_iterations, initial_values=[initial_values],
+        )[0]
     seed: np.ndarray | None = None
     if initial_values is not None:
-        seed = _sanitize_reward_seed(initial_values, n)
+        seed = _sanitize_reward_seed(initial_values, cm.num_states)
         perf.incr("vi.reward.warm_solves")
     else:
         perf.incr("vi.reward.cold_solves")
-
-    goal_zero, active, usable = _reward_region(cm, goal_mask, avoid_mask)
-
-    if not certified:
-        return _solve_reward_plain(
-            cm, goal_zero, active, usable, minimize, epsilon,
-            max_iterations, seed,
-        )
-
-    solution = interval.solve_reward_interval(
-        cm,
-        goal_zero=goal_zero,
-        active=active,
-        usable=usable,
-        minimize=minimize,
-        epsilon=epsilon,
-        max_iterations=max_iterations,
-        seed=seed,
+    goal_zero, active, usable = _reward_region(
+        cm, cm.label_mask(goal), cm.label_mask(avoid)
     )
-    values = np.where(
-        np.isfinite(solution.lower) & np.isfinite(solution.upper),
-        0.5 * (solution.lower + solution.upper),
-        solution.lower,
-    )
-    remapped = _extract(cm, values, usable, cm.choice_reward, not minimize)
-    iterations = solution.iterations + 1
-    perf.incr("vi.reward.iterations", iterations)
-    perf.incr("vi.interval.iters", solution.iterations)
-    perf.observe("vi.interval.gap", solution.gap, bounds=GAP_BUCKETS)
-    return ValueResult(
-        values=values,
-        choice=_to_local(cm, remapped),
-        iterations=iterations,
-        lower=solution.lower,
-        upper=solution.upper,
+    return _solve_reward_plain(
+        cm, goal_zero, active, usable, minimize, epsilon, max_iterations,
+        seed,
     )
 
 

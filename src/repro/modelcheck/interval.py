@@ -49,8 +49,9 @@ while passing it).  This module replaces that with *certified* solving:
   by its successors' (smaller) certified gap.
 
 The module is deliberately free of model/label handling — callers hand in
-masks and get an :class:`IntervalSolution` back; :mod:`.compiled` owns the
-public query API.
+masks (probability) or one condensation level at a time (rewards:
+:func:`_solve_reward_level`, driven by :mod:`.batch`); :mod:`.compiled`
+owns the public query API.
 """
 
 from __future__ import annotations
@@ -916,66 +917,6 @@ def solve_probability_interval(
     return IntervalSolution(lower, upper, budget.iterations, num_levels)
 
 
-def solve_reward_interval(
-    cm,
-    *,
-    goal_zero: np.ndarray,
-    active: np.ndarray,
-    usable: np.ndarray,
-    minimize: bool,
-    epsilon: float,
-    max_iterations: int,
-    seed: np.ndarray | None = None,
-) -> IntervalSolution:
-    """Certified expected-total-reward bounds (optimistic value iteration).
-
-    ``goal_zero`` marks states pinned at 0 (goal inside the prob-1 region),
-    ``active`` the states to iterate, ``usable`` the choices that stay in
-    the prob-1 region; everything else is ``inf`` on both sides (PRISM
-    total-reward semantics).  ``seed`` optionally warm-starts the lower
-    iterate; it is verified per level with one Bellman application and
-    dropped where it fails (``vi.warm.rejected``).
-
-    Restricted to ``usable`` choices the sub-MDP is goal-reaching under
-    proper policies; for minimization every policy in the restriction is
-    proper, making the fixpoint unique so the OVI acceptance check
-    (``Phi(u) <= u`` pointwise) certifies the upper bound.  For
-    maximization an end component inside the restriction makes the
-    supremum infinite; there the guesses never verify and the iteration
-    budget surfaces the divergence as :class:`NonConvergence` — the same
-    contract as the plain solver, now with an explicit mechanism.
-    """
-    n = cm.num_states
-    owners = cm.choice_state
-    lower = np.full(n, np.inf)
-    upper = np.full(n, np.inf)
-    lower[goal_zero] = 0.0
-    upper[goal_zero] = 0.0
-    lower[active] = 0.0
-    budget = _Budget(max_iterations, "reward iteration did not converge")
-    if not active.any():
-        return IntervalSolution(lower, upper, budget.iterations, 0)
-
-    T = _rows(cm)
-    rows, cols = _entries(cm)
-    rewards = cm.choice_reward
-    maximize = not minimize
-
-    level_of_state, num_levels = _scc_levels(
-        n, rows, cols, owners, active, usable
-    )
-    targets = _level_targets(epsilon, num_levels)
-    for level in range(num_levels):
-        block = active & (level_of_state == level)
-        idx = np.flatnonzero(usable & block[owners])
-        _solve_reward_level(
-            lower, upper, block, T[idx], rewards[idx], owners[idx], budget,
-            target=float(targets[level]), epsilon=epsilon,
-            minimize=minimize, seed=seed,
-        )
-    return IntervalSolution(lower, upper, budget.iterations, num_levels)
-
-
 #: Sentinel distinguishing "no presettled policy supplied" (run the full
 #: value-iteration prelude inside :func:`_policy_fixpoint`) from "settling
 #: ran externally and produced this result" (which may be ``None`` when the
@@ -996,7 +937,7 @@ def _verify_reward_seed(
     The candidate (relaxed down by ``epsilon``, floored at 0) is kept only
     when one Bellman application confirms it sits below the fixpoint;
     rejections cold-start and count as ``vi.warm.rejected``.  Shared by
-    the solo per-level body and the batched kernel so the verification
+    the per-level body and the batched prelude path so the verification
     arithmetic can never drift apart.
     """
     v = lower.copy()
@@ -1027,13 +968,21 @@ def _solve_reward_level(
 ) -> None:
     """Solve one condensation level of a total-reward objective in place.
 
-    The per-level body of :func:`solve_reward_interval`, split out so the
-    batched kernel (:mod:`.batch`) can drive the identical sequence of
-    operations per model while replacing only the value-iteration settling
-    prelude with its vectorized counterpart.  ``presettled`` is either the
-    :data:`_NO_PRESETTLE` sentinel (solo path: :func:`_policy_fixpoint`
-    runs its own prelude) or a ``(held, Tblock, base)`` triple from an
-    external prelude, handed straight to :func:`_pi_finish`.
+    The solver (:mod:`.batch`) runs it for every level, successors first,
+    on the level's rows ``Tl``/``rl``/``own`` of one model, optionally
+    replacing only the value-iteration settling prelude with its
+    vectorized counterpart.  ``presettled`` is either the
+    :data:`_NO_PRESETTLE` sentinel (:func:`_policy_fixpoint` runs its own
+    prelude) or a ``(held, Tblock, base)`` triple from an external
+    prelude, handed straight to :func:`_pi_finish`.
+
+    Restricted to the usable choices (those staying in the prob-1 region)
+    the sub-MDP is goal-reaching under proper policies; for minimization
+    every policy in the restriction is proper, making the fixpoint unique
+    so the OVI acceptance check (``Phi(u) <= u`` pointwise) certifies the
+    upper bound.  For maximization an end component inside the restriction
+    makes the supremum infinite; there the guesses never verify and the
+    iteration budget surfaces the divergence as :class:`NonConvergence`.
     """
     n = lower.size
     maximize = not minimize

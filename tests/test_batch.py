@@ -35,6 +35,7 @@ from repro.core.synthesis import (
 from repro.engine import SynthesisEngine
 from repro.geometry.rect import Rect
 from repro.modelcheck.batch import (
+    clear_context_cache,
     solve_reach_avoid_reward_batch,
     structural_key,
 )
@@ -161,7 +162,7 @@ class TestKernelBucketing:
 
     def test_kernel_results_bit_identical_to_solo(self):
         # Same job geometry under different force matrices: one shape
-        # bucket, distinct numerics.
+        # bucket, distinct numerics, solved in one stacked pass.
         job = _jobs()[0]
         models = []
         for seed in (2, 4, 6):
@@ -171,12 +172,15 @@ class TestKernelBucketing:
         assert len({structural_key(cm) for cm in models}) == 1
         batched = solve_reach_avoid_reward_batch(models)
         for cm, rb in zip(models, batched):
+            # Reference: each model alone against a cold context memo.
+            clear_context_cache()
             rs = solve_reach_avoid_reward(cm)
             assert np.array_equal(rb.values, rs.values)
             assert np.array_equal(rb.choice, rs.choice)
             assert rb.certified and rs.certified
             assert np.array_equal(rb.lower, rs.lower)
             assert np.array_equal(rb.upper, rs.upper)
+            assert rb.iterations == rs.iterations
 
 
 class TestDedupToken:

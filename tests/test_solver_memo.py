@@ -1,0 +1,325 @@
+"""Differential tests for the support-keyed solver memos.
+
+Every certified solve runs the batch kernel, and the kernel takes its
+support-derived precompute (prob-1 region, SCC levels, per-level row and
+column gathers, qualitative sets) from process-wide memos.  The contract
+under test: a solve against a warm memo is bit-identical, in every
+``ValueResult`` field, to the same solve right after
+``clear_context_cache()`` — and both equal an uncached oracle that slices
+the transition matrix directly, as the solver did before the memo.
+Also covered: the memos' locking under threaded solves, their size
+gauges, and the LRU order of the build-template cache.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from repro import perf
+from repro.core import fastmdp
+from repro.core.fastmdp import (
+    build_dedup_token,
+    build_routing_model_fast,
+    clear_build_template_cache,
+)
+from repro.core.routing_job import RoutingJob
+from repro.core.synthesis import force_field_from_health
+from repro.geometry.rect import Rect
+from repro.modelcheck import batch, compiled, interval
+from repro.modelcheck.compiled import (
+    CompiledMDP,
+    solve_reach_avoid_probability,
+    solve_reach_avoid_reward,
+)
+from repro.modelcheck.interval import NonConvergence
+from repro.modelcheck.reachability import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_ITERATIONS,
+)
+
+W, H = 24, 18
+FULL = Rect(1, 1, W, H)
+JOB = RoutingJob(Rect(2, 2, 4, 4), Rect(W - 5, H - 5, W - 3, H - 3), FULL)
+OTHER_JOBS = (
+    RoutingJob(Rect(W - 4, 2, W - 2, 4), Rect(3, H - 4, 5, H - 2), FULL),
+    RoutingJob(Rect(2, 8, 4, 10), Rect(W - 4, 8, W - 2, 10),
+               Rect(1, 5, W, 14)),
+)
+SWEEP = range(6)
+
+
+def _health(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    health = rng.integers(1, 4, size=(W, H))
+    health[0:6, 0:6] = 3
+    health[W - 7 :, H - 7 :] = 3
+    return health
+
+
+def _model(job: RoutingJob, seed: int) -> CompiledMDP:
+    forces = force_field_from_health(_health(seed)).forces
+    return build_routing_model_fast(job, forces).compiled
+
+
+def _assert_identical(a, b) -> None:
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.choice, b.choice)
+    assert np.array_equal(a.lower, b.lower)
+    assert np.array_equal(a.upper, b.upper)
+    assert a.iterations == b.iterations
+
+
+def _cold(solve, *args, **kwargs):
+    batch.clear_context_cache()
+    return solve(*args, **kwargs)
+
+
+def _uncached_reward(cm, initial_values=None, epsilon=DEFAULT_EPSILON):
+    """Oracle: the certified ``Rmin`` solve with no memo and no gathers.
+
+    Recomputes the prob-1 region and the SCC levels for this one model,
+    slices ``T[idx]`` per level and lets the per-level body run its own
+    settling prelude (which slices ``Tl[:, states]``).
+    """
+    goal_zero, active, usable = compiled._reward_region(
+        cm, cm.label_mask("goal"), cm.label_mask("hazard")
+    )
+    n = cm.num_states
+    seed = None
+    if initial_values is not None:
+        seed = compiled._sanitize_reward_seed(initial_values, n)
+    lower = np.full(n, np.inf)
+    upper = np.full(n, np.inf)
+    lower[goal_zero] = upper[goal_zero] = 0.0
+    lower[active] = 0.0
+    budget = interval._Budget(
+        DEFAULT_MAX_ITERATIONS, "reward iteration did not converge"
+    )
+    T = interval._rows(cm)
+    owners = cm.choice_state
+    rows, cols = interval._entries(cm)
+    level_of_state, num_levels = interval._scc_levels(
+        n, rows, cols, owners, active, usable
+    )
+    targets = interval._level_targets(epsilon, num_levels)
+    for level in range(num_levels):
+        block = active & (level_of_state == level)
+        idx = np.flatnonzero(usable & block[owners])
+        interval._solve_reward_level(
+            lower, upper, block, T[idx], cm.choice_reward[idx], owners[idx],
+            budget, target=float(targets[level]), epsilon=epsilon,
+            minimize=True, seed=seed,
+        )
+    finite = np.isfinite(lower) & np.isfinite(upper)
+    values = np.where(finite, 0.5 * (lower + upper), lower)
+    remapped = compiled._extract(cm, values, usable, cm.choice_reward, False)
+    return values, compiled._to_local(cm, remapped), lower, upper
+
+
+def _assert_matches_oracle(result, cm, initial_values=None) -> None:
+    values, choice, lower, upper = _uncached_reward(cm, initial_values)
+    assert np.array_equal(result.values, values)
+    assert np.array_equal(result.choice, choice)
+    assert np.array_equal(result.lower, lower)
+    assert np.array_equal(result.upper, upper)
+
+
+def _with_stored_zero(cm: CompiledMDP) -> CompiledMDP:
+    """A copy of ``cm`` with an explicit zero in a usable choice's row.
+
+    The zero points at another state of the prob-1 region, so it adds an
+    edge to the SCC graph without touching the probabilities.
+    """
+    _, active, usable = compiled._reward_region(
+        cm, cm.label_mask("goal"), cm.label_mask("hazard")
+    )
+    t = interval._rows(cm)
+    row = int(np.flatnonzero(usable)[0])
+    lo, hi = t.indptr[row], t.indptr[row + 1]
+    col = next(
+        int(c) for c in np.flatnonzero(active)
+        if c not in t.indices[lo:hi] and c != cm.choice_state[row]
+    )
+    at = lo + int(np.searchsorted(t.indices[lo:hi], col))
+    data = np.insert(t.data, at, 0.0)
+    indices = np.insert(t.indices, at, col)
+    indptr = t.indptr.copy()
+    indptr[row + 1 :] += 1
+    zeroed = sparse.csr_matrix((data, indices, indptr), shape=t.shape)
+    assert zeroed.nnz == t.nnz + 1  # the zero is stored, not dropped
+    return CompiledMDP(
+        num_states=cm.num_states,
+        choice_state=cm.choice_state,
+        choice_reward=cm.choice_reward,
+        transitions=zeroed,
+        labels=cm.labels,
+        initial=cm.initial,
+    )
+
+
+@pytest.fixture(autouse=True)
+def _fresh():
+    clear_build_template_cache()
+    batch.clear_context_cache()
+    yield
+    batch.clear_context_cache()
+
+
+class TestWarmContextMatchesCold:
+    def test_cold_solves_over_health_sweep(self):
+        models = [_model(JOB, seed) for seed in SWEEP]
+        assert len({batch.structural_key(cm) for cm in models}) == 1
+        for cm in models:
+            cold = _cold(solve_reach_avoid_reward, cm)
+            warm = solve_reach_avoid_reward(cm)
+            _assert_identical(warm, cold)
+            _assert_matches_oracle(warm, cm)
+        assert perf.get("vi.batch.precompute.hits") > 0
+
+    def test_warm_seeded_solves_over_health_sweep(self):
+        models = [_model(JOB, seed) for seed in SWEEP]
+        previous = solve_reach_avoid_reward(models[0]).values
+        for cm in models[1:]:
+            warm = solve_reach_avoid_reward(cm, initial_values=previous)
+            cold = _cold(solve_reach_avoid_reward, cm, initial_values=previous)
+            _assert_identical(warm, cold)
+            _assert_matches_oracle(warm, cm, previous)
+            previous = warm.values
+
+    def test_rejected_seed(self):
+        cm = _model(JOB, 1)
+        exact = solve_reach_avoid_reward(cm)
+        # Far above the fixpoint: the per-level Bellman check refuses it.
+        high = np.where(np.isfinite(exact.values), exact.values * 2 + 50, 0)
+        before = perf.get("vi.warm.rejected")
+        warm = solve_reach_avoid_reward(cm, initial_values=high)
+        assert perf.get("vi.warm.rejected") > before
+        cold = _cold(solve_reach_avoid_reward, cm, initial_values=high)
+        _assert_identical(warm, cold)
+        _assert_matches_oracle(warm, cm, high)
+
+    def test_stored_zero_model_is_solved_but_never_cached(self):
+        cm = _with_stored_zero(_model(JOB, 2))
+        assert not batch.supports_batching(cm)
+        cold = _cold(solve_reach_avoid_reward, cm)
+        hits = perf.get("vi.batch.precompute.hits")
+        misses = perf.get("vi.batch.precompute.misses")
+        warm = solve_reach_avoid_reward(cm)
+        assert len(batch._CONTEXT_CACHE) == 0
+        assert perf.get("vi.batch.precompute.hits") == hits
+        assert perf.get("vi.batch.precompute.misses") == misses
+        _assert_identical(warm, cold)
+        _assert_matches_oracle(warm, cm)
+
+    def test_pmax_probability_query(self):
+        for seed in SWEEP:
+            cm = _model(JOB, seed)
+            cold = _cold(solve_reach_avoid_probability, cm, maximize=True)
+            warm = solve_reach_avoid_probability(cm, maximize=True)
+            _assert_identical(warm, cold)
+        assert len(batch._QUAL_CACHE) == 1
+
+    def test_tiny_budget_still_raises(self):
+        cm = _model(JOB, 3)
+        solve_reach_avoid_reward(cm)  # warm the context
+        with pytest.raises(NonConvergence):
+            solve_reach_avoid_reward(cm, max_iterations=2)
+        with pytest.raises(NonConvergence):
+            _cold(solve_reach_avoid_reward, cm, max_iterations=2)
+
+
+class TestThreadedMemo:
+    def test_concurrent_solves_bit_identical_to_serial(self, monkeypatch):
+        # Three shapes against a 2-entry memo: threads keep evicting and
+        # re-inserting while others look up.  A short switch interval
+        # makes the threads interleave inside the lookups.
+        monkeypatch.setattr(batch, "_CONTEXT_CACHE_MAX", 2)
+        models = [
+            _model(job, seed)
+            for job in (JOB, *OTHER_JOBS)
+            for seed in (4, 5)
+        ]
+        serial = [_cold(solve_reach_avoid_reward, cm) for cm in models]
+        results: dict[tuple[int, int], object] = {}
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(4)
+
+        def worker(t: int) -> None:
+            try:
+                barrier.wait(timeout=60)
+                for rep in range(3):
+                    order = np.random.default_rng(10 * t + rep).permutation(
+                        len(models)
+                    )
+                    for i in order:
+                        results[(t, int(i))] = solve_reach_avoid_reward(
+                            models[i]
+                        )
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(4)
+        ]
+        interval_before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval_before)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors, errors
+        assert len(results) == 4 * len(models)
+        for (_, i), result in results.items():
+            _assert_identical(result, serial[i])
+        assert len(batch._CONTEXT_CACHE) <= 2
+        # The last published size is the memo's size, whichever thread
+        # inserted last.
+        assert perf.get("vi.batch.precompute.size") == len(
+            batch._CONTEXT_CACHE
+        ) + len(batch._QUAL_CACHE)
+
+
+class TestCacheSizeGauges:
+    def test_precompute_size_counts_both_memos(self):
+        cm = _model(JOB, 1)
+        assert perf.get("vi.batch.precompute.size") == 0
+        solve_reach_avoid_reward(cm)
+        assert perf.get("vi.batch.precompute.size") == 1
+        solve_reach_avoid_probability(cm)
+        assert perf.get("vi.batch.precompute.size") == 2
+        batch.clear_context_cache()
+        assert perf.get("vi.batch.precompute.size") == 0
+
+    def test_template_size_follows_inserts_and_evictions(self, monkeypatch):
+        monkeypatch.setattr(fastmdp, "_TEMPLATE_CACHE_MAX", 2)
+        forces = force_field_from_health(_health(1)).forces
+        for n, job in enumerate((JOB, *OTHER_JOBS), start=1):
+            build_routing_model_fast(job, forces)
+            assert perf.get("fastmdp.template.size") == min(n, 2)
+        clear_build_template_cache()
+        assert perf.get("fastmdp.template.size") == 0
+
+
+class TestTemplateLru:
+    def test_rehit_oldest_survives_eviction(self, monkeypatch):
+        monkeypatch.setattr(fastmdp, "_TEMPLATE_CACHE_MAX", 2)
+        forces = force_field_from_health(_health(1)).forces
+        oldest, middle, newest = JOB, *OTHER_JOBS
+        build_routing_model_fast(oldest, forces)
+        build_routing_model_fast(middle, forces)
+        hits = perf.get("fastmdp.template.hits")
+        build_routing_model_fast(oldest, forces)  # re-hit refreshes it
+        assert perf.get("fastmdp.template.hits") == hits + 1
+        build_routing_model_fast(newest, forces)  # cap + 1 distinct keys
+        assert build_dedup_token(oldest, forces) is not None
+        assert build_dedup_token(middle, forces) is None
+        assert build_dedup_token(newest, forces) is not None
