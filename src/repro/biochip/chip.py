@@ -9,12 +9,22 @@ Derived quantities follow Sec. IV-B:
 * health       ``H = floor(2^b D)`` clipped to ``[0, 2^b - 1]`` — what the
   droplet controller observes;
 * true force   ``F = D²`` — what the simulator rolls droplet motion with.
+
+The chip keeps ``D``, ``H`` and ``F`` up to date instead of deriving them
+on every read.  Since ``D = tau^(N/c)`` is elementwise, an actuation or a
+masked sensing scan recomputes only the cells it touched; a full-array
+scan or an assignment to :attr:`MedaChip.actuations` recomputes every
+cell.  Either way each cell's value is bit-identical to a from-scratch
+evaluation.  :meth:`MedaChip.health` returns a read-only array whose
+identity changes exactly when some quantized value changes, so callers
+can detect "nothing changed" with ``is``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.transitions import MatrixForceField
 from repro.degradation.faults import FaultPlan, no_faults
 from repro.degradation.model import DEFAULT_HEALTH_BITS, quantize_health
 
@@ -35,14 +45,29 @@ class MedaChip:
             raise ValueError("tau values must lie in (0, 1]")
         if np.any(c <= 0.0):
             raise ValueError("c values must be positive")
-        self.tau = tau.astype(float)
-        self.c = c.astype(float)
+        # Fixed for the chip's lifetime: the derived state depends on them.
+        self.tau = np.array(tau, dtype=float)
+        self.c = np.array(c, dtype=float)
+        self.tau.flags.writeable = False
+        self.c.flags.writeable = False
         self.width, self.height = tau.shape
         self.faults = fault_plan if fault_plan is not None else no_faults(*tau.shape)
         if self.faults.fail_at.shape != tau.shape:
             raise ValueError("fault plan shape does not match the chip")
         self.bits = bits
-        self.actuations = np.zeros(tau.shape, dtype=float)
+        # Flat views of the constants, indexed by ``np.flatnonzero`` cells.
+        self._tau = self.tau.ravel()
+        self._c = self.c.ravel()
+        self._fail_at = np.ravel(self.faults.fail_at)
+        self._actuations = np.zeros(tau.shape)
+        self._degradation = np.empty(tau.shape)
+        self._force = np.empty(tau.shape)
+        self._health: np.ndarray | None = None
+        #: Exact integer ``sum(N)`` while every count is a whole number
+        #: (no fractional sensing stress yet); ``None`` otherwise.
+        self._total: int | None = 0
+        self._refresh(None)
+        self._field = MatrixForceField(self._force)
 
     @classmethod
     def sample(
@@ -66,6 +91,28 @@ class MedaChip:
 
     # -- state evolution -----------------------------------------------------
 
+    @property
+    def actuations(self) -> np.ndarray:
+        """Per-MC actuation-equivalent stress ``N`` (a copy).
+
+        Assign to change it (``chip.actuations += prewear`` works): the
+        assignment recomputes every cell's derived state.
+        """
+        return self._actuations.copy()
+
+    @actuations.setter
+    def actuations(self, value: np.ndarray) -> None:
+        value = np.asarray(value, dtype=float)
+        if value.shape != (self.width, self.height):
+            raise ValueError(
+                f"actuation counts shape {value.shape} does not match chip "
+                f"({self.width}, {self.height})"
+            )
+        self._actuations[...] = value
+        self._total = (int(value.sum()) if _whole(self._actuations)
+                       else None)
+        self._refresh(None)
+
     def apply_actuation(self, actuation: np.ndarray) -> None:
         """Apply one cycle's actuation matrix ``U`` (0/1 per MC)."""
         if actuation.shape != (self.width, self.height):
@@ -73,7 +120,9 @@ class MedaChip:
                 f"actuation shape {actuation.shape} does not match chip "
                 f"({self.width}, {self.height})"
             )
-        self.actuations += actuation.astype(float)
+        cells = np.flatnonzero(actuation)
+        self._add(cells, np.ravel(actuation)[cells].astype(float),
+                  integral=actuation.dtype.kind in "biu")
 
     def apply_sensing(
         self, mask: np.ndarray | None = None, weight: float = 0.1
@@ -91,36 +140,110 @@ class MedaChip:
         if weight < 0.0:
             raise ValueError("sensing weight cannot be negative")
         if mask is None:
-            self.actuations += weight
+            self._actuations += weight
+            if self._total is not None:
+                self._total = (
+                    self._total + int(weight) * self._actuations.size
+                    if float(weight).is_integer() else None
+                )
+            self._refresh(None)
             return
         if mask.shape != (self.width, self.height):
             raise ValueError(
                 f"sensing mask shape {mask.shape} does not match chip "
                 f"({self.width}, {self.height})"
             )
-        self.actuations += weight * mask.astype(float)
+        cells = np.flatnonzero(mask)
+        self._add(cells, weight * np.ravel(mask)[cells].astype(float))
+
+    def _add(self, cells: np.ndarray, stress: np.ndarray,
+             integral: bool = False) -> None:
+        """Add ``stress`` to the flat ``cells`` and refresh only those.
+
+        ``integral`` says the stress is whole by construction (it came
+        from an integer matrix), which spares the check.
+        """
+        if not cells.size:
+            return
+        self._actuations.reshape(-1)[cells] += stress
+        if self._total is not None:
+            whole = integral or _whole(stress)
+            self._total = self._total + int(stress.sum()) if whole else None
+        self._refresh(cells)
+
+    def _refresh(self, cells: np.ndarray | None) -> None:
+        """Recompute ``D``, ``F`` and ``H`` on flat ``cells`` (None = all).
+
+        The same elementwise arithmetic as a whole-array evaluation, so
+        every value is bit-identical to one; ``H`` is copied on change.
+        """
+        n = self._actuations.reshape(-1)
+        if cells is None:
+            d = self._tau ** (n / self._c)
+            d[n >= self._fail_at] = 0.0
+        else:
+            counts = n[cells]
+            d = self._tau[cells] ** (counts / self._c[cells])
+            d[counts >= self._fail_at[cells]] = 0.0
+        # Checks the [0, 1] range of every recomputed value.
+        h = quantize_health(d, self.bits)
+        old = self._health
+        if cells is None:
+            self._degradation.reshape(-1)[...] = d
+            self._force.reshape(-1)[...] = d ** 2
+            if old is None or not np.array_equal(h, old.reshape(-1)):
+                new = h.reshape(self._actuations.shape)
+                new.flags.writeable = False
+                self._health = new
+            return
+        self._degradation.reshape(-1)[cells] = d
+        self._force.reshape(-1)[cells] = d ** 2
+        if (h != old.reshape(-1)[cells]).any():
+            new = old.copy()
+            new.reshape(-1)[cells] = h
+            new.flags.writeable = False
+            self._health = new
 
     # -- derived matrices ------------------------------------------------------
 
     def degradation(self) -> np.ndarray:
         """The hidden degradation matrix ``D`` (with sudden faults applied)."""
-        d = self.tau ** (self.actuations / self.c)
-        d[self.faults.failed_mask(self.actuations)] = 0.0
-        return d
+        return self._degradation.copy()
 
     def health(self) -> np.ndarray:
-        """The observable health matrix ``H`` (b-bit quantization of D)."""
-        return np.asarray(quantize_health(self.degradation(), self.bits))
+        """The observable health matrix ``H`` (b-bit quantization of D).
+
+        Read-only and shared: the same object is returned until some
+        quantized value changes, so ``health() is previous`` means no MC
+        crossed a health level in between.
+        """
+        return self._health
 
     def true_force(self) -> np.ndarray:
         """Per-MC relative EWOD force ``F = D²`` (eq. 2)."""
-        return self.degradation() ** 2
+        return self._force.copy()
+
+    def force_field(self) -> MatrixForceField:
+        """The chip-owned force field over ``F``, validated once.
+
+        It reads the chip's live force array, so it always reflects the
+        current state; keep :meth:`true_force` for a snapshot.
+        """
+        return self._field
 
     @property
     def total_actuations(self) -> int:
         """Total actuation-equivalent stress applied so far, over all MCs.
 
         Sensing stress contributes fractionally (see :meth:`apply_sensing`),
-        so the total is rounded to the nearest whole event.
+        so the total is rounded to the nearest whole event.  While every
+        count is whole it comes from an exact running sum instead.
         """
-        return int(round(self.actuations.sum()))
+        if self._total is not None:
+            return self._total
+        return int(round(self._actuations.sum()))
+
+
+def _whole(values: np.ndarray) -> bool:
+    """Whether every value is a finite whole number."""
+    return not np.any(np.mod(values, 1.0))

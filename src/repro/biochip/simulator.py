@@ -24,7 +24,7 @@ from repro.biochip.trace import ExecutionTrace, TraceFrame
 from repro.core.actions import ACTIONS
 from repro.core.droplet import actuation_matrix
 from repro.core.scheduler import HybridScheduler
-from repro.core.transitions import MatrixForceField, sample_outcome
+from repro.core.transitions import sample_outcome
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,14 @@ class MedaSimulator:
         start_actuations = self.chip.total_actuations
         journaling = obs.journal() is not None
         prev_health = self.chip.health() if journaling else None
+        field = self.chip.force_field()
         cycles = 0
         for cycles in range(1, max_cycles + 1):
             perf.incr("simulator.steps")
             health = self.chip.health()
-            if journaling and prev_health is not None:
+            # The chip hands out the same health object until some MC
+            # crosses a level, so identity rules out a crossing cheaply.
+            if journaling and health is not prev_health:
                 crossed = prev_health != health
                 if crossed.any():
                     cells = np.argwhere(crossed)
@@ -137,7 +140,6 @@ class MedaSimulator:
                         moving=tuple(sorted(plan.moves)),
                         total_actuations=self.chip.total_actuations,
                     ))
-                field = MatrixForceField(self.chip.true_force())
                 moved = {}
                 for did, action_name in plan.moves.items():
                     rect = scheduler.droplets[did]

@@ -70,6 +70,33 @@ class RoutingTask:
     stagnant: int = 0
     created_cycle: int = 0
     span: "obs.Span | None" = None
+    #: A read-only health array and hazard zone known to yield
+    #: ``fingerprint``: while both are unchanged the zone's health is
+    #: too, and the per-cycle fingerprint comparison is skipped.
+    fp_health: "np.ndarray | None" = None
+    fp_hazard: Rect | None = None
+
+    def set_fingerprint(self, health: np.ndarray, hazard: Rect) -> None:
+        """Fingerprint the health the task's strategy was planned on."""
+        self.fingerprint = health_fingerprint(health, hazard)
+        self._remember(health, hazard)
+
+    def health_moved(self, health: np.ndarray) -> bool:
+        """Whether the health in the task's zone differs from its
+        fingerprint; skips the comparison for a remembered match."""
+        hazard = self.job.hazard
+        if health is self.fp_health and hazard == self.fp_hazard:
+            return False
+        if health_fingerprint(health, hazard) != self.fingerprint:
+            return True
+        self._remember(health, hazard)
+        return False
+
+    def _remember(self, health: np.ndarray, hazard: Rect) -> None:
+        # Only a read-only array keeps its values under one identity (the
+        # chip copies its health on change).
+        self.fp_health = None if health.flags.writeable else health
+        self.fp_hazard = hazard
 
 
 @dataclass(frozen=True)
@@ -216,6 +243,12 @@ class HybridScheduler:
             seed = getattr(reconfig, "seed_placement", None)
             if seed is not None:
                 seed(graph.mos)
+        #: MOs in phase DONE; the assay is complete when all of them are.
+        self._done = 0
+        #: Dependency-ready MOs as of the last MO completion (readiness
+        #: depends only on which MOs are done), in program order.
+        self._ready: list[str] = []
+        self._ready_at = -1
         self.failure: str | None = None
         self.cycle = 0
         self.resyntheses = 0
@@ -231,7 +264,7 @@ class HybridScheduler:
 
     @property
     def complete(self) -> bool:
-        return all(s.phase is MOPhase.DONE for s in self._states.values())
+        return self._done == len(self._states)
 
     def plan_cycle(self, health: np.ndarray) -> CyclePlan:
         """Plan one operational cycle against the sensed health matrix."""
@@ -615,16 +648,25 @@ class HybridScheduler:
         return True
 
     def _ready_mos(self) -> list[str]:
-        ready = []
-        for name in self._order:
-            state = self._states[name]
-            if state.phase is not MOPhase.INIT or not self._preds_done(name):
-                continue
-            mo = self.graph.mo(name)
-            if mo.type is MOType.DIS and not self._dispense_ready(name):
-                continue
-            ready.append(name)
-        return ready
+        """INIT MOs whose predecessors (and, for a dispense, its
+        consumers' other inputs) are done.
+
+        Only an MO finishing can make another ready, so the scan reruns
+        after a completion; in between, MOs activated since drop out.
+        """
+        if self._ready_at != self._done:
+            self._ready_at = self._done
+            self._ready = []
+            for name in self._order:
+                state = self._states[name]
+                if state.phase is not MOPhase.INIT or not self._preds_done(name):
+                    continue
+                mo = self.graph.mo(name)
+                if mo.type is MOType.DIS and not self._dispense_ready(name):
+                    continue
+                self._ready.append(name)
+        return [name for name in self._ready
+                if self._states[name].phase is MOPhase.INIT]
 
     def _activation_key(self, name: str, health: np.ndarray):
         zones = [j.hazard for j in self._states[name].decomposed.jobs]
@@ -885,7 +927,7 @@ class HybridScheduler:
             self.failure = "no-route"
             return False
         task.strategy = strategy
-        task.fingerprint = health_fingerprint(health, task.job.hazard)
+        task.set_fingerprint(health, task.job.hazard)
         return True
 
     def _plan_routing(
@@ -927,16 +969,13 @@ class HybridScheduler:
                     if recovered is not None and recovered.action(rect) is not None:
                         task.job = recovered.job  # the recovery may widen the zone
                         task.strategy = recovered
-                        task.fingerprint = health_fingerprint(
-                            health, retargeted.hazard
-                        )
+                        task.set_fingerprint(health, retargeted.hazard)
                         self.recoveries += 1
                         perf.incr("scheduler.recoveries")
                         self._event("recovered", name,
                                     droplet=task.droplet_id)
                 if self.router.adaptive and task.strategy is not None:
-                    fp = health_fingerprint(health, task.job.hazard)
-                    if fp != task.fingerprint and task.replan_at is None:
+                    if task.replan_at is None and task.health_moved(health):
                         task.replan_at = self.cycle + self.resynthesis_latency
                     if task.replan_at is not None and self.cycle >= task.replan_at:
                         task.replan_at = None
@@ -1031,6 +1070,7 @@ class HybridScheduler:
         state.tasks = []
         state.phase = MOPhase.DONE
         state.done_cycle = self.cycle
+        self._done += 1
         self._event("done", name,
                     cycles=self.cycle - state.activated_cycle)
         if state.span is not None:

@@ -231,8 +231,15 @@ def _pruned(outcomes: list[Outcome]) -> list[Outcome]:
 def sample_outcome(
     delta: Rect, action: Action, field: ForceField, rng: np.random.Generator
 ) -> Outcome:
-    """Sample one outcome — the simulator's droplet-update step (Fig. 14)."""
+    """Sample one outcome — the simulator's droplet-update step (Fig. 14).
+
+    Draw-for-draw identical to ``rng.choice(len(outcomes), p=...)``: the
+    same normalisation, cumulative sum and one ``rng.random()`` draw,
+    without ``choice``'s argument checks (:func:`_pruned` has already
+    validated the probabilities).
+    """
     outcomes = outcome_distribution(delta, action, field)
     probs = np.array([o.probability for o in outcomes])
-    idx = rng.choice(len(outcomes), p=probs / probs.sum())
-    return outcomes[int(idx)]
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return outcomes[int(cdf.searchsorted(rng.random(), side="right"))]

@@ -18,8 +18,9 @@ repeats two kinds of work:
 A solo solve (:func:`~repro.modelcheck.compiled.solve_reach_avoid_reward`
 and ``solve_reach_avoid_probability``) is a batch of one, so every
 re-synthesis of a known shape reuses the memoized precompute.  A model
-whose stored sparsity is not its support (an explicit zero) gets a
-context built for it alone, uncached, through the same code.
+whose stored sparsity is not its support (an explicit zero) has its zeros
+dropped on entry and gets a context built for it alone, uncached, through
+the same code.
 
 Stacking is *exact*, not approximate: every per-model operation either
 reuses the per-level body verbatim (:func:`interval._solve_reward_level`,
@@ -89,6 +90,31 @@ def supports_batching(cm) -> bool:
     models get a context of their own that is never cached.
     """
     return bool((interval._rows(cm).data > 0.0).all())
+
+
+def _admit(cm) -> "tuple[object, bool]":
+    """The kernel's first read of a model: ``(model, shareable)``.
+
+    A stored zero is a transition of probability zero.  The qualitative
+    precompute ignores it, but the SCC levels and the sparse products
+    read it, and ``0 * inf`` against an infinite-valued successor turns
+    a settling row into NaN.  So a model that stores zeros is replaced by
+    a zero-free copy here, before anything else reads it, and reported
+    not shareable: its support differs from its template family's, so it
+    gets a context of its own rather than a cache slot.
+    """
+    if supports_batching(cm):
+        return cm, True
+    t = cm.transitions.copy()
+    t.eliminate_zeros()
+    return compiled.CompiledMDP(
+        num_states=cm.num_states,
+        choice_state=cm.choice_state,
+        choice_reward=cm.choice_reward,
+        transitions=t,
+        labels=cm.labels,
+        initial=cm.initial,
+    ), False
 
 
 def _raw_csr(data, indices, indptr, shape) -> sparse.csr_matrix:
@@ -579,10 +605,13 @@ def solve_reach_avoid_reward_batch(
 
     shared, families = [], []
     for i, cm in enumerate(models):
-        if supports_batching(cm):
+        models[i], shareable = _admit(cm)
+        if shareable:
             shared.append(i)
         else:
-            families.append(([i], build_context(cm, goal, avoid, minimize)))
+            families.append(
+                ([i], build_context(models[i], goal, avoid, minimize))
+            )
     if shared:
         families.append(
             (shared, reward_context(models[shared[0]], goal, avoid, minimize))
@@ -624,6 +653,7 @@ def solve_reach_avoid_probability_batch(
     perf.incr("vi.batch.models", len(models))
     results = []
     for cm, seed_values in zip(models, initial_values):
+        cm, shareable = _admit(cm)
         goal_mask = cm.label_mask(goal)
         avoid_mask = cm.label_mask(avoid)
         if np.any(goal_mask & avoid_mask):
@@ -636,7 +666,7 @@ def solve_reach_avoid_probability_batch(
             perf.incr("vi.probability.warm_solves")
         else:
             perf.incr("vi.probability.cold_solves")
-        if supports_batching(cm):
+        if shareable:
             sets = qualitative_context(cm, goal, avoid, maximize)
         else:
             sets = precompute.qualitative(

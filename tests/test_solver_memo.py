@@ -216,6 +216,39 @@ class TestWarmContextMatchesCold:
         _assert_identical(warm, cold)
         _assert_matches_oracle(warm, cm)
 
+    def test_stored_zero_into_infinite_valued_state(self):
+        # Regression: a stored zero in a column owned by a state outside
+        # the prob-1 region (value inf) made the settling prelude compute
+        # 0 * inf and raise IndexError.  The zero must be dropped on
+        # entry: results equal the zero-free model's, bit for bit.
+        def model(stored_zero: bool) -> CompiledMDP:
+            # 0 start, 1 mid, 2 goal, 3 trap (never reaches the goal)
+            rows = [0, 1, 1, 2, 3, 4, 5]
+            cols = [1, 0, 1, 2, 0, 2, 3]
+            vals = [1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0]
+            if stored_zero:
+                rows, cols, vals = rows + [0], cols + [3], vals + [0.0]
+            t = sparse.csr_matrix((vals, (rows, cols)), shape=(6, 4))
+            return CompiledMDP(
+                num_states=4,
+                choice_state=np.array([0, 0, 1, 1, 2, 3]),
+                choice_reward=np.ones(6),
+                transitions=t,
+                labels={"goal": np.array([0, 0, 1, 0], dtype=bool),
+                        "hazard": np.zeros(4, dtype=bool)},
+                initial=0,
+            )
+
+        zeroed, clean = model(True), model(False)
+        assert zeroed.transitions.nnz == clean.transitions.nnz + 1
+        want = solve_reach_avoid_reward(clean)
+        assert np.isinf(want.values[3])
+        _assert_identical(solve_reach_avoid_reward(zeroed), want)
+        _assert_identical(
+            solve_reach_avoid_probability(zeroed, maximize=True),
+            solve_reach_avoid_probability(clean, maximize=True),
+        )
+
     def test_pmax_probability_query(self):
         for seed in SWEEP:
             cm = _model(JOB, seed)

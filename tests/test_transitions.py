@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.actions import ACTIONS, ALL_ACTIONS
 from repro.core.transitions import (
     MatrixForceField,
+    Outcome,
     UniformForceField,
     leg_probability,
     outcome_distribution,
@@ -189,3 +190,42 @@ class TestSampling:
                   for _ in range(3000)]
         freq = events.count("N") / len(events)
         assert freq == pytest.approx(0.7, abs=0.03)
+
+    def test_single_draw_matches_generator_choice(self, monkeypatch):
+        # sample_outcome replays Generator.choice's arithmetic; the chosen
+        # indices and the generator state afterwards must match choice's
+        # over seeded 1-4 outcome distributions, skewed ones included.
+        from repro.core import transitions
+
+        gen = np.random.default_rng(2024)
+        dists = []
+        for _ in range(3000):
+            k = int(gen.integers(1, 5))
+            alpha = (1.0, 0.05)[int(gen.integers(0, 2))]
+            probs = [float(p) for p in gen.dirichlet(np.full(k, alpha))]
+            if all(p > 0.0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-9:
+                dists.append(probs)
+        current: list = []
+        monkeypatch.setattr(transitions, "outcome_distribution",
+                            lambda delta, action, field: current)
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        for probs in dists:
+            current[:] = [Outcome(str(i), DELTA, p) for i, p in enumerate(probs)]
+            for _ in range(3):
+                got = sample_outcome(DELTA, None, None, ours)
+                p = np.array(probs)
+                want = current[int(theirs.choice(len(probs), p=p / p.sum()))]
+                assert got is want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_single_draw_matches_choice_on_kernel_distributions(self):
+        gen = np.random.default_rng(5)
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(300):
+            field = MatrixForceField(gen.uniform(0.0, 1.0, (12, 10)) ** 2)
+            action = ALL_ACTIONS[int(gen.integers(len(ALL_ACTIONS)))]
+            outcomes = outcome_distribution(DELTA, action, field)
+            p = np.array([o.probability for o in outcomes])
+            want = outcomes[int(theirs.choice(len(outcomes), p=p / p.sum()))]
+            assert sample_outcome(DELTA, action, field, ours) == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
