@@ -34,6 +34,15 @@ class Rect:
             raise ValueError(
                 f"degenerate rectangle: ({self.xa}, {self.ya}, {self.xb}, {self.yb})"
             )
+        # Rects key the strategy dicts hashed ~1M times per lifetime run;
+        # cache the value the generated dataclass hash would compute, so
+        # set/dict orders (and therefore routes) are unchanged.
+        object.__setattr__(
+            self, "_hash", hash((self.xa, self.ya, self.xb, self.yb))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- geometry ---------------------------------------------------------
 

@@ -91,25 +91,25 @@ _SMOOTH_SWEEPS = 8
 #: attempt (candidates ``est -/+ delta`` and ``est -/+ 64 delta``).
 _SLACK_GROWTH = 64.0
 
-#: Largest SCC block whose policy-iteration linear systems are solved
-#: densely (``np.linalg.solve``).  Slowly mixing blocks — escape mass per
+#: Largest SCC block solved by policy iteration before falling back to
+#: accelerated sweeping outright.  Slowly mixing blocks — escape mass per
 #: sweep near zero — make any sweep-based scheme crawl; a policy's exact
-#: value costs one solve and verifies immediately, so direct solving
-#: skips iteration entirely.  Above this size the dense ``O(n^3)``
-#: factorization loses to sparsity, so policy iteration switches to a
-#: sparse LU of ``I - P_pi`` (the routing MDPs have a handful of
-#: successors per choice, so fill-in stays benign).
-_DIRECT_MAX = 512
-
-#: Largest SCC block attempted by sparse-LU policy iteration before
-#: falling back to accelerated sweeping outright.  Grid-local transition
-#: structure keeps LU fill-in near-linear well past this size; the cap
-#: only guards against pathological dense-ish blocks where factorization
-#: could dwarf the sweeps it replaces.
+#: value costs one linear solve and verifies immediately, so direct
+#: solving skips iteration entirely.  Every block's ``I - P_pi`` is
+#: factorized by sparse LU (SuperLU, COLAMD ordering): the routing MDPs
+#: have a handful of grid-local successors per choice, so fill-in stays
+#: near-linear and even the smallest blocks factorize several times
+#: faster than a dense ``O(n^3)`` solve.  The cap only guards against
+#: pathological dense-ish blocks where factorization could dwarf the
+#: sweeps it replaces.
 _SPARSE_DIRECT_MAX = 65536
 
 #: Policy-improvement rounds before the direct solver gives up.
 _PI_MAX_ROUNDS = 64
+
+#: Relative residual an iterative policy evaluation must reach, checked
+#: on the true residual ``||b - A x||`` (see :func:`_policy_fixpoint`).
+_PI_ITER_RTOL = 1e-12
 
 #: Value-iteration prelude inside the direct solver: greedy policies
 #: stabilize long before values converge, and a sweep costs a sparse
@@ -487,26 +487,29 @@ def _policy_fixpoint(
     ``Tsub``/``rsub``/``own`` describe the block's choices; ``outside``
     supplies certified values for successors outside the block (its
     entries at ``states`` are overwritten).  Each round solves
-    ``(I - P_pi) x = r_pi + P_pi->outside`` for the current policy —
-    densely up to ``_DIRECT_MAX`` states, by sparse LU beyond that — and
-    improves it; improvement switches a state's action only on *strict*
-    q-value improvement, so starting from the proper exit policy the
-    iteration can never drift into an improper (forever-looping) policy
-    through ties, and a stable policy's value is the Bellman fixpoint to
-    machine precision.  Returns the last solvable iterate (``None`` when
-    no proper start exists or the first system is singular/non-finite);
-    the caller certifies the result before trusting it, so a stale or
-    garbage iterate merely fails verification.
+    ``(I - P_pi) x = r_pi + P_pi->outside`` for the current policy by
+    sparse LU and improves it; improvement switches a state's action only
+    on *strict* q-value improvement, so starting from the proper exit
+    policy the iteration can never drift into an improper
+    (forever-looping) policy through ties, and a stable policy's value is
+    the Bellman fixpoint to machine precision.  Returns the last solvable
+    iterate (``None`` when no proper start exists or the first system is
+    singular/non-finite); the caller certifies the result before trusting
+    it, so a stale or garbage iterate merely fails verification.
 
     The starting policy comes from a value-iteration prelude: greedy
     policies settle long before values converge, and a sweep costs a
-    sparse matvec while a policy evaluation costs a factorization.  In
-    the sparse regime only the first evaluation factorizes; later rounds
-    solve iteratively, preconditioned by that factorization (consecutive
-    policies differ in few rows), and refactorize only when the iterative
-    solve stalls.  A prelude policy is not guaranteed proper (it can loop
-    inside the block), so a singular or non-finite evaluation restarts
-    once from the backward-BFS exit policy, which is.
+    sparse matvec while a policy evaluation costs a factorization.  Only
+    the first evaluation factorizes; later rounds solve iteratively,
+    preconditioned by that factorization (consecutive policies differ in
+    few rows), and refactorize when the iterative solve stalls or its
+    answer fails a true-residual check.  bicgstab's own ``info == 0`` is
+    not trusted: it tracks a recursively updated residual, and behind a
+    nearly singular factorization (a near-improper first policy) that
+    residual reports convergence while the true one is of order one.  A
+    prelude policy is not guaranteed proper (it can loop inside the
+    block), so a singular or non-finite evaluation restarts once from the
+    backward-BFS exit policy, which is.
     """
     Tblock = Tsub[:, states]
     vals = outside.copy()
@@ -617,36 +620,36 @@ def _pi_rounds(
         lambda q, m: _argopt_idx(own, q, m))
     x = None
     lu = None
-    dense = states.size <= _DIRECT_MAX
-    eye = (np.eye(states.size) if dense
-           else sparse.identity(states.size, format="csr"))
+    eye = sparse.identity(states.size, format="csr")
     for _ in range(_PI_MAX_ROUNDS):
         budget.tick()
-        Ppi = Tblock[chosen]
+        perf.incr("vi.pi.rounds")
+        b = base[chosen]
         xn = None
         try:
-            if dense:
-                xn = np.linalg.solve(eye - Ppi.toarray(), base[chosen])
-            else:
-                A = (eye - Ppi).tocsc()
-                if lu is not None:
-                    # Consecutive policies differ in few rows, so the
-                    # previous round's factorization is an excellent
-                    # preconditioner — a handful of matvecs replace a
-                    # fresh factorization.
-                    xn, info = sparse_linalg.bicgstab(
-                        A, base[chosen], x0=x, rtol=1e-12, atol=0.0,
-                        maxiter=32,
-                        M=sparse_linalg.LinearOperator(A.shape, lu.solve),
-                    )
-                    if info != 0:
-                        xn = None
-                if xn is None:
-                    # splu raises RuntimeError on an exactly singular
-                    # factor (an improper policy trapped in the block).
-                    lu = sparse_linalg.splu(A)
-                    xn = lu.solve(base[chosen])
-        except (np.linalg.LinAlgError, RuntimeError):
+            A = (eye - Tblock[chosen]).tocsc()
+            if lu is not None:
+                # Consecutive policies differ in few rows, so the
+                # previous round's factorization is an excellent
+                # preconditioner — a handful of matvecs replace a
+                # fresh factorization.
+                perf.incr("vi.pi.iterative_solves")
+                xn, info = sparse_linalg.bicgstab(
+                    A, b, x0=x, rtol=_PI_ITER_RTOL, atol=0.0, maxiter=32,
+                    M=sparse_linalg.LinearOperator(A.shape, lu.solve),
+                )
+                # A NaN residual fails the comparison and is rejected too.
+                if info != 0 or not (np.linalg.norm(b - A @ xn)
+                                     <= _PI_ITER_RTOL * np.linalg.norm(b)):
+                    perf.incr("vi.pi.iterative_rejected")
+                    xn = None
+            if xn is None:
+                # splu raises RuntimeError on an exactly singular factor
+                # (an improper policy trapped in the block).
+                perf.incr("vi.pi.factorizations")
+                lu = sparse_linalg.splu(A)
+                xn = lu.solve(b)
+        except RuntimeError:
             xn = None
             lu = None
         if xn is None or not np.all(np.isfinite(xn)):
@@ -1003,8 +1006,8 @@ def _solve_reward_level(
         _verify_reward_seed(lower, block, phi_of, seed, epsilon, budget)
 
     # Direct solve: exact policy iteration, both bounds certified from
-    # the machine-precision value in two Bellman applications (dense
-    # solves for small blocks, sparse LU for large ones).  Only for
+    # the machine-precision value in two Bellman applications (sparse
+    # LU policy evaluations).  Only for
     # minimization, where every policy of the usable restriction
     # that PI stabilizes on is proper; the verification gate below
     # keeps an improper intermediate from ever leaking out.

@@ -37,6 +37,7 @@ def _state_from_token(token: "list[int] | str") -> State:
     rect = object.__new__(Rect)
     d = rect.__dict__
     d["xa"], d["ya"], d["xb"], d["yb"] = token
+    d["_hash"] = hash(tuple(token))
     return rect
 
 

@@ -54,6 +54,7 @@ class ReconfigPolicy:
         self.planner = Planner(PlannerConfig(width=width, height=height),
                                wear=wear)
         self.map: QuarantineMap | None = None
+        self._health: np.ndarray | None = None
         self._version = 0
         self.remaps = 0
         self.remap_failures = 0
@@ -76,8 +77,16 @@ class ReconfigPolicy:
     # -- quarantine tracking -------------------------------------------------
 
     def update(self, health: np.ndarray, cycle: int | None = None) -> QuarantineMap:
-        """Recompute the quarantine map; journal + count on change."""
+        """Recompute the quarantine map; journal + count on change.
+
+        A read-only ``health`` keeps its values under one identity (the
+        chip copies its health on change), so the map last computed from
+        the same object is returned without re-dilating the grid.
+        """
+        if health is self._health:
+            return self.map
         mask = quarantine_mask(health, self.min_health, self.guard)
+        self._health = None if health.flags.writeable else health
         if self.map is not None and np.array_equal(mask, self.map.mask):
             return self.map
         if self.map is None and not mask.any():

@@ -38,6 +38,27 @@ class TestConstruction:
     def test_ordering_is_total(self):
         assert Rect(1, 1, 2, 2) < Rect(2, 1, 3, 2)
 
+    @given(rects())
+    def test_hash_is_the_field_tuple_hash(self, r):
+        # The cached hash must equal the generated dataclass hash, so set
+        # and dict orders — and every route built from them — stay put.
+        assert hash(r) == hash(r.as_tuple())
+
+    def test_hash_survives_pickle_round_trip(self):
+        import pickle
+
+        r = Rect(3, 2, 7, 5)
+        back = pickle.loads(pickle.dumps(r))
+        assert back == r and hash(back) == hash(r.as_tuple())
+        assert {back: 1}[r] == 1
+
+    def test_strategy_token_rect_hashes_like_constructed(self):
+        from repro.modelcheck.strategy import _state_from_token, _state_token
+
+        r = Rect(3, 2, 7, 5)
+        back = _state_from_token(_state_token(r))
+        assert back == r and hash(back) == hash(r)
+
 
 class TestPaperExample1:
     """Example 1: droplet (3, 2, 7, 5) has w=5, h=4, A=20, AR=5/4."""

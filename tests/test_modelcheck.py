@@ -349,6 +349,19 @@ class TestRegressionSeeds:
             vec.values[finite], ref.values[finite], atol=1e-5
         )
 
+    def test_seed_7137_rejects_unconverged_iterative_solve(self):
+        """Round 1 of policy iteration factorizes a near-improper policy;
+        round 2's bicgstab, preconditioned by that LU, claims convergence
+        with a true relative residual of order one.  The residual check
+        must reject it (and refactorize) for the solve to certify."""
+        perf.reset()
+        vec = solve_reach_avoid_reward(
+            compile_mdp(random_mdp(7137)), epsilon=1e-10
+        )
+        assert_certified(vec, 1e-10)
+        assert perf.get("vi.pi.iterative_rejected") >= 1
+        assert perf.get("vi.pi.factorizations") >= 2
+
     def test_seed_1186_plain_solver_still_diverges(self):
         """The uncertified legacy path keeps the original failure mode —
         documenting exactly what the certified pipeline fixes."""

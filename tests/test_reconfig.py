@@ -143,6 +143,64 @@ class TestPolicyUpdate:
         health[30, 20] = 0
         assert policy.update(health).version == v1 + 1
 
+    @pytest.fixture
+    def mask_calls(self, monkeypatch):
+        """Count the policy's full-grid quarantine-mask rebuilds."""
+        import repro.reconfig.policy as policy_mod
+
+        calls = []
+        real = policy_mod.quarantine_mask
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(policy_mod, "quarantine_mask", counting)
+        return calls
+
+    def test_same_read_only_health_skips_rebuild(self, mask_calls):
+        policy = ReconfigPolicy(W, H)
+        health = np.full((W, H), 3)
+        health[10, 10] = 0
+        health.flags.writeable = False
+        qmap = policy.update(health)
+        assert policy.update(health) is qmap
+        assert len(mask_calls) == 1
+        # A writable array is never remembered: it may change in place.
+        writable = health.copy()
+        policy.update(writable)
+        policy.update(writable)
+        assert len(mask_calls) == 3
+
+    def test_equal_new_health_takes_compare_path(self, mask_calls):
+        from repro import obs, perf
+        from repro.obs import RunJournal
+
+        perf.reset()
+        _, journal = obs.configure(journal=RunJournal())
+        try:
+            policy = ReconfigPolicy(W, H)
+            health = np.full((W, H), 3)
+            health[10, 10] = 0
+            health.flags.writeable = False
+            qmap = policy.update(health, cycle=1)
+            equal = health.copy()
+            equal.flags.writeable = False
+            assert policy.update(equal, cycle=2) is qmap
+            assert len(mask_calls) == 2
+            assert qmap.version == 1
+            changed = health.copy()
+            changed[30, 20] = 0
+            changed.flags.writeable = False
+            assert policy.update(changed, cycle=3).version == 2
+            assert policy.update(changed, cycle=4).version == 2
+            events = [r for r in journal.records
+                      if r["event"] == "reconfig.quarantine"]
+        finally:
+            obs.shutdown()
+        assert [(r["cycle"], r["version"]) for r in events] == [(1, 1), (3, 2)]
+        assert perf.get("reconfig.map_changes") == 2
+
     def test_placement_tainted_checks_goals_and_outputs(self):
         policy = ReconfigPolicy(W, H)
         health = np.full((W, H), 3)
