@@ -477,9 +477,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if not result.exists:
         print("no strategy exists (goal unreachable under this health matrix)")
         return 1
-    print(f"states={result.model.num_states} "
-          f"transitions={result.model.num_transitions} "
-          f"E[cycles]={result.expected_cycles:.2f} "
+    # A repeat of an earlier synthesis in this process is answered from
+    # the remembered cold result, which keeps no model to measure.
+    size = "" if result.model is None else (
+        f"states={result.model.num_states} "
+        f"transitions={result.model.num_transitions} "
+    )
+    print(f"{size}E[cycles]={result.expected_cycles:.2f} "
           f"synthesized in {result.total_time:.2f}s\n")
     strategy = strategy_from_synthesis(job, result)
     assert strategy is not None

@@ -584,11 +584,14 @@ class _BuildTemplate:
     choice_labels: list | None = None
     first_choice: np.ndarray | None = None
     digest: str | None = None
+    #: The last cold result solved for this job geometry, as
+    #: ``((window bytes, extra), result)`` — see :func:`cold_result`.
+    cold: tuple | None = None
 
 
 #: Process-global LRU of build templates keyed by job geometry
-#: ``(job.key(), forces.shape, max_aspect, families)``.  A build hit
-#: refreshes its entry; ``build_dedup_token`` only peeks.
+#: ``(job.key(), forces.shape, max_aspect, families)``.  A build hit or a
+#: cold-result hit refreshes its entry; ``build_dedup_token`` only peeks.
 _TEMPLATE_CACHE: "OrderedDict[tuple, _BuildTemplate]" = OrderedDict()
 _TEMPLATE_CACHE_MAX = 64
 
@@ -599,11 +602,84 @@ _TEMPLATE_LOCK = threading.Lock()
 
 
 def clear_build_template_cache() -> None:
-    """Drop the build-template cache (benches model a cold process with
-    this; regular code never needs it — revalues are bit-identical)."""
+    """Drop the build-template cache, cold results included (benches
+    model a cold process with this; regular code never needs it —
+    revalues and remembered results are bit-identical)."""
     with _TEMPLATE_LOCK:
         _TEMPLATE_CACHE.clear()
         perf.set_gauge("fastmdp.template.size", 0)
+
+
+def clear_cold_results() -> None:
+    """Forget every template's remembered cold result, keeping the
+    templates themselves."""
+    with _TEMPLATE_LOCK:
+        for tpl in _TEMPLATE_CACHE.values():
+            tpl.cold = None
+
+
+def _template_key(
+    job: RoutingJob,
+    forces: np.ndarray,
+    max_aspect: float,
+    families: tuple[ActionClass, ...] | None,
+) -> tuple:
+    return (
+        job.key(), forces.shape, float(max_aspect),
+        families if families is None else tuple(families),
+    )
+
+
+def _window_bytes(tpl: _BuildTemplate, forces: np.ndarray) -> bytes:
+    x0, x1, y0, y1 = tpl.window
+    return forces[x0:x1, y0:y1].tobytes()
+
+
+def cold_result(
+    job: RoutingJob,
+    forces: np.ndarray,
+    extra: tuple,
+    max_aspect: float = DEFAULT_MAX_ASPECT,
+    families: tuple[ActionClass, ...] | None = None,
+):
+    """The cold result remembered for ``(job, forces, extra)``, or None.
+
+    Each template keeps one slot: the last result stored by
+    :func:`remember_cold_result`, keyed by the bytes of the force window
+    the build reads plus ``extra`` (the caller's solve parameters).  A
+    build is a pure function of those bytes (:func:`_read_window`), so a
+    cold solve of it is too, and a hit is exactly what a fresh build and
+    solve would return.  A hit refreshes the template's LRU entry, as the
+    build it replaces would.
+    """
+    key = _template_key(job, forces, max_aspect, families)
+    with _TEMPLATE_LOCK:
+        tpl = _TEMPLATE_CACHE.get(key)
+        if tpl is None or tpl.cold is None:
+            return None
+        stored_key, result = tpl.cold
+        if stored_key != (_window_bytes(tpl, forces), extra):
+            return None
+        _TEMPLATE_CACHE.move_to_end(key)
+    return result
+
+
+def remember_cold_result(
+    job: RoutingJob,
+    forces: np.ndarray,
+    extra: tuple,
+    result,
+    max_aspect: float = DEFAULT_MAX_ASPECT,
+    families: tuple[ActionClass, ...] | None = None,
+) -> None:
+    """Store ``result`` in the slot of the job's template (see
+    :func:`cold_result`), replacing what it held; a no-op when the
+    template has been evicted since the build."""
+    key = _template_key(job, forces, max_aspect, families)
+    with _TEMPLATE_LOCK:
+        tpl = _TEMPLATE_CACHE.get(key)
+        if tpl is not None:
+            tpl.cold = ((_window_bytes(tpl, forces), extra), result)
 
 
 def _fuse_shape_records(sh: _ShapeRecord, k: int) -> None:
@@ -834,10 +910,7 @@ def build_routing_model_fast(
     """
     if job.is_dispense:
         raise ValueError("dispense jobs are materialized, not routed")
-    key = (
-        job.key(), forces.shape, float(max_aspect),
-        families if families is None else tuple(families),
-    )
+    key = _template_key(job, forces, max_aspect, families)
     with _TEMPLATE_LOCK:
         tpl = _TEMPLATE_CACHE.get(key)
         if tpl is not None:
@@ -874,16 +947,11 @@ def build_dedup_token(
     result for the other.  Returns ``None`` when no template is cached for
     the job geometry yet (the window is discovered by the first build).
     """
-    key = (
-        job.key(), forces.shape, float(max_aspect),
-        families if families is None else tuple(families),
-    )
     with _TEMPLATE_LOCK:
-        tpl = _TEMPLATE_CACHE.get(key)
-    if tpl is None:
-        return None
-    x0, x1, y0, y1 = tpl.window
-    return forces[x0:x1, y0:y1].tobytes()
+        tpl = _TEMPLATE_CACHE.get(
+            _template_key(job, forces, max_aspect, families)
+        )
+    return None if tpl is None else _window_bytes(tpl, forces)
 
 
 def _build_fast(

@@ -259,6 +259,10 @@ class HybridScheduler:
         #: (mo name, volume, concentration) of every droplet that exited
         #: through an out/dsc operation, in exit order
         self.collected: list[tuple[str, float, float]] = []
+        #: The last selective-sensing mask and the zones + droplet rects
+        #: it was built from (see :meth:`sensing_mask`).
+        self._sensing_key: tuple | None = None
+        self._sensing_mask: np.ndarray | None = None
 
     # -- public API ----------------------------------------------------------
 
@@ -467,18 +471,30 @@ class HybridScheduler:
         tasks (health adaptation + droplet tracking) and the cells around
         every droplet (position verification).  Everything else is skipped,
         sparing those MCs the per-cycle sensing stress.
+
+        The mask is a function of those zones and droplet rects only, so
+        it is rebuilt when one of them changes; otherwise the last mask
+        comes back.  It is read-only.
         """
+        zones = tuple(
+            task.job.hazard
+            for state in self._states.values()
+            if state.phase in (MOPhase.ROUTING, MOPhase.OPERATING)
+            for task in state.tasks
+        )
+        key = (zones, tuple(self.droplets.values()))
+        if key == self._sensing_key:
+            return self._sensing_mask
         mask = np.zeros((self.width, self.height), dtype=bool)
-        for state in self._states.values():
-            if state.phase in (MOPhase.ROUTING, MOPhase.OPERATING):
-                for task in state.tasks:
-                    hz = task.job.hazard
-                    mask[hz.xa - 1 : hz.xb, hz.ya - 1 : hz.yb] = True
-        for rect in self.droplets.values():
+        for hz in zones:
+            mask[hz.xa - 1 : hz.xb, hz.ya - 1 : hz.yb] = True
+        for rect in key[1]:
             xa, ya = max(rect.xa - 1, 1), max(rect.ya - 1, 1)
             xb = min(rect.xb + 1, self.width)
             yb = min(rect.yb + 1, self.height)
             mask[xa - 1 : xb, ya - 1 : yb] = True
+        mask.flags.writeable = False
+        self._sensing_key, self._sensing_mask = key, mask
         return mask
 
     def apply_outcomes(self, moved: dict[int, Rect]) -> None:

@@ -12,7 +12,7 @@ probability).  When no strategy exists the result carries
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,10 @@ from repro.core.fastmdp import (
     CompiledRoutingModel,
     build_dedup_token,
     build_routing_model_fast,
+    clear_cold_results,
+    cold_result,
     extract_fast_strategy,
+    remember_cold_result,
 )
 from repro.core.mdp import RoutingModel, build_routing_mdp
 from repro.core.routing_job import RoutingJob
@@ -187,13 +190,24 @@ def synthesize_with_field(
     solver's one-step Bellman validation are silently dropped
     (``vi.warm.rejected``) — a wrong seed can cost the warm start, never
     soundness.
+
+    A cold request (no ``warm_values``) against a matrix-backed field
+    first reads the job template's remembered cold result
+    (:func:`_recall`); a hit skips the build and the solve and returns a
+    slim result (``model=None``, zero times).
     """
     query = query if query is not None else reward_query()
+    forces = _force_matrix(field)
+    memo = None
+    if forces is not None and not warm_values:
+        memo = (job, forces, (query, float(epsilon)), max_aspect, families)
+        hit = _recall(memo)
+        if hit is not None:
+            return hit
     perf.incr("synthesis.count")
 
     t0 = time.perf_counter()
     with obs.span("synthesis.construct", job=job.key()):
-        forces = _force_matrix(field)
         if forces is not None:
             model: RoutingModel | CompiledRoutingModel = build_routing_model_fast(
                 job, forces, max_aspect=max_aspect, families=families
@@ -237,7 +251,39 @@ def synthesize_with_field(
     perf.observe("synthesis.total_ms", (t2 - t0) * 1e3)
     perf.observe("synthesis.vi_iterations", result.iterations,
                  bounds=perf.DEFAULT_COUNT_BUCKETS)
-    return _finalize(job, query, model, compiled, result, t1 - t0, t2 - t1)
+    out = _finalize(job, query, model, compiled, result, t1 - t0, t2 - t1)
+    if memo is not None:
+        _remember(memo, out)
+    return out
+
+
+def _recall(memo: tuple) -> "SynthesisResult | None":
+    """The template-held cold result for ``memo``'s inputs, or None.
+
+    ``memo`` is ``(job, forces, (query, epsilon), max_aspect, families)``.
+    A cold synthesis is a pure function of the job geometry, the bytes of
+    the force window its build reads, the query and epsilon (see
+    :func:`repro.core.fastmdp.cold_result`), so a hit equals a fresh
+    build and solve.  Counts ``synthesis.memo.{hits,misses}`` and
+    journals a ``synthesis.memo`` event per hit.
+    """
+    job, forces, extra, max_aspect, families = memo
+    hit = cold_result(job, forces, extra, max_aspect, families)
+    if hit is None:
+        perf.incr("synthesis.memo.misses")
+        return None
+    perf.incr("synthesis.memo.hits")
+    obs.journal_event("synthesis.memo", job=job.key())
+    return hit
+
+
+def _remember(memo: tuple, result: SynthesisResult) -> None:
+    """Store the slim form of a cold ``result`` in its template's slot:
+    no model (it would dominate the template's memory) and zero times,
+    like any result that was not computed by the caller's own call."""
+    job, forces, extra, max_aspect, families = memo
+    slim = replace(result, model=None, construction_time=0.0, solve_time=0.0)
+    remember_cold_result(job, forces, extra, slim, max_aspect, families)
 
 
 def _warm_seed(
@@ -321,19 +367,10 @@ class BatchRequest:
     warm_values: "dict | None" = None
 
 
-#: Cross-call memo of batch results keyed by the exact inputs the solve is
-#: a pure function of: ``(job key, force-window bytes, query, max_aspect,
-#: epsilon, families)``.  Synthesis is deterministic, so serving a memoized
-#: result is bit-identical to re-solving; only cold (``warm_values=None``)
-#: requests participate, which is the presynthesis/resynthesis-storm shape
-#: the batch API exists for.
-_BATCH_VALUE_MEMO: "dict[tuple, SynthesisResult]" = {}
-_BATCH_VALUE_MEMO_MAX = 512
-
-
 def clear_batch_value_memo() -> None:
-    """Drop the cross-call batch result memo (benches model cold runs)."""
-    _BATCH_VALUE_MEMO.clear()
+    """Forget every remembered cold result (benches model cold runs);
+    the build templates stay."""
+    clear_cold_results()
 
 
 def synthesize_batch(
@@ -347,17 +384,19 @@ def synthesize_batch(
 
     Models are built per request (template-cached construction), grouped
     into shape buckets by :func:`repro.modelcheck.batch.structural_key`,
-    and each bucket is solved in one batched interval pass.  Every result
-    is bit-identical to the corresponding :func:`synthesize_with_field`
-    call — the batch kernel guarantees identical ``ValueResult`` bounds and
-    the extraction/gating tail is literally shared code — so callers (the
-    engine's presynthesis, the scheduler's degraded sync path) can swap the
-    per-RJ loop for this without disturbing trace identity.
+    and each bucket is solved by one batch-kernel call that shares the
+    support-keyed precompute.  Every result is bit-identical to the
+    corresponding :func:`synthesize_with_field` call — the kernel solves
+    each model exactly as a solo solve would, the extraction/gating tail
+    is literally shared code, and cold requests read and fill the same
+    template-held cold results (``vi.batch.memo.{hits,misses}`` besides
+    ``synthesis.memo.*``) — so callers (the engine's presynthesis, the
+    scheduler's degraded sync path) can swap the per-RJ loop for this
+    without disturbing trace identity.
 
     Requests whose field has no backing matrix fall back to the solo path.
-    Per-item ``solve_time`` is the bucket's wall-clock share (the batch
-    solves models jointly, so individual attribution is necessarily
-    amortized).
+    Per-item ``solve_time`` is the bucket's wall-clock share (individual
+    attribution inside one kernel call is necessarily amortized).
     """
     query = query if query is not None else reward_query()
     n = len(requests)
@@ -372,11 +411,7 @@ def synthesize_batch(
     # so the solo path would reproduce the exact same floats anyway.
     dup_of: "dict[int, int]" = {}
     seen: "dict[tuple, list[int]]" = {}
-    memo_key: "dict[int, tuple]" = {}
-
-    def _memo_key(job: RoutingJob, token: bytes) -> tuple:
-        return (job.key(), token, query, float(max_aspect), float(epsilon),
-                families if families is None else tuple(families))
+    memos: "dict[int, tuple]" = {}
 
     with obs.span("synthesis.batch", jobs=n) as batch_span:
         for i, req in enumerate(requests):
@@ -398,14 +433,16 @@ def synthesize_batch(
                         break
                 if i in dup_of:
                     continue
-                if req.warm_values is None:
-                    hit = _BATCH_VALUE_MEMO.get(_memo_key(req.job, token))
-                    if hit is not None:
-                        results[i] = hit
-                        seen.setdefault(dkey, []).append(i)
-                        perf.incr("vi.batch.memo.hits")
-                        continue
-                    perf.incr("vi.batch.memo.misses")
+            if not req.warm_values:
+                memos[i] = (req.job, forces, (query, float(epsilon)),
+                            max_aspect, families)
+                hit = _recall(memos[i])
+                perf.incr("vi.batch.memo.hits" if hit is not None
+                          else "vi.batch.memo.misses")
+                if hit is not None:
+                    results[i] = hit
+                    seen.setdefault((req.job.key(), token), []).append(i)
+                    continue
             perf.incr("synthesis.count")
             t0 = time.perf_counter()
             with obs.span("synthesis.construct", job=req.job.key()):
@@ -423,8 +460,6 @@ def synthesize_batch(
                 token = build_dedup_token(req.job, forces, max_aspect, families)
             if token is not None:
                 seen.setdefault((req.job.key(), token), []).append(i)
-                if req.warm_values is None:
-                    memo_key[i] = _memo_key(req.job, token)
         batch_span.set(buckets=len(buckets), dedup=len(dup_of))
 
         for idxs in buckets.values():
@@ -466,13 +501,10 @@ def synthesize_batch(
                     requests[i].job, query, models[i], models[i].compiled,
                     vr, construct[i], share,
                 )
+                if i in memos:
+                    _remember(memos[i], results[i])
         for i, j in dup_of.items():
             results[i] = results[j]
-        for i, mkey in memo_key.items():
-            if results[i] is not None:
-                if len(_BATCH_VALUE_MEMO) >= _BATCH_VALUE_MEMO_MAX:
-                    _BATCH_VALUE_MEMO.pop(next(iter(_BATCH_VALUE_MEMO)))
-                _BATCH_VALUE_MEMO[mkey] = results[i]
     return results
 
 

@@ -3,32 +3,23 @@
 Adaptive routing re-synthesizes the same routing-job model over and over
 with different health fingerprints: the sparsity pattern (which cells can
 reach which) is fixed by the chip geometry while the transition
-*probabilities* move with degradation.  Solving those models one at a time
-repeats two kinds of work:
-
-* **graph precompute** — qualitative prob0/prob1 sets, the total-reward
-  region, the SCC condensation and the per-level row/column gathers depend
-  only on the transition *support*, so models sharing a support share all
-  of it (:class:`SharedContext`, memoized on a structural fingerprint);
-* **sweep scheduling** — the value-iteration settling prelude that costs
-  most of a warm solve runs the same reductions per model; stacking the
-  models into one ``(models, choices)`` value array turns ``m`` sweeps
-  into one block-diagonal matvec plus one axis-1 segment reduction.
+*probabilities* move with degradation.  Everything the solver derives
+from the transition *support* alone — qualitative prob0/prob1 sets, the
+total-reward region, the SCC condensation, the per-level row/column
+gathers and the settling prelude's slot-major row layout
+(:class:`interval._SlotLayout`) — is therefore shared by every model of
+that support (:class:`SharedContext`, memoized on a structural
+fingerprint).
 
 A solo solve (:func:`~repro.modelcheck.compiled.solve_reach_avoid_reward`
-and ``solve_reach_avoid_probability``) is a batch of one, so every
-re-synthesis of a known shape reuses the memoized precompute.  A model
-whose stored sparsity is not its support (an explicit zero) has its zeros
-dropped on entry and gets a context built for it alone, uncached, through
-the same code.
-
-Stacking is *exact*, not approximate: every per-model operation either
-reuses the per-level body verbatim (:func:`interval._solve_reward_level`,
-:func:`interval._pi_finish`) or mirrors it op-for-op with no cross-model
-data flow, so each model's float sequence — and therefore its certified
-``lower``/``upper`` bounds, gap and extracted strategy — is bit-identical
-whether it is solved alone or in a family.  Models retire from the active
-set as they settle.
+and ``solve_reach_avoid_probability``) is a family of one, so every
+re-synthesis of a known shape reuses the memoized precompute.  A family
+of several models shares one context lookup and then solves its models
+one after another through the same per-level body
+(:func:`interval._solve_reward_level`), so each result is bit-identical
+to solving that model alone.  A model whose stored sparsity is not its
+support (an explicit zero) has its zeros dropped on entry and gets a
+context built for it alone, uncached, through the same code.
 
 The boundary is pure array-in/array-out: callers hand in compiled models
 (plus optional warm seeds) and get :class:`ValueResult` objects back —
@@ -117,45 +108,6 @@ def _admit(cm) -> "tuple[object, bool]":
     ), False
 
 
-def _raw_csr(data, indices, indptr, shape) -> sparse.csr_matrix:
-    """CSR from pre-validated arrays, skipping the constructor's checks.
-
-    The arrays come from skeletons derived off a canonical matrix (or a
-    gather through one), so re-running ``check_format`` per model per
-    level would only re-verify what the construction guarantees.
-    """
-    out = sparse.csr_matrix(shape, dtype=data.dtype)
-    out.data = data
-    out.indices = indices
-    out.indptr = indptr
-    return out
-
-
-def _block_diag_csr(mats: "list[sparse.csr_matrix]") -> sparse.csr_matrix:
-    """Block-diagonal stack of same-shape, same-sparsity CSR matrices.
-
-    ``scipy.sparse.block_diag`` round-trips through COO (a sort over the
-    whole stacked nnz); with identical skeletons the result is a plain
-    concatenation, so build it directly.
-    """
-    m = len(mats)
-    first = mats[0]
-    if m == 1:
-        return first
-    nr, nc = first.shape
-    idx = first.indices
-    data = np.concatenate([A.data for A in mats])
-    offsets = np.repeat(
-        np.arange(m, dtype=idx.dtype) * idx.dtype.type(nc), idx.size
-    )
-    indices = np.tile(idx, m) + offsets
-    counts = np.diff(first.indptr)
-    indptr = np.concatenate(([0], np.cumsum(np.tile(counts, m)))).astype(
-        first.indptr.dtype
-    )
-    return _raw_csr(data, indices, indptr, (m * nr, m * nc))
-
-
 @dataclass(frozen=True)
 class _Level:
     """Shared per-condensation-level structure (support-derived).
@@ -174,20 +126,22 @@ class _Level:
     blockpos: np.ndarray  # gather: Tl.data[blockpos] -> Tblock.data
     tb_indices: np.ndarray
     tb_indptr: np.ndarray
-    argopt_starts: np.ndarray | None  # None when owners are unsorted/empty
-    argopt_seg: np.ndarray | None
-    direct_ok: bool
+    #: Whether the level takes the direct (policy-iteration) solve, and
+    #: its settling prelude's row layout (``None`` when not direct or when
+    #: some state owns no usable choice).
+    direct: bool
+    layout: "interval._SlotLayout | None"
 
     def make_tl(self, T: sparse.csr_matrix, n: int) -> sparse.csr_matrix:
         """This model's level rows — bit-identical to ``T[idx]``."""
-        return _raw_csr(
+        return interval._raw_csr(
             T.data[self.rowpos], self.tl_indices, self.tl_indptr,
             (self.idx.size, n),
         )
 
     def make_tblock(self, Tl: sparse.csr_matrix) -> sparse.csr_matrix:
         """The in-block columns — bit-identical to ``Tl[:, states]``."""
-        return _raw_csr(
+        return interval._raw_csr(
             Tl.data[self.blockpos], self.tb_indices, self.tb_indptr,
             (self.idx.size, self.states.size),
         )
@@ -237,12 +191,7 @@ def _build_level(
     tb_indices = msub.indices
     tb_indptr = msub.indptr
 
-    if own.size and not np.any(own[1:] < own[:-1]):
-        newseg = np.r_[True, own[1:] != own[:-1]]
-        argopt_starts = np.flatnonzero(newseg)
-        argopt_seg = (np.cumsum(newseg) - 1).astype(np.int32)
-    else:
-        argopt_starts = argopt_seg = None
+    direct = minimize and states.size <= interval._SPARSE_DIRECT_MAX
     return _Level(
         block=block,
         idx=idx,
@@ -254,13 +203,10 @@ def _build_level(
         blockpos=blockpos,
         tb_indices=tb_indices,
         tb_indptr=tb_indptr,
-        argopt_starts=argopt_starts,
-        argopt_seg=argopt_seg,
-        direct_ok=(
-            minimize
-            and states.size <= interval._SPARSE_DIRECT_MAX
-            and argopt_starts is not None
-            and argopt_starts.size == states.size
+        direct=direct,
+        layout=(
+            interval._slot_layout(states, own, tb_indices, tb_indptr)
+            if direct else None
         ),
     )
 
@@ -361,175 +307,33 @@ def clear_context_cache() -> None:
         perf.set_gauge("vi.batch.precompute.size", 0)
 
 
-class _ModelState:
-    """Mutable per-model solve state threaded through the levels."""
-
-    __slots__ = ("cm", "T", "lower", "upper", "budget", "seed")
-
-    def __init__(self, cm, ctx: SharedContext, max_iterations: int, seed):
-        n = cm.num_states
-        self.cm = cm
-        self.T = interval._rows(cm)
-        self.lower = np.full(n, np.inf)
-        self.upper = np.full(n, np.inf)
-        self.lower[ctx.goal_zero] = 0.0
-        self.upper[ctx.goal_zero] = 0.0
-        self.lower[ctx.active] = 0.0
-        self.budget = interval._Budget(
-            max_iterations, "reward iteration did not converge"
-        )
-        self.seed = seed
-
-
-def _batched_settle(
-    lvl: _Level,
-    ms: "list[_ModelState]",
-    x0s: "list[np.ndarray]",
-    bases: "list[np.ndarray]",
-    tblocks: "list[sparse.csr_matrix]",
-) -> "list[np.ndarray | None]":
-    """Lockstep settling prelude over all models of one level.
-
-    Mirrors the ``settle`` closure of :func:`interval._policy_fixpoint`
-    op-for-op per model: same budget ticks, same value-only vs greedy
-    round cadence, same strict-improvement policy update.  There is no
-    data flow between models — stacking only amortizes the matvec and
-    reduction calls — so each model's iterate sequence is identical to
-    its solo run.  Returns each model's held policy (``None`` where the
-    prelude did not settle, matching solo).  Only called on
-    ``direct_ok`` levels, whose segment reduction covers every block
-    state.
-    """
-    nc = lvl.own.size
-    starts = lvl.argopt_starts
-    seg = lvl.argopt_seg
-    idxarr = np.arange(nc, dtype=np.int64)
-    minimize_red = np.minimum.reduceat
-
-    held: "list[np.ndarray | None]" = [None] * len(ms)
-    stable = [0] * len(ms)
-
-    def rebuild(models: "list[int]"):
-        B = _block_diag_csr([tblocks[i] for i in models])
-        Base = np.stack([bases[i] for i in models])
-        return B, Base
-
-    # ``lanes`` are the models materialized in the stacked arrays; models
-    # retire from ``live`` immediately but their lanes are only compacted
-    # once half are dead — a retired lane keeps sweeping into values nobody
-    # reads (block-diagonal structure means it cannot influence a live
-    # lane), which is cheaper than rebuilding the stack per retirement.
-    lanes = list(range(len(ms)))
-    live = set(lanes)
-    B, Base = rebuild(lanes)
-    X = np.stack([x0s[i] for i in lanes])
-    sweeps = 0
-    for k in range(interval._PI_PRELUDE_MAX):
-        if not live:
-            break
-        for i in live:
-            ms[i].budget.tick()
-        if 2 * len(live) <= len(lanes):
-            keep = [row for row, i in enumerate(lanes) if i in live]
-            lanes = [i for i in lanes if i in live]
-            X = X[keep]
-            B, Base = rebuild(lanes)
-        sweeps += 1
-        Q = Base + (B @ X.reshape(-1)).reshape(len(lanes), nc)
-        if (k + 1) % interval._PI_PRELUDE_CHECK:
-            X = minimize_red(Q, starts, axis=1)
-            continue
-        Best = minimize_red(Q, starts, axis=1)
-        cand = np.where(Q == Best[:, seg], idxarr, nc)
-        G = np.minimum.reduceat(cand, starts, axis=1)
-        Best = np.take_along_axis(Q, G, axis=1)
-        X = Best
-        for row, i in enumerate(lanes):
-            if i not in live:
-                continue
-            if held[i] is None:
-                held[i] = G[row]
-                continue
-            cur = Q[row, held[i]]
-            margin = interval._CHECK_RTOL * (1.0 + np.abs(cur))
-            improve = Best[row] < cur - margin
-            if improve.any():
-                held[i] = np.where(improve, G[row], held[i])
-                stable[i] = 0
-            else:
-                stable[i] += 1
-                if stable[i] >= interval._PI_PRELUDE_STABLE:
-                    live.discard(i)
-                    if live:
-                        perf.incr("vi.batch.retired_early")
-    perf.incr("vi.batch.sweeps", sweeps)
-    return held
-
-
-def _solve_levels(
-    ctx: SharedContext,
-    ms: "list[_ModelState]",
-    epsilon: float,
+def _solve_model(
+    cm, ctx: SharedContext, seed, max_iterations: int, epsilon: float,
     minimize: bool,
-) -> None:
-    """Run every condensation level, successors first, for all models."""
+) -> ValueResult:
+    """Solve one model's reward query level by level, successors first."""
+    n = cm.num_states
+    T = interval._rows(cm)
+    lower = np.full(n, np.inf)
+    upper = np.full(n, np.inf)
+    lower[ctx.goal_zero] = 0.0
+    upper[ctx.goal_zero] = 0.0
+    lower[ctx.active] = 0.0
+    budget = interval._Budget(
+        max_iterations, "reward iteration did not converge"
+    )
     targets = interval._level_targets(epsilon, len(ctx.levels))
     for lvl, target in zip(ctx.levels, targets):
-        target = float(target)
-        tls = [lvl.make_tl(m.T, m.cm.num_states) for m in ms]
-        rls = [m.cm.choice_reward[lvl.idx] for m in ms]
-
-        if not lvl.direct_ok:
-            # No batched prelude possible (maximization, oversized or
-            # degenerate level): run the per-level body whole per model.
-            for m, Tl, rl in zip(ms, tls, rls):
-                interval._solve_reward_level(
-                    m.lower, m.upper, lvl.block, Tl, rl, lvl.own, m.budget,
-                    target=target, epsilon=epsilon, minimize=minimize,
-                    seed=m.seed,
-                )
-            continue
-
-        # Seed verification (per-level body order: before the direct
-        # attempt).
-        for m, Tl, rl in zip(ms, tls, rls):
-            if m.seed is None:
-                continue
-            opt = interval._make_opt(lvl.own, m.cm.num_states, not minimize)
-            interval._verify_reward_seed(
-                m.lower, lvl.block,
-                lambda vec, opt=opt, Tl=Tl, rl=rl: opt(rl + Tl @ vec),
-                m.seed, epsilon, m.budget,
-            )
-
-        # Inputs of the settling prelude, exactly as
-        # interval._policy_fixpoint derives them.
-        x0s, bases, tblocks = [], [], []
-        for m, Tl, rl in zip(ms, tls, rls):
-            vals = m.lower.copy()
-            certified = np.isfinite(m.upper)
-            vals[certified] = 0.5 * (m.lower[certified] + m.upper[certified])
-            x0 = vals[lvl.states].copy()
-            x0[~np.isfinite(x0)] = 0.0
-            vals[lvl.states] = 0.0
-            bases.append(rl + Tl @ vals)
-            x0s.append(x0)
-            tblocks.append(lvl.make_tblock(Tl))
-
-        held = _batched_settle(lvl, ms, x0s, bases, tblocks)
-        for row, (m, Tl, rl) in enumerate(zip(ms, tls, rls)):
-            interval._solve_reward_level(
-                m.lower, m.upper, lvl.block, Tl, rl, lvl.own, m.budget,
-                target=target, epsilon=epsilon, minimize=minimize, seed=None,
-                presettled=(held[row], tblocks[row], bases[row]),
-            )
-
-
-def _reward_result(
-    cm, ctx: SharedContext, m: _ModelState, minimize: bool
-) -> ValueResult:
+        Tl = lvl.make_tl(T, n)
+        interval._solve_reward_level(
+            lower, upper, lvl.block, Tl, cm.choice_reward[lvl.idx], lvl.own,
+            budget, target=float(target), epsilon=epsilon,
+            minimize=minimize, seed=seed,
+            prepared=(lvl.make_tblock(Tl), lvl.layout) if lvl.direct
+            else None,
+        )
     solution = interval.IntervalSolution(
-        m.lower, m.upper, m.budget.iterations, len(ctx.levels)
+        lower, upper, budget.iterations, len(ctx.levels)
     )
     values = np.where(
         np.isfinite(solution.lower) & np.isfinite(solution.upper),
@@ -618,13 +422,10 @@ def solve_reach_avoid_reward_batch(
         )
     results: "list[ValueResult | None]" = [None] * len(models)
     for idxs, ctx in families:
-        ms = [
-            _ModelState(models[i], ctx, max_iterations, seeds[i])
-            for i in idxs
-        ]
-        _solve_levels(ctx, ms, epsilon, minimize)
-        for i, m in zip(idxs, ms):
-            results[i] = _reward_result(models[i], ctx, m, minimize)
+        for i in idxs:
+            results[i] = _solve_model(
+                models[i], ctx, seeds[i], max_iterations, epsilon, minimize
+            )
     return results
 
 

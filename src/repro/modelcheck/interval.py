@@ -114,7 +114,7 @@ _PI_ITER_RTOL = 1e-12
 #: Value-iteration prelude inside the direct solver: greedy policies
 #: stabilize long before values converge, and a sweep costs a sparse
 #: matvec while a policy evaluation costs an LU factorization.  Most
-#: prelude sweeps update values only (one segment reduction); every
+#: prelude sweeps update values only (one per-state reduction); every
 #: ``_PI_PRELUDE_CHECK`` sweeps the greedy policy is extracted and a held
 #: policy updated by policy iteration's own rule — switch a state only on
 #: *strict* q-improvement beyond the check margin, so ties between
@@ -471,6 +471,148 @@ def _exit_policy(
     return chosen if bool(np.all(chosen >= 0)) else None
 
 
+def _raw_csr(data, indices, indptr, shape) -> sparse.csr_matrix:
+    """CSR from pre-validated arrays, skipping the constructor's checks.
+
+    The arrays come from skeletons derived off a canonical matrix (or a
+    gather through one), so re-running ``check_format`` per model per
+    level would only re-verify what the construction guarantees.
+    """
+    out = sparse.csr_matrix(shape, dtype=data.dtype)
+    out.data = data
+    out.indices = indices
+    out.indptr = indptr
+    return out
+
+
+@dataclass(frozen=True)
+class _SlotLayout:
+    """A block's choice rows, slot-major and padded to a rectangle.
+
+    Row ``j * n + s`` of the padded matrix is the ``j``-th choice (in
+    choice-index order) of the block's ``s``-th state, or an empty row
+    where that state has fewer than ``j + 1`` choices.  A sweep's
+    per-state optimum is then one axis-0 reduction of a ``(slots, n)``
+    array, and ``argmin``/``argmax``'s first-occurrence rule picks the
+    lowest choice index among ties.  The layout depends on the block's
+    support only, so the solver memo (:mod:`.batch`) caches it per level.
+    """
+
+    n: int
+    slots: int
+    choice: np.ndarray  # block choice index per padded row (-1: padding)
+    pad: np.ndarray  # padded row positions
+    gather: np.ndarray  # Tblock.data positions, in padded-row order
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _slot_layout(
+    states: np.ndarray,
+    own: np.ndarray,
+    tb_indices: np.ndarray,
+    tb_indptr: np.ndarray,
+) -> _SlotLayout | None:
+    """The padded layout of a block's ``Tblock`` (CSR ``indices``/``indptr``).
+
+    Returns ``None`` when some state of the block owns no choice: no
+    policy covers the block, so settling has nothing to hold.
+    """
+    n = states.size
+    pos = np.searchsorted(states, own)
+    counts = np.bincount(pos, minlength=n)
+    if n == 0 or counts.min() == 0:
+        return None
+    slots = int(counts.max())
+    order = np.argsort(pos, kind="stable")
+    rank = np.empty(own.size, dtype=np.int64)
+    rank[order] = np.arange(own.size) - (np.cumsum(counts) - counts)[pos[order]]
+    choice = np.full(slots * n, -1, dtype=np.int32)
+    choice[rank * n + pos] = np.arange(own.size)
+    used = choice >= 0
+    real = choice[used]
+    row_len = np.diff(tb_indptr)[real].astype(np.int64)
+    lens = np.zeros(slots * n, dtype=np.int64)
+    lens[used] = row_len
+    total = int(row_len.sum())
+    gather = (
+        np.repeat(tb_indptr[real] - (np.cumsum(row_len) - row_len), row_len)
+        + np.arange(total)
+    ).astype(np.int32)
+    return _SlotLayout(
+        n=n,
+        slots=slots,
+        choice=choice,
+        pad=np.flatnonzero(~used),
+        gather=gather,
+        indices=tb_indices[gather],
+        indptr=np.concatenate(([0], np.cumsum(lens))).astype(
+            tb_indices.dtype
+        ),
+    )
+
+
+def _settle(
+    layout: _SlotLayout | None,
+    Tblock: sparse.csr_matrix,
+    base: np.ndarray,
+    x: np.ndarray,
+    budget: "_Budget",
+    *,
+    maximize: bool,
+) -> np.ndarray | None:
+    """The value-iteration settling prelude: the block's held policy.
+
+    Sweeps ``x <- opt(base + Tblock @ x)`` from ``x``.  Every
+    ``_PI_PRELUDE_CHECK``-th sweep takes the greedy policy and updates
+    the held one by policy iteration's rule (switch a state only on
+    strict improvement beyond the check margin); ``_PI_PRELUDE_STABLE``
+    consecutive improvement-free checks, or ``_PI_PRELUDE_MAX`` sweeps,
+    end it.  Each sweep ticks ``budget`` once.  Returns block choice
+    indices aligned with the sorted states, or ``None`` (after one tick)
+    when ``layout`` is ``None``.
+    """
+    if layout is None:
+        budget.tick()
+        return None
+    n, slots = layout.n, layout.slots
+    B = _raw_csr(
+        Tblock.data[layout.gather], layout.indices, layout.indptr,
+        (slots * n, n),
+    )
+    padded = base[layout.choice]
+    padded[layout.pad] = -np.inf if maximize else np.inf
+    cols = np.arange(n)
+    held = None
+    stable = 0
+    for k in range(_PI_PRELUDE_MAX):
+        budget.tick()
+        q = padded + B @ x
+        grid = q.reshape(slots, n)
+        if (k + 1) % _PI_PRELUDE_CHECK:
+            x = grid.max(axis=0) if maximize else grid.min(axis=0)
+            continue
+        greedy = (
+            grid.argmax(axis=0) if maximize else grid.argmin(axis=0)
+        ) * n + cols
+        best = q[greedy]
+        x = best
+        if held is None:
+            held = greedy
+            continue
+        cur = q[held]
+        margin = _CHECK_RTOL * (1.0 + np.abs(cur))
+        improve = (best > cur + margin) if maximize else (best < cur - margin)
+        if improve.any():
+            held = np.where(improve, greedy, held)
+            stable = 0
+        else:
+            stable += 1
+            if stable >= _PI_PRELUDE_STABLE:
+                break
+    return None if held is None else layout.choice[held].astype(np.int64)
+
+
 def _policy_fixpoint(
     states: np.ndarray,
     Tsub: sparse.csr_matrix,
@@ -481,6 +623,7 @@ def _policy_fixpoint(
     budget: "_Budget",
     *,
     maximize: bool,
+    prepared: "tuple[sparse.csr_matrix, _SlotLayout | None] | None" = None,
 ) -> np.ndarray | None:
     """Exact block values by policy iteration with direct linear solves.
 
@@ -497,10 +640,13 @@ def _policy_fixpoint(
     singular/non-finite); the caller certifies the result before trusting
     it, so a stale or garbage iterate merely fails verification.
 
-    The starting policy comes from a value-iteration prelude: greedy
-    policies settle long before values converge, and a sweep costs a
-    sparse matvec while a policy evaluation costs a factorization.  Only
-    the first evaluation factorizes; later rounds solve iteratively,
+    The starting policy comes from the value-iteration prelude
+    (:func:`_settle`): greedy policies settle long before values
+    converge, and a sweep costs a sparse matvec while a policy
+    evaluation costs a factorization.  ``prepared`` is the block's
+    ``(Tblock, layout)`` when the caller has them from a support-keyed
+    memo; otherwise they are derived here.  Only the first evaluation
+    factorizes; later rounds solve iteratively,
     preconditioned by that factorization (consecutive policies differ in
     few rows), and refactorize when the iterative solve stalls or its
     answer fails a true-residual check.  bicgstab's own ``info == 0`` is
@@ -511,79 +657,17 @@ def _policy_fixpoint(
     block), so a singular or non-finite evaluation restarts once from the
     backward-BFS exit policy, which is.
     """
-    Tblock = Tsub[:, states]
+    if prepared is None:
+        Tblock = Tsub[:, states]
+        layout = _slot_layout(states, own, Tblock.indices, Tblock.indptr)
+    else:
+        Tblock, layout = prepared
     vals = outside.copy()
     x0 = vals[states].copy()
     x0[~np.isfinite(x0)] = 0.0
     vals[states] = 0.0
     base = rsub + Tsub @ vals
-    fast = _make_argopt(own)
-    argopt = fast if fast is not None else (
-        lambda q, m: _argopt_idx(own, q, m))
-    if fast is not None:
-        starts = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
-        vred = np.maximum.reduceat if maximize else np.minimum.reduceat
-
-    def settle(xi: np.ndarray, held: np.ndarray | None) -> np.ndarray | None:
-        """Sweep until the held policy sees no strict improvement."""
-        stable = 0
-        for k in range(_PI_PRELUDE_MAX):
-            budget.tick()
-            q = base + Tblock @ xi
-            if fast is not None and (k + 1) % _PI_PRELUDE_CHECK:
-                xi = vred(q, starts)
-                if xi.size != states.size:
-                    return None
-                continue
-            greedy = argopt(q, maximize)
-            if greedy.size != states.size:
-                return None
-            best = q[greedy]
-            xi = best
-            if held is None:
-                held = greedy
-                continue
-            cur = q[held]
-            margin = _CHECK_RTOL * (1.0 + np.abs(cur))
-            improve = ((best > cur + margin) if maximize
-                       else (best < cur - margin))
-            if improve.any():
-                held = np.where(improve, greedy, held)
-                stable = 0
-            else:
-                stable += 1
-                if stable >= _PI_PRELUDE_STABLE:
-                    break
-        return held
-
-    chosen = settle(x0, None)
-    return _pi_finish(
-        states, Tsub, Tblock, base, own, block, chosen, budget,
-        maximize=maximize,
-    )
-
-
-def _pi_finish(
-    states: np.ndarray,
-    Tsub: sparse.csr_matrix,
-    Tblock: sparse.csr_matrix,
-    base: np.ndarray,
-    own: np.ndarray,
-    block: np.ndarray,
-    held: np.ndarray | None,
-    budget: "_Budget",
-    *,
-    maximize: bool,
-) -> np.ndarray | None:
-    """Run policy iteration from a settled policy (or the exit fallback).
-
-    ``held`` is the policy the value-iteration prelude settled on, or
-    ``None`` when settling failed — in which case the backward-BFS exit
-    policy restarts the rounds, exactly as :func:`_policy_fixpoint` does.
-    Split out so the batched kernel (:mod:`.batch`) can substitute its own
-    vectorized settling prelude and still finish each model through the
-    same rounds loop, keeping batched and solo results bit-identical.
-    """
+    held = _settle(layout, Tblock, base, x0, budget, maximize=maximize)
     fellback = held is None
     if fellback:
         held = _exit_policy(states, Tsub, own, block)
@@ -608,13 +692,8 @@ def _pi_rounds(
     maximize: bool,
     fellback: bool,
 ) -> np.ndarray | None:
-    """Policy-improvement rounds from a held starting policy.
-
-    The exact-solve half of :func:`_policy_fixpoint`, split out so the
-    batched kernel (:mod:`.batch`) can run its own vectorized settling
-    prelude across many models and still finish each model through the
-    *same* rounds loop — keeping batched and solo results bit-identical.
-    """
+    """Policy-improvement rounds from a held starting policy (the
+    exact-solve half of :func:`_policy_fixpoint`)."""
     fast = _make_argopt(own)
     argopt = fast if fast is not None else (
         lambda q, m: _argopt_idx(own, q, m))
@@ -920,40 +999,6 @@ def solve_probability_interval(
     return IntervalSolution(lower, upper, budget.iterations, num_levels)
 
 
-#: Sentinel distinguishing "no presettled policy supplied" (run the full
-#: value-iteration prelude inside :func:`_policy_fixpoint`) from "settling
-#: ran externally and produced this result" (which may be ``None`` when the
-#: external prelude failed to settle).
-_NO_PRESETTLE = object()
-
-
-def _verify_reward_seed(
-    lower: np.ndarray,
-    block: np.ndarray,
-    phi_of,
-    seed: np.ndarray,
-    epsilon: float,
-    budget: "_Budget",
-) -> None:
-    """Accept a warm-start candidate for one level's lower iterate.
-
-    The candidate (relaxed down by ``epsilon``, floored at 0) is kept only
-    when one Bellman application confirms it sits below the fixpoint;
-    rejections cold-start and count as ``vi.warm.rejected``.  Shared by
-    the per-level body and the batched prelude path so the verification
-    arithmetic can never drift apart.
-    """
-    v = lower.copy()
-    v[block] = np.maximum(seed[block] - epsilon, 0.0)
-    phi = phi_of(v)
-    budget.tick()
-    tol = _CHECK_RTOL * (1.0 + float(np.max(v[block])))
-    if bool(np.all(phi[block] >= v[block] - tol)):
-        lower[block] = v[block]
-    else:
-        perf.incr("vi.warm.rejected")
-
-
 def _solve_reward_level(
     lower: np.ndarray,
     upper: np.ndarray,
@@ -967,17 +1012,19 @@ def _solve_reward_level(
     epsilon: float,
     minimize: bool,
     seed: np.ndarray | None,
-    presettled=_NO_PRESETTLE,
+    prepared: "tuple[sparse.csr_matrix, _SlotLayout | None] | None" = None,
 ) -> None:
     """Solve one condensation level of a total-reward objective in place.
 
     The solver (:mod:`.batch`) runs it for every level, successors first,
-    on the level's rows ``Tl``/``rl``/``own`` of one model, optionally
-    replacing only the value-iteration settling prelude with its
-    vectorized counterpart.  ``presettled`` is either the
-    :data:`_NO_PRESETTLE` sentinel (:func:`_policy_fixpoint` runs its own
-    prelude) or a ``(held, Tblock, base)`` triple from an external
-    prelude, handed straight to :func:`_pi_finish`.
+    on the level's rows ``Tl``/``rl``/``own`` of one model.  ``prepared``
+    optionally supplies the level's support-derived ``(Tblock, layout)``
+    for the direct solve's settling prelude (see :func:`_policy_fixpoint`).
+
+    A warm ``seed`` (relaxed down by ``epsilon``, floored at 0) replaces
+    the level's lower iterate only when one Bellman application confirms
+    it sits below the fixpoint; rejections cold-start and count as
+    ``vi.warm.rejected``.
 
     Restricted to the usable choices (those staying in the prob-1 region)
     the sub-MDP is goal-reaching under proper policies; for minimization
@@ -1003,7 +1050,15 @@ def _solve_reward_level(
         return d
 
     if seed is not None:
-        _verify_reward_seed(lower, block, phi_of, seed, epsilon, budget)
+        v = lower.copy()
+        v[block] = np.maximum(seed[block] - epsilon, 0.0)
+        phi = phi_of(v)
+        budget.tick()
+        tol = _CHECK_RTOL * (1.0 + float(np.max(v[block])))
+        if bool(np.all(phi[block] >= v[block] - tol)):
+            lower[block] = v[block]
+        else:
+            perf.incr("vi.warm.rejected")
 
     # Direct solve: exact policy iteration, both bounds certified from
     # the machine-precision value in two Bellman applications (sparse
@@ -1013,16 +1068,11 @@ def _solve_reward_level(
     # keeps an improper intermediate from ever leaking out.
     states = np.flatnonzero(block)
     if minimize and states.size <= _SPARSE_DIRECT_MAX:
-        if presettled is _NO_PRESETTLE:
-            vals = lower.copy()
-            certified = np.isfinite(upper)
-            vals[certified] = 0.5 * (lower[certified] + upper[certified])
-            x = _policy_fixpoint(states, Tl, rl, own, vals, block, budget,
-                                 maximize=False)
-        else:
-            held, Tblock, base = presettled
-            x = _pi_finish(states, Tl, Tblock, base, own, block, held,
-                           budget, maximize=False)
+        vals = lower.copy()
+        certified = np.isfinite(upper)
+        vals[certified] = 0.5 * (lower[certified] + upper[certified])
+        x = _policy_fixpoint(states, Tl, rl, own, vals, block, budget,
+                             maximize=False, prepared=prepared)
         if x is not None:
             delta = target / 4.0
             cl = np.maximum(lower[block], x - delta)

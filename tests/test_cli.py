@@ -90,6 +90,16 @@ class TestCommands:
         assert "E[cycles]" in out
         assert "S" in out and "G" in out
 
+    def test_synth_repeated_in_one_process(self, capsys):
+        args = ["synth", "--width", "24", "--height", "14", "--goal", "18", "8"]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert main(args) == 0
+        again = capsys.readouterr().out
+        assert "E[cycles]" in again
+        # the same route map both times
+        assert first.split("\n", 1)[1] == again.split("\n", 1)[1]
+
     def test_synth_unreachable(self, capsys):
         # kill almost everything: goal becomes unreachable
         code = main([

@@ -31,6 +31,7 @@ from repro.biochip.chip import MedaChip
 from repro.biochip.simulator import MedaSimulator
 from repro.biochip.trace import ExecutionTrace
 from repro.core.baseline import AdaptiveRouter
+from repro.core.fastmdp import clear_build_template_cache
 from repro.core.routing_job import RoutingJob, zone
 from repro.core.scheduler import HybridScheduler
 from repro.core.strategy import strategy_from_synthesis
@@ -387,6 +388,7 @@ class TestDegradedDeterminism:
             return result, trace
 
         serial_result, serial_trace = execute(None)
+        clear_build_template_cache()
 
         # Every worker payload dies instantly; the zero rebuild budget
         # degrades the engine on the first classified pool fault.

@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.fastmdp import clear_build_template_cache
 from repro.core.routing_job import RoutingJob, zone
 from repro.core.strategy import (
     RoutingStrategy,
@@ -96,6 +97,7 @@ class TestRoutingStrategyPayload:
 
 class TestSynthesisResultPayload:
     def test_round_trip_drops_model(self):
+        clear_build_template_cache()
         result = synthesized()
         assert result.model is not None
         rebuilt = SynthesisResult.from_payload(result.to_payload())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import obs, perf
+from repro.core.fastmdp import clear_build_template_cache
 from repro.core.routing_job import RoutingJob
 from repro.core.synthesis import synthesize
 from repro.geometry.rect import Rect
@@ -187,6 +188,7 @@ class TestDisabledMode:
     ):
         """Regression: with tracing off, a synthesis run must leave zero
         span state and no obs-related perf counters behind."""
+        clear_build_template_cache()
         perf.reset()
         result = synthesize(small_job(), full_health[:16, :12])
         assert result.exists

@@ -5,12 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bioassay.library import EVALUATION_BIOASSAYS
 from repro.bioassay.ops import MO, MOType
+from repro.bioassay.planner import plan
 from repro.bioassay.seqgraph import SequencingGraph
 from repro.biochip.chip import MedaChip
 from repro.biochip.simulator import MedaSimulator
 from repro.core.baseline import AdaptiveRouter
-from repro.core.scheduler import HybridScheduler
+from repro.core.scheduler import HybridScheduler, MOPhase
+from repro.geometry.rect import Rect
 
 W, H = 40, 24
 
@@ -89,3 +92,63 @@ class TestSimulatorPolicies:
         c = self._run(None, seed=7)
         # all stress integral (pure actuations)
         assert np.allclose(c.actuations, np.round(c.actuations))
+
+
+def _fresh_mask(scheduler: HybridScheduler) -> np.ndarray:
+    """The selective mask built from scratch (zones, then droplet halos)."""
+    mask = np.zeros((scheduler.width, scheduler.height), dtype=bool)
+    for state in scheduler._states.values():
+        if state.phase in (MOPhase.ROUTING, MOPhase.OPERATING):
+            for task in state.tasks:
+                hz = task.job.hazard
+                mask[hz.xa - 1 : hz.xb, hz.ya - 1 : hz.yb] = True
+    for rect in scheduler.droplets.values():
+        xa, ya = max(rect.xa - 1, 1), max(rect.ya - 1, 1)
+        xb = min(rect.xb + 1, scheduler.width)
+        yb = min(rect.yb + 1, scheduler.height)
+        mask[xa - 1 : xb, ya - 1 : yb] = True
+    return mask
+
+
+class _CheckedScheduler(HybridScheduler):
+    """Records each cycle's mask next to a from-scratch build."""
+
+    def sensing_mask(self) -> np.ndarray:
+        mask = super().sensing_mask()
+        self.checked.append((mask, _fresh_mask(self)))
+        return mask
+
+
+class TestSensingMaskCache:
+    def test_unchanged_cycle_returns_same_read_only_mask(self):
+        scheduler = HybridScheduler(graph(), AdaptiveRouter(), W, H)
+        scheduler.droplets[0] = Rect(5, 5, 8, 8)
+        first = scheduler.sensing_mask()
+        assert scheduler.sensing_mask() is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = True
+
+    def test_moved_droplet_rebuilds_the_mask(self):
+        scheduler = HybridScheduler(graph(), AdaptiveRouter(), W, H)
+        scheduler.droplets[0] = Rect(5, 5, 8, 8)
+        first = scheduler.sensing_mask()
+        scheduler.droplets[0] = Rect(6, 5, 9, 8)
+        moved = scheduler.sensing_mask()
+        assert moved is not first
+        assert np.array_equal(moved, _fresh_mask(scheduler))
+        assert not np.array_equal(moved, first)
+
+    def test_matches_fresh_build_over_a_selective_run(self):
+        graph_ = plan(EVALUATION_BIOASSAYS["covid-rat"](), W, H)
+        scheduler = _CheckedScheduler(graph_, AdaptiveRouter(), W, H)
+        scheduler.checked = []
+        sim = MedaSimulator(chip(3), np.random.default_rng(4),
+                            sensing_policy="selective")
+        assert sim.run(scheduler, max_cycles=600).success
+        masks = scheduler.checked
+        assert len(masks) > 10
+        for mask, fresh in masks:
+            assert np.array_equal(mask, fresh)
+        reused = sum(a is b for (a, _), (b, _) in zip(masks, masks[1:]))
+        assert 0 < reused < len(masks) - 1

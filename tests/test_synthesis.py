@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.baseline import AdaptiveRouter, BaselineRouter, OracleRouter
+from repro.core.fastmdp import clear_build_template_cache
 from repro.core.routing_job import RoutingJob, zone
 from repro.core.strategy import StrategyLibrary, health_fingerprint
 from repro.core.synthesis import (
@@ -134,6 +135,7 @@ class TestSynthesize:
         assert not result.exists
 
     def test_times_reported(self):
+        clear_build_template_cache()
         result = synthesize(job(), full_health())
         assert result.construction_time > 0
         assert result.solve_time > 0
