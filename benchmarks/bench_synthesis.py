@@ -7,9 +7,9 @@ time zone health changes (Table V's construction/solve split).
 
 Two pipelines are compared on identical workloads:
 
-* **pre**  — the scalar reference builder (``build_routing_model_scalar``,
-  the pre-optimization ``build_routing_model_fast``) followed by a
-  cold-started ``Rmin`` solve;
+* **pre**  — the scalar reference builder (``build_routing_model_scalar``
+  in ``tests/oracles.py``, the pre-optimization ``build_routing_model_fast``)
+  followed by a cold-started ``Rmin`` solve;
 * **post** — the vectorized builder with the process-global action-spec
   memo, plus warm-started value iteration seeded from the previous
   fixpoint of the same job (what ``AdaptiveRouter`` does on a library
@@ -48,12 +48,13 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+# The "pre" pipeline's scalar builder is a test oracle (tests/oracles.py).
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
 
 from common import CHIP_HEIGHT, CHIP_WIDTH, SCALE, emit, scaled  # noqa: E402
 
 from repro import perf  # noqa: E402
 from repro.core.fastmdp import (  # noqa: E402
-    build_routing_model_scalar,
     clear_build_template_cache,
     clear_shape_action_memo,
 )
@@ -68,6 +69,7 @@ from repro.core.synthesis import (  # noqa: E402
 )
 from repro.geometry.rect import Rect  # noqa: E402
 from repro.modelcheck.compiled import solve_reach_avoid_reward  # noqa: E402
+from tests.oracles import build_routing_model_scalar  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 JSON_PATH = REPO_ROOT / "BENCH_synthesis.json"

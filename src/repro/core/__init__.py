@@ -41,7 +41,6 @@ from repro.core.droplet import (
 from repro.core.fastmdp import (
     CompiledRoutingModel,
     build_routing_model_fast,
-    build_routing_model_scalar,
     clear_shape_action_memo,
     compiled_shape_actions,
     extract_fast_strategy,
@@ -121,7 +120,6 @@ __all__ = [
     "baseline_field",
     "build_routing_mdp",
     "build_routing_model_fast",
-    "build_routing_model_scalar",
     "clear_shape_action_memo",
     "compiled_shape_actions",
     "extract_fast_strategy",

@@ -471,14 +471,24 @@ def _exit_policy(
     return chosen if bool(np.all(chosen >= 0)) else None
 
 
+#: An empty matrix made by the public constructor; :func:`_raw_csr` starts
+#: each matrix from a copy of its attributes.
+_CSR_PROTO = sparse.csr_matrix((0, 0))
+
+
 def _raw_csr(data, indices, indptr, shape) -> sparse.csr_matrix:
-    """CSR from pre-validated arrays, skipping the constructor's checks.
+    """CSR from pre-validated arrays, skipping the constructor entirely.
 
     The arrays come from skeletons derived off a canonical matrix (or a
     gather through one), so re-running ``check_format`` per model per
-    level would only re-verify what the construction guarantees.
+    level would only re-verify what the construction guarantees.  Even
+    an empty ``csr_matrix(shape)`` allocates and checks a zero
+    ``indptr``; copying the prototype's attributes and setting the
+    arrays and shape costs none of that.
     """
-    out = sparse.csr_matrix(shape, dtype=data.dtype)
+    out = sparse.csr_matrix.__new__(sparse.csr_matrix)
+    out.__dict__.update(_CSR_PROTO.__dict__)
+    out._shape = shape
     out.data = data
     out.indices = indices
     out.indptr = indptr
@@ -535,10 +545,12 @@ def _slot_layout(
     lens = np.zeros(slots * n, dtype=np.int64)
     lens[used] = row_len
     total = int(row_len.sum())
+    # intp, not int32: every ``_settle`` call gathers through it, and an
+    # int32 index is converted to intp on each use.
     gather = (
         np.repeat(tb_indptr[real] - (np.cumsum(row_len) - row_len), row_len)
         + np.arange(total)
-    ).astype(np.int32)
+    ).astype(np.intp)
     return _SlotLayout(
         n=n,
         slots=slots,

@@ -20,7 +20,6 @@ from repro.core.actions import ActionClass
 from repro.core.baseline import AdaptiveRouter
 from repro.core.fastmdp import (
     build_routing_model_fast,
-    build_routing_model_scalar,
     clear_build_template_cache,
     clear_shape_action_memo,
     compiled_shape_actions,
@@ -39,6 +38,7 @@ from repro.modelcheck.compiled import (
     solve_reach_avoid_probability,
     solve_reach_avoid_reward,
 )
+from tests.oracles import build_routing_model_scalar
 
 W, H = 24, 18
 
@@ -90,6 +90,49 @@ class TestShapeActionMemo:
         assert (
             first.compiled.transitions != second.compiled.transitions
         ).nnz == 0
+
+
+def _transition_rows(model) -> dict:
+    """``{(state, action): {successor: probability}}`` of a compiled model."""
+    cm = model.compiled
+    T = cm.transitions.tocsr()
+    names = [str(s) for s in model.states]
+    return {
+        (names[cm.choice_state[c]], model.choice_labels[c]): {
+            names[j]: p
+            for j, p in zip(
+                T.indices[T.indptr[c]:T.indptr[c + 1]].tolist(),
+                T.data[T.indptr[c]:T.indptr[c + 1]].tolist(),
+            )
+        }
+        for c in range(cm.num_choices)
+    }
+
+
+class TestScalarOracle:
+    """The vectorized builder against the per-state scalar oracle."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize(
+        "families", [None, (ActionClass.CARDINAL, ActionClass.ORDINAL)]
+    )
+    def test_same_transitions_as_scalar_builder(self, seed, families):
+        health = _random_health(seed)
+        # Dead cells make some outcomes impossible (probability 0).
+        health[np.random.default_rng(seed).random(health.shape) < 0.1] = 0
+        forces = force_field_from_health(health).forces
+        clear_build_template_cache()
+        fast = _transition_rows(
+            build_routing_model_fast(_job(), forces, families=families)
+        )
+        ref = _transition_rows(
+            build_routing_model_scalar(_job(), forces, families=families)
+        )
+        assert fast.keys() == ref.keys()
+        for key, row in ref.items():
+            # The fast builder sums forces over its read window, the
+            # scalar one over the whole chip: equal up to rounding.
+            assert fast[key] == pytest.approx(row, rel=0, abs=1e-12)
 
 
 class TestFamilyRestrictedEquivalence:

@@ -356,3 +356,25 @@ class TestTemplateLru:
         assert build_dedup_token(oldest, forces) is not None
         assert build_dedup_token(middle, forces) is None
         assert build_dedup_token(newest, forces) is not None
+
+
+class TestRawCsr:
+    """``interval._raw_csr`` builds the matrix the checked constructor
+    builds, from the same arrays, without copying them."""
+
+    def test_matches_checked_constructor(self):
+        data = np.array([0.5, 0.25, 0.125, 1.0])
+        indices = np.array([0, 2, 1, 2], dtype=np.int32)
+        indptr = np.array([0, 2, 2, 4], dtype=np.int32)
+        raw = interval._raw_csr(data, indices, indptr, (3, 4))
+        ref = sparse.csr_matrix((data, indices, indptr), shape=(3, 4))
+        assert raw.shape == ref.shape == (3, 4)
+        assert raw.nnz == ref.nnz
+        assert raw.data is data and raw.indices is indices
+        assert np.array_equal(raw.toarray(), ref.toarray())
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(raw @ x, ref @ x)
+        # A second matrix does not share state with the first.
+        other = interval._raw_csr(data[:2], indices[:2],
+                                  np.array([0, 2], dtype=np.int32), (1, 4))
+        assert other.shape == (1, 4) and raw.shape == (3, 4)
