@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, _trusted_rect
 
 
 class ActionClass(Enum):
@@ -147,7 +147,7 @@ def apply_action(delta: Rect, action: Action) -> Rect:
             ya += 1  # growing toward N releases the bottom row
         else:
             yb -= 1
-        return Rect(xa, ya, xb, yb)
+        return _trusted_rect(xa, ya, xb, yb)
     # HEIGHTEN: width shrinks by one, height grows toward the vertical
     # component.
     if delta.width < 2:
@@ -161,7 +161,7 @@ def apply_action(delta: Rect, action: Action) -> Rect:
         xa += 1  # growing toward E releases the west column
     else:
         xb -= 1
-    return Rect(xa, ya, xb, yb)
+    return _trusted_rect(xa, ya, xb, yb)
 
 
 def frontier(delta: Rect, action: Action, direction: str) -> Rect | None:

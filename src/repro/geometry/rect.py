@@ -150,7 +150,9 @@ class Rect:
 
     def translated(self, dx: int, dy: int) -> "Rect":
         """The rectangle shifted by ``(dx, dy)``."""
-        return Rect(self.xa + dx, self.ya + dy, self.xb + dx, self.yb + dy)
+        return _trusted_rect(
+            self.xa + dx, self.ya + dy, self.xb + dx, self.yb + dy
+        )
 
     def expanded(self, margin: int) -> "Rect":
         """The rectangle grown by ``margin`` cells on every side."""
@@ -189,6 +191,22 @@ class Rect:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.xa:02d}, {self.ya:02d}, {self.xb:02d}, {self.yb:02d})"
+
+
+def _trusted_rect(xa: int, ya: int, xb: int, yb: int) -> Rect:
+    """A :class:`Rect` from corners the caller already knows are valid.
+
+    Skips the dataclass constructor and its degeneracy check, which hot
+    paths (translations, action successors, model state inventories,
+    strategy rehydration) would repeat on corners derived from a valid
+    rectangle.  The cached hash is the one ``__post_init__`` computes, so
+    hashing and equality match a constructed ``Rect`` exactly.
+    """
+    rect = object.__new__(Rect)
+    d = rect.__dict__
+    d["xa"], d["ya"], d["xb"], d["yb"] = xa, ya, xb, yb
+    d["_hash"] = hash((xa, ya, xb, yb))
+    return rect
 
 
 def manhattan(a: tuple[int, int], b: tuple[int, int]) -> int:

@@ -12,7 +12,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, _trusted_rect
 from repro.modelcheck.model import MDP
 from repro.modelcheck.reachability import ValueResult
 
@@ -32,13 +32,9 @@ def _state_from_token(token: "list[int] | str") -> State:
     if isinstance(token, str):
         return token
     # Tokens only ever come from _state_token, so the rectangle is already
-    # validated; bypass the dataclass constructor — strategy rehydration
-    # builds tens of thousands of Rects and this path is ~4x faster.
-    rect = object.__new__(Rect)
-    d = rect.__dict__
-    d["xa"], d["ya"], d["xb"], d["yb"] = token
-    d["_hash"] = hash(tuple(token))
-    return rect
+    # validated — strategy rehydration builds tens of thousands of Rects.
+    xa, ya, xb, yb = token
+    return _trusted_rect(xa, ya, xb, yb)
 
 
 @dataclass(frozen=True)

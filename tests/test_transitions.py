@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.actions import ACTIONS, ALL_ACTIONS
 from repro.core.transitions import (
     MatrixForceField,
-    Outcome,
     UniformForceField,
     leg_probability,
     outcome_distribution,
@@ -191,11 +190,12 @@ class TestSampling:
         freq = events.count("N") / len(events)
         assert freq == pytest.approx(0.7, abs=0.03)
 
-    def test_single_draw_matches_generator_choice(self, monkeypatch):
-        # sample_outcome replays Generator.choice's arithmetic; the chosen
-        # indices and the generator state afterwards must match choice's
-        # over seeded 1-4 outcome distributions, skewed ones included.
-        from repro.core import transitions
+    def test_single_draw_matches_generator_choice(self):
+        # sample_outcome's draw replays Generator.choice's arithmetic in
+        # scalar floats; the chosen indices and the generator state
+        # afterwards must match choice's over seeded 1-4 outcome
+        # distributions, skewed ones included.
+        from repro.core.transitions import _draw
 
         gen = np.random.default_rng(2024)
         dists = []
@@ -205,17 +205,15 @@ class TestSampling:
             probs = [float(p) for p in gen.dirichlet(np.full(k, alpha))]
             if all(p > 0.0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-9:
                 dists.append(probs)
-        current: list = []
-        monkeypatch.setattr(transitions, "outcome_distribution",
-                            lambda delta, action, field: current)
         ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
         for probs in dists:
-            current[:] = [Outcome(str(i), DELTA, p) for i, p in enumerate(probs)]
+            total = 0.0
+            for p in probs:
+                total += p
             for _ in range(3):
-                got = sample_outcome(DELTA, None, None, ours)
+                got = _draw(probs, total, ours)
                 p = np.array(probs)
-                want = current[int(theirs.choice(len(probs), p=p / p.sum()))]
-                assert got is want
+                assert got == int(theirs.choice(len(probs), p=p / p.sum()))
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_single_draw_matches_choice_on_kernel_distributions(self):
