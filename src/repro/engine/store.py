@@ -62,7 +62,10 @@ from repro.modelcheck.properties import Query
 #: v2: solver values are interval-certified midpoints and warm-seed wire
 #: payloads are side-tagged, so v1 entries (uncertified plain-VI values)
 #: must not be replayed.
-STORE_SCHEMA_VERSION = 2
+#: v3: extraction breaks ties canonically (lowest choice index within the
+#: tie band), so v2 rows may hold a tie choice a fresh solve no longer
+#: makes.
+STORE_SCHEMA_VERSION = 3
 
 #: Default on-disk location, honouring ``XDG_CACHE_HOME``.
 DEFAULT_STORE_DIR = "repro"

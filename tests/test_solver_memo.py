@@ -117,7 +117,8 @@ def _uncached_reward(cm, initial_values=None, epsilon=DEFAULT_EPSILON):
         )
     finite = np.isfinite(lower) & np.isfinite(upper)
     values = np.where(finite, 0.5 * (lower + upper), lower)
-    remapped = compiled._extract(cm, values, usable, cm.choice_reward, False)
+    remapped = compiled._extract(cm, values, usable, cm.choice_reward, False,
+                                 epsilon)
     return values, compiled._to_local(cm, remapped), lower, upper
 
 
