@@ -59,6 +59,21 @@ class TestConstruction:
         back = _state_from_token(_state_token(r))
         assert back == r and hash(back) == hash(r)
 
+    @given(rects(), st.integers(-5, 5), st.integers(-5, 5))
+    def test_trusted_rect_is_a_constructed_rect(self, r, dx, dy):
+        # The validated-corners fast path (translations, action
+        # successors, model states) must be indistinguishable from the
+        # dataclass constructor: equality, ordering, hash and repr.
+        from repro.geometry.rect import _trusted_rect
+
+        fast = _trusted_rect(*r.as_tuple())
+        assert fast == r and hash(fast) == hash(r) and repr(fast) == repr(r)
+        assert not fast < r and not r < fast
+        moved = Rect(r.xa + dx, r.ya + dy, r.xb + dx, r.yb + dy)
+        assert r.translated(dx, dy) == moved
+        assert hash(r.translated(dx, dy)) == hash(moved.as_tuple())
+        assert {moved: 1}[r.translated(dx, dy)] == 1
+
 
 class TestPaperExample1:
     """Example 1: droplet (3, 2, 7, 5) has w=5, h=4, A=20, AR=5/4."""
