@@ -90,16 +90,36 @@ def quantize_health(
     microelectrode (``D = 1``) reads the all-ones code, matching the "11"
     sensing result of the proposed MC design.
     """
-    if bits < 1:
-        raise ValueError(f"need at least one health bit, got {bits}")
-    levels = 1 << bits
     arr = np.asarray(d, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("degradation levels must lie in [0, 1]")
-    h = np.floor(levels * arr).astype(int)
-    h = np.minimum(h, levels - 1)
+    h = health_codes(arr.reshape(-1), bits).astype(int).reshape(arr.shape)
     if np.isscalar(d) or arr.ndim == 0:
         return int(h)
+    return h
+
+
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
+def health_codes(d: np.ndarray, bits: int) -> np.ndarray:
+    """:func:`quantize_health` of a 1-D float64 array, the codes as floats.
+
+    The form the chip refreshes its health matrix with, in few numpy
+    calls.  The ``[0, 1]`` check is first one comparison of the IEEE bit
+    patterns: doubles from +0.0 up order like their patterns, and every
+    double with the sign bit set (and NaN) has a pattern above 1.0's.
+    Only then does the exact comparison decide, so ``-0.0`` passes and
+    NaN does not.
+    """
+    if bits < 1:
+        raise ValueError(f"need at least one health bit, got {bits}")
+    if np.count_nonzero(d.view(np.uint64) > _ONE_BITS) and not np.all(
+        (d >= 0.0) & (d <= 1.0)
+    ):
+        raise ValueError("degradation levels must lie in [0, 1]")
+    levels = float(1 << bits)
+    h = np.multiply(d, levels)
+    np.floor(h, out=h)
+    np.minimum(h, levels - 1.0, out=h)
     return h
 
 

@@ -102,6 +102,11 @@ class TestQuantizeHealth:
         with pytest.raises(ValueError):
             quantize_health(-0.1)
 
+    def test_nan_rejected_and_negative_zero_kept(self):
+        with pytest.raises(ValueError):
+            quantize_health(np.array([0.5, np.nan]))
+        assert quantize_health(-0.0, bits=2) == 0
+
     def test_zero_bits_rejected(self):
         with pytest.raises(ValueError):
             quantize_health(0.5, bits=0)
