@@ -55,7 +55,7 @@ from repro.core.routing_job import RoutingJob
 from repro.geometry.rect import Rect, _trusted_rect
 from repro.modelcheck.compiled import CompiledMDP
 from repro.modelcheck.reachability import ValueResult
-from repro.modelcheck.strategy import MemorylessStrategy
+from repro.modelcheck.strategy import MemorylessStrategy, StateColumns
 
 #: Index of the absorbing hazard sink in every compiled routing model.
 HAZARD_INDEX = 0
@@ -241,6 +241,10 @@ class CompiledRoutingModel:
     states: list[Rect | str]
     choice_labels: list[str]
     job: RoutingJob
+    #: The state inventory as strategy columns (``states`` included) and
+    #: each choice's int16 code into ``columns.labels``.
+    columns: StateColumns | None = None
+    choice_codes: np.ndarray | None = None
 
     @property
     def num_states(self) -> int:
@@ -326,7 +330,8 @@ class _Geometry:
     entry (see :class:`_ShapeGeometry`): ``target``, the provisional
     pattern id the outcome moves to (the hazard sink when unsafe, the
     owner itself on stay rows), and ``choice``, its provisional choice.
-    Per provisional choice: ``owner`` pattern and action ``label``.
+    Per provisional choice: ``owner`` pattern and action ``code``, an
+    int16 index into ``labels``, the geometry's action label table.
     ``pattern`` holds ``(xa, ya, w, h)`` per provisional pattern id
     (0 = the hazard sink, then one block per shape).
     """
@@ -337,7 +342,8 @@ class _Geometry:
     target: np.ndarray
     choice: np.ndarray
     owner: np.ndarray
-    label: np.ndarray
+    code: np.ndarray
+    labels: np.ndarray
     pattern: np.ndarray
     start_pid: int
     goal_pids: np.ndarray
@@ -394,7 +400,8 @@ def _record_geometry(
     targets: list[np.ndarray] = []
     choices: list[np.ndarray] = []
     owners: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
+    codes: list[np.ndarray] = []
+    label_code: dict[str, int] = {}
     goal_pids: list[np.ndarray] = []
     size = 0
     num_choices = 0
@@ -472,8 +479,13 @@ def _record_geometry(
             num_choices + tab.spec_of_row[:, None] * k + np.arange(k)
         ).astype(np.int32).ravel())
         owners.append(np.tile(pids, len(tab.specs)).astype(np.int32))
-        labels.append(np.repeat(
-            np.array([spec.name for spec in tab.specs], dtype=object), k
+        codes.append(np.repeat(
+            np.array(
+                [label_code.setdefault(spec.name, len(label_code))
+                 for spec in tab.specs],
+                dtype=np.int16,
+            ),
+            k,
         ))
         num_choices += len(tab.specs) * k
         size += rows * k
@@ -488,7 +500,8 @@ def _record_geometry(
         target=flat(targets, np.int32),
         choice=flat(choices, np.int32),
         owner=flat(owners, np.int32),
-        label=flat(labels, object),
+        code=flat(codes, np.int16),
+        labels=np.array(list(label_code), dtype=object),
         pattern=pattern,
         start_pid=start_pid,
         goal_pids=flat(goal_pids, np.int64),
@@ -559,8 +572,9 @@ class _BuildTemplate:
     choice_state: np.ndarray | None = None
     choice_reward: np.ndarray | None = None
     labels: dict | None = None
-    states: list | None = None
+    columns: StateColumns | None = None
     choice_labels: list | None = None
+    choice_codes: np.ndarray | None = None
     first_choice: np.ndarray | None = None
     digest: str | None = None
     #: The last cold result solved for this job geometry, as
@@ -791,8 +805,9 @@ def _replay(
     else:
         compiled._digest_cache.append(tpl.digest)
     return CompiledRoutingModel(
-        compiled=compiled, states=tpl.states, choice_labels=tpl.choice_labels,
-        job=job,
+        compiled=compiled, states=tpl.columns.states,
+        choice_labels=tpl.choice_labels, job=job, columns=tpl.columns,
+        choice_codes=tpl.choice_codes,
     )
 
 
@@ -853,7 +868,8 @@ def _support(
     final_choices = keep_choice[perm]
     num_choices = final_choices.size
     choice_state = new_owner[perm]
-    choice_labels: list[str] = geo.label[final_choices].tolist()
+    choice_codes = geo.code[final_choices]
+    choice_labels: list[str] = geo.labels[choice_codes].tolist()
     choice_new = np.full(owner_arr.size, -1, dtype=np.int64)
     choice_new[final_choices] = np.arange(num_choices, dtype=np.int64)
 
@@ -947,21 +963,30 @@ def _support(
 
     inv = np.zeros(n, dtype=np.int64)
     inv[new_id[reach_pids]] = reach_pids
+    xa, ya, w, h = geo.pattern[inv].T
+    corners = np.stack([xa, ya, xa + w - 1, ya + h - 1], axis=1)
+    corners = corners.astype(np.int16)
+    corners[HAZARD_INDEX] = 0
     state_objects: list[Rect | str] = [HAZARD_STATE] + [
-        _trusted_rect(x, y, x + w - 1, y + h - 1)
-        for x, y, w, h in geo.pattern[inv[1:]].tolist()
+        _trusted_rect(*c) for c in corners[1:].tolist()
     ]
+    columns = StateColumns(
+        states=state_objects, corners=corners,
+        label_states=((HAZARD_INDEX, HAZARD_STATE),),
+        labels=tuple(geo.labels.tolist()),
+    )
     tpl.num_choices = num_choices
     tpl.n = n
     tpl.choice_state = choice_state
     tpl.choice_reward = choice_reward
     tpl.labels = labels
-    tpl.states = state_objects
+    tpl.columns = columns
     tpl.choice_labels = choice_labels
+    tpl.choice_codes = choice_codes
     tpl.first_choice = compiled.first_choice()
     model = CompiledRoutingModel(
         compiled=compiled, states=state_objects, choice_labels=choice_labels,
-        job=job,
+        job=job, columns=columns, choice_codes=choice_codes,
     )
     return model, tpl
 
@@ -969,21 +994,25 @@ def _support(
 def extract_fast_strategy(
     model: CompiledRoutingModel, result: ValueResult
 ) -> MemorylessStrategy:
-    """Memoryless strategy from a solved compiled routing model."""
+    """Memoryless strategy from a solved compiled routing model.
+
+    The strategy keeps the model's state columns, the solve's value
+    vector (read-only) and one int16 action code per state; only the
+    ``decisions`` map is built here.
+    """
     cm = model.compiled
-    first = cm.first_choice()
-    has_choice = result.choice >= 0
-    global_choice = np.where(has_choice, first + result.choice, -1)
+    decided = np.flatnonzero(result.choice >= 0)
+    picked = cm.first_choice()[decided] + result.choice[decided]
+    codes = np.full(cm.num_states, -1, dtype=np.int16)
+    codes[decided] = model.choice_codes[picked]
     states = model.states
     labels = model.choice_labels
-    values: dict[object, float] = dict(zip(states, result.values.tolist()))
-    decided = np.flatnonzero(has_choice)
-    picked = global_choice[decided].tolist()
     decisions: dict[object, str] = {
-        states[s]: labels[c] for s, c in zip(decided.tolist(), picked)
+        states[s]: labels[c] for s, c in zip(decided.tolist(), picked.tolist())
     }
-    return MemorylessStrategy(
-        decisions=decisions,
-        values=values,
-        initial_value=float(result.values[cm.initial]),
+    values = result.values.view()
+    values.flags.writeable = False
+    return MemorylessStrategy.from_columns(
+        model.columns, values, codes, float(result.values[cm.initial]),
+        decisions,
     )

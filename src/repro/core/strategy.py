@@ -48,24 +48,24 @@ class RoutingStrategy:
         return self.policy.action(delta) is not None
 
     def to_payload(self) -> dict:
-        """A JSON/pickle-safe dict form (job + policy + value).
+        """The policy's columnar payload plus ``job`` and ``expected_cycles``.
 
         This is the wire format of the synthesis engine: worker processes
-        and the persistent strategy store both ship strategies as these
-        compact dicts instead of pickled model objects.
+        ship strategies as these pickle-safe dicts instead of model
+        objects, and the persistent strategy store writes them as one
+        binary row (see :meth:`MemorylessStrategy.to_payload`).
         """
-        return {
-            "job": job_to_payload(self.job),
-            "policy": self.policy.to_payload(),
-            "expected_cycles": self.expected_cycles,
-        }
+        payload = self.policy.to_payload()
+        payload["job"] = job_to_payload(self.job)
+        payload["expected_cycles"] = self.expected_cycles
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "RoutingStrategy":
         """Rehydrate a strategy from :meth:`to_payload` output."""
         return cls(
             job=job_from_payload(payload["job"]),
-            policy=MemorylessStrategy.from_payload(payload["policy"]),
+            policy=MemorylessStrategy.from_payload(payload),
             expected_cycles=float(payload["expected_cycles"]),
         )
 
@@ -129,9 +129,11 @@ class StrategyLibrary:
     entries: dict[tuple[tuple[int, ...], bytes], RoutingStrategy] = field(
         default_factory=dict
     )
-    #: Last solved value vector per job key (health-independent), used to
+    #: Last solved policy per job key (health-independent); its values
     #: warm-start value iteration on the next resynthesis of the same job.
-    warm_values: dict[tuple[int, ...], dict] = field(default_factory=dict)
+    warm_policies: dict[tuple[int, ...], MemorylessStrategy] = field(
+        default_factory=dict
+    )
     hits: int = 0
     misses: int = 0
 
@@ -172,11 +174,13 @@ class StrategyLibrary:
         the iterations.
         """
         self.entries[self._key(job, health)] = strategy
-        self.warm_values[job.key()] = strategy.policy.values
+        self.warm_policies[job.key()] = strategy.policy
 
     def warm_start(self, job: RoutingJob) -> dict | None:
-        """The last solved ``{pattern: value}`` map for ``job``, if any."""
-        return self.warm_values.get(job.key())
+        """The last solved ``{pattern: value}`` map for ``job``, if any
+        (derived from the policy's value column on first use)."""
+        policy = self.warm_policies.get(job.key())
+        return None if policy is None else policy.values
 
     def __len__(self) -> int:
         return len(self.entries)

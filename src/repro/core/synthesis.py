@@ -112,7 +112,7 @@ class SynthesisResult:
         return self.strategy is not None
 
     def to_payload(self) -> dict:
-        """A compact, JSON/pickle-safe dict of this result.
+        """A compact, pickle-safe dict of this result.
 
         The heavyweight ``model`` (state inventory + CSR transitions) is
         deliberately dropped: cross-process consumers only need the policy

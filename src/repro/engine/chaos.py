@@ -151,11 +151,11 @@ class ChaosInjector:
 
     # -- store-side faults ---------------------------------------------------
 
-    def corrupt_payload(self, token: str, payload: str) -> str:
+    def corrupt_payload(self, token: str, payload: bytes) -> bytes:
         """Maybe garble a strategy-store row payload before it is written."""
         cfg = self.config
         if cfg.store_p and self.draw("store", token) < cfg.store_p:
-            return payload[: max(1, len(payload) // 2)] + "\x00<chaos-garbled>"
+            return payload[: max(1, len(payload) // 2)] + b"\x00<chaos-garbled>"
         return payload
 
 

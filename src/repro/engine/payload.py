@@ -1,10 +1,10 @@
 """Wire-format helpers for cross-process synthesis payloads.
 
-The engine ships everything between processes as plain dicts/lists (see
-``RoutingStrategy.to_payload`` / ``MemorylessStrategy.to_payload``); the
-only encoding that lives here is the warm-start value map, whose keys are
-routing-model states (Rect patterns or label strings) like a strategy's
-``values``.
+The engine ships everything between processes as pickle-safe dicts
+(strategies as the columnar ``RoutingStrategy.to_payload`` /
+``MemorylessStrategy.to_payload``); the only encoding that lives here is
+the warm-start value map, whose keys are routing-model states (Rect
+patterns or label strings) like a strategy's ``values``.
 
 Since the solver became two-sided (interval value iteration), a warm seed
 is only meaningful for one *side* of the bracket: reward and ``Pmax``

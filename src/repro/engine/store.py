@@ -17,12 +17,15 @@ a synthesized strategy —
 * a code version tag (library version + store schema version), so stale
   formats from older checkouts can never poison a run.
 
-Entries are stored as the JSON payloads of
-:meth:`~repro.core.strategy.RoutingStrategy.to_payload`.  The store is
+Each entry is one binary row: the columnar payload of
+:meth:`~repro.core.strategy.RoutingStrategy.to_payload` as a small JSON
+header followed by the raw bytes of its value, corner and action-code
+arrays (:func:`encode_payload`; DESIGN.md §10).  The store is
 LRU-bounded (``max_entries``, evicted by last-use time) and *corruption
-tolerant*: an unreadable database file is re-created, an undecodable row is
-deleted and counted, and any unexpected SQLite failure degrades the store
-to a no-op rather than failing the run.  Hit/miss/stale counts are kept on
+tolerant*: an unreadable database file is re-created, an undecodable row
+(truncated, trailing bytes, an action code outside its label table) is
+deleted and counted as a miss, and any unexpected SQLite failure degrades
+the store to a no-op rather than failing the run.  Hit/miss/stale counts are kept on
 the instance and mirrored into :mod:`repro.perf`
 (``store.{hits,misses,stale,corrupt,evictions,puts}``).
 
@@ -32,16 +35,20 @@ shared by N assay-worker threads.  The connection is opened with
 instance lock; the database runs in WAL mode with a ``busy_timeout`` so a
 second *process* pointed at the same file blocks briefly instead of
 erroring.  A process-shared **read-through memo** (an in-memory LRU of
-decoded strategies, ``store.memo.{hits,misses}``) sits in front of SQLite
-so concurrent assays resolving the same (job key, fingerprint) — the
-common case under a mixed serving workload — do not serialize on the
-database at all after the first read.
+decoded strategies keyed by the raw ``(chip shape, job key, health
+fingerprint)``, ``store.memo.{hits,misses}``) sits in front of SQLite: a
+memo hit hashes nothing and runs no SQL.  Its LRU touch is kept in
+memory and written with the other pending touches in one ``executemany``
+inside the next put, before its eviction query, and on
+:meth:`StrategyStore.close`, so rows are evicted in the order an
+immediately-touched store would evict them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sqlite3
 import threading
@@ -65,7 +72,8 @@ from repro.modelcheck.properties import Query
 #: v3: extraction breaks ties canonically (lowest choice index within the
 #: tie band), so v2 rows may hold a tie choice a fresh solve no longer
 #: makes.
-STORE_SCHEMA_VERSION = 3
+#: v4: rows are binary columnar payloads (:func:`encode_payload`), not JSON.
+STORE_SCHEMA_VERSION = 4
 
 #: Default on-disk location, honouring ``XDG_CACHE_HOME``.
 DEFAULT_STORE_DIR = "repro"
@@ -82,6 +90,63 @@ def _code_version() -> str:
     from repro import __version__
 
     return f"{__version__}+s{STORE_SCHEMA_VERSION}"
+
+
+#: Leading bytes of every v4 row.
+_MAGIC = b"RSv4"
+#: The per-state arrays of a strategy payload, in row order, with their
+#: on-disk dtype and per-state shape; every other payload key goes into
+#: the JSON header.
+_COLUMNS = (
+    ("values", np.dtype("<f8"), ()),
+    ("corners", np.dtype("<i2"), (4,)),
+    ("codes", np.dtype("<i2"), ()),
+)
+_COLUMN_NAMES = frozenset(name for name, _, _ in _COLUMNS)
+
+
+def encode_payload(payload: dict) -> bytes:
+    """One binary row for a columnar strategy payload.
+
+    ``RSv4``, the header length as a little-endian uint32, the JSON
+    header (every non-array key plus the state count ``n``, space-padded
+    so the arrays start 8-byte aligned), then the ``values``,
+    ``corners`` and ``codes`` arrays' raw little-endian bytes.
+    """
+    header = {k: v for k, v in payload.items() if k not in _COLUMN_NAMES}
+    header["n"] = len(payload["values"])
+    text = json.dumps(header).encode()
+    text += b" " * (-(len(text) + 8) % 8)
+    return b"".join(
+        [_MAGIC, len(text).to_bytes(4, "little"), text]
+        + [np.ascontiguousarray(payload[name], dtype=dtype).tobytes()
+           for name, dtype, _ in _COLUMNS]
+    )
+
+
+def decode_payload(blob: bytes) -> dict:
+    """The payload of an :func:`encode_payload` row; ``ValueError`` when
+    the row is not one (wrong type or magic, truncated, trailing bytes).
+    The arrays are read-only views of ``blob``."""
+    if not isinstance(blob, bytes) or blob[:4] != _MAGIC or len(blob) < 8:
+        raise ValueError("not a v4 strategy row")
+    start = 8 + int.from_bytes(blob[4:8], "little")
+    payload = json.loads(blob[8:start])
+    n = payload.pop("n") if isinstance(payload, dict) else None
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"bad state count {n!r}")
+    for name, dtype, shape in _COLUMNS:
+        count = n * math.prod(shape)
+        end = start + count * dtype.itemsize
+        if end > len(blob):
+            raise ValueError("truncated strategy row")
+        payload[name] = np.frombuffer(
+            blob, dtype, count, offset=start
+        ).reshape((n, *shape))
+        start = end
+    if start != len(blob):
+        raise ValueError("trailing bytes after strategy row")
+    return payload
 
 
 def _query_token(query: Query | None) -> str:
@@ -130,9 +195,18 @@ class StrategyStore:
         # Instance lock: one store may serve N assay-worker threads
         # (repro.serve shares a single store across concurrent assays).
         self._lock = threading.RLock()
-        # Read-through memo: full_key -> decoded strategy, LRU-bounded to
-        # max_entries alongside the database itself.
-        self._memo: "OrderedDict[str, RoutingStrategy]" = OrderedDict()
+        # Read-through memo: raw (shape, job key, fingerprint) ->
+        # (full_key, decoded strategy), LRU-bounded to max_entries
+        # alongside the database itself; _memo_raw maps a full_key back
+        # so an evicted row drops its memo entry.
+        self._memo: "OrderedDict[tuple, tuple[str, RoutingStrategy]]" = (
+            OrderedDict()
+        )
+        self._memo_raw: dict[str, tuple] = {}
+        # Deferred LRU touches: full_key -> last-use time, written by
+        # _flush_touches within each put (before its eviction query) and
+        # on close().
+        self._touches: dict[str, float] = {}
         self._conn: sqlite3.Connection | None = None
         self._broken = False
         self._closed = False
@@ -175,7 +249,7 @@ class StrategyStore:
             "CREATE TABLE IF NOT EXISTS strategies ("
             " full_key TEXT PRIMARY KEY,"
             " base_key TEXT NOT NULL,"
-            " payload TEXT NOT NULL,"
+            " payload BLOB NOT NULL,"
             " created REAL NOT NULL,"
             " last_used REAL NOT NULL)"
         )
@@ -196,7 +270,8 @@ class StrategyStore:
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            self._memo.clear()
+            self._flush_touches()
+            self._clear_memo()
             self._shutdown()
 
     def _shutdown(self) -> None:
@@ -241,20 +316,21 @@ class StrategyStore:
 
     # -- keys ----------------------------------------------------------------
 
-    def _keys(
-        self, job: RoutingJob, health: np.ndarray
-    ) -> tuple[str, str]:
-        """``(full_key, base_key)``: base omits the health fingerprint."""
-        width, height = health.shape
+    @staticmethod
+    def _raw_key(job: RoutingJob, health: np.ndarray) -> tuple:
+        """The memo key: chip shape, job key and zone health fingerprint."""
+        return (health.shape, job.key(), health_fingerprint(health, job.hazard))
+
+    def _keys(self, raw: tuple) -> tuple[str, str]:
+        """``(full_key, base_key)`` of a raw key; base omits the health
+        fingerprint.  Formed only when SQLite is read or written."""
+        (width, height), job_key, fp = raw
         base_raw = (
             f"{self._params_token}|chip{width}x{height}"
-            f"|job{','.join(map(str, job.key()))}"
-        )
-        base = hashlib.sha256(base_raw.encode()).hexdigest()
-        fp = health_fingerprint(health, job.hazard)
-        full = hashlib.sha256(
-            base_raw.encode() + b"|fp|" + fp
-        ).hexdigest()
+            f"|job{','.join(map(str, job_key))}"
+        ).encode()
+        base = hashlib.sha256(base_raw).hexdigest()
+        full = hashlib.sha256(base_raw + b"|fp|" + fp).hexdigest()
         return full, base
 
     # -- get / put -----------------------------------------------------------
@@ -281,28 +357,23 @@ class StrategyStore:
     ) -> RoutingStrategy | None:
         if not self._check_open():
             return None
-        full, base = self._keys(job, health)
-        memoized = self._memo.get(full)
+        raw = self._raw_key(job, health)
+        memoized = self._memo.get(raw)
         if memoized is not None:
-            self._memo.move_to_end(full)
+            self._memo.move_to_end(raw)
             self.memo_hits += 1
             self.hits += 1
             perf.incr("store.memo.hits")
             perf.incr("store.hits")
-            # Still record the LRU touch (deferred, uncommitted — same as
-            # the disk path) so eviction order matches a memo-less store;
-            # the memo saves the row read and payload decode, not the
-            # bookkeeping.
-            try:
-                self._conn.execute(
-                    "UPDATE strategies SET last_used = ? WHERE full_key = ?",
-                    (time.time(), full),
-                )
-            except sqlite3.Error:
-                self._degrade()
-            return memoized
+            full, strategy = memoized
+            # The LRU touch is deferred like the disk path's, so eviction
+            # order matches a memo-less store; the memo saves the row
+            # read, the decode and the SQL, not the bookkeeping.
+            self._touches[full] = time.time()
+            return strategy
         self.memo_misses += 1
         perf.incr("store.memo.misses")
+        full, base = self._keys(raw)
         try:
             row = self._conn.execute(
                 "SELECT payload FROM strategies WHERE full_key = ?", (full,)
@@ -322,7 +393,7 @@ class StrategyStore:
             self._degrade()
             return None
         try:
-            strategy = RoutingStrategy.from_payload(json.loads(row[0]))
+            strategy = RoutingStrategy.from_payload(decode_payload(row[0]))
         except (ValueError, KeyError, TypeError):
             # Undecodable row: drop it and report a miss.
             self.corrupt += 1
@@ -335,25 +406,31 @@ class StrategyStore:
             return None
         self.hits += 1
         perf.incr("store.hits")
-        self._memo_put(full, strategy)
-        # LRU touch without an immediate commit: fsync-per-hit would double
-        # the cost of a warm lookup.  The touch is flushed by the next
-        # put/eviction commit or by close(); losing one on a crash only
-        # perturbs eviction order.
-        try:
-            self._conn.execute(
-                "UPDATE strategies SET last_used = ? WHERE full_key = ?",
-                (time.time(), full),
-            )
-        except sqlite3.Error:
-            self._degrade()
+        self._memo_put(raw, full, strategy)
+        # LRU touch without an immediate write: an UPDATE (and fsync) per
+        # hit would double the cost of a warm lookup.  Losing pending
+        # touches on a crash only perturbs eviction order.
+        self._touches[full] = time.time()
         return strategy
 
-    def _memo_put(self, full_key: str, strategy: RoutingStrategy) -> None:
-        self._memo[full_key] = strategy
-        self._memo.move_to_end(full_key)
+    def _memo_put(
+        self, raw: tuple, full_key: str, strategy: RoutingStrategy
+    ) -> None:
+        self._memo[raw] = (full_key, strategy)
+        self._memo.move_to_end(raw)
+        self._memo_raw[full_key] = raw
         while len(self._memo) > self.max_entries:
-            self._memo.popitem(last=False)
+            evicted_key, _ = self._memo.popitem(last=False)[1]
+            self._memo_raw.pop(evicted_key, None)
+
+    def _memo_drop(self, full_key: str) -> None:
+        raw = self._memo_raw.pop(full_key, None)
+        if raw is not None:
+            self._memo.pop(raw, None)
+
+    def _clear_memo(self) -> None:
+        self._memo.clear()
+        self._memo_raw.clear()
 
     def put(
         self, job: RoutingJob, health: np.ndarray, strategy: RoutingStrategy
@@ -367,9 +444,10 @@ class StrategyStore:
     ) -> None:
         if not self._check_open():
             return
-        full, base = self._keys(job, health)
+        raw = self._raw_key(job, health)
+        full, base = self._keys(raw)
         now = time.time()
-        clean = json.dumps(strategy.to_payload())
+        clean = encode_payload(strategy.to_payload())
         payload = clean
         injector = chaos.injector()
         if injector is not None:
@@ -377,6 +455,10 @@ class StrategyStore:
             # the corruption-tolerance path (undecodable row -> delete +
             # miss) is exercised by real mid-run writes.
             payload = injector.corrupt_payload(full, payload)
+        # Pending touches ride this put's commit, written before its
+        # INSERT (which sets this row's own last_used), so the eviction
+        # query after it orders rows exactly as immediate touches would.
+        self._flush_touches()
         ok = self._execute(
             "INSERT INTO strategies"
             " (full_key, base_key, payload, created, last_used)"
@@ -392,8 +474,24 @@ class StrategyStore:
                 # chaos-garbled row must still be discovered (and deleted)
                 # by the corruption-tolerance read path, not masked by the
                 # memo.
-                self._memo_put(full, strategy)
+                self._memo_put(raw, full, strategy)
             self._evict()
+
+    def _flush_touches(self) -> None:
+        """Write the pending LRU touches in one statement (uncommitted:
+        the caller's next commit carries them)."""
+        if not self._touches or self._conn is None:
+            self._touches.clear()
+            return
+        touches = [(t, key) for key, t in self._touches.items()]
+        self._touches.clear()
+        try:
+            self._conn.executemany(
+                "UPDATE strategies SET last_used = ? WHERE full_key = ?",
+                touches,
+            )
+        except sqlite3.Error:
+            self._degrade()
 
     def _evict(self) -> None:
         if self._conn is None:
@@ -419,7 +517,7 @@ class StrategyStore:
                 # The memo must not outlive the rows it fronts: an entry
                 # evicted from disk has to read as a miss again.
                 for (evicted_key,) in evicted:
-                    self._memo.pop(evicted_key, None)
+                    self._memo_drop(evicted_key)
                 perf.incr("store.evictions", excess)
         except sqlite3.Error:
             self._degrade()
@@ -441,7 +539,8 @@ class StrategyStore:
         """An unexpected SQLite failure mid-run: stop using the store."""
         self.corrupt += 1
         perf.incr("store.corrupt")
-        self._memo.clear()
+        self._touches.clear()
+        self._clear_memo()
         self._shutdown()
         self._broken = True
 

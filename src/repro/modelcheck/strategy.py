@@ -38,16 +38,83 @@ def _state_from_token(token: "list[int] | str") -> State:
 
 
 @dataclass(frozen=True)
+class StateColumns:
+    """A model's state inventory in columnar form, shared read-only by
+    every strategy extracted from the model.
+
+    ``states[i]`` is state ``i``; ``corners[i]`` its ``(xa, ya, xb, yb)``
+    as int16 when it is a :class:`~repro.geometry.rect.Rect` pattern and
+    zeros when it is a label state, listed as ``(i, name)`` in
+    ``label_states``.  ``labels`` is the action label table the
+    strategies' int16 action codes index.
+    """
+
+    states: list
+    corners: np.ndarray
+    label_states: tuple[tuple[int, str], ...]
+    labels: tuple[str, ...]
+
+
 class MemorylessStrategy:
     """A state -> action-label map plus the value achieved from each state.
 
     ``value_at`` returns ``None`` for states outside the model, letting
     callers distinguish "unknown state" from "known but losing state".
+
+    A strategy is held as the columns its solve produced (see
+    :meth:`from_columns`): the model's :class:`StateColumns`, the value
+    vector and one int16 action code per state (``-1`` = no decision).
+    ``decisions`` is built eagerly, since routing reads it every cycle;
+    the ``values`` map is derived on first use.  Strategies built from
+    maps (the explicit-model path) derive their columns when first
+    encoded.
     """
 
-    decisions: dict[State, str]
-    values: dict[State, float]
-    initial_value: float
+    def __init__(
+        self,
+        decisions: dict[State, str],
+        values: "dict[State, float] | None",
+        initial_value: float,
+    ) -> None:
+        self.decisions = decisions
+        self.initial_value = initial_value
+        self._values = values
+        self._columns: StateColumns | None = None
+        self._value_vec: np.ndarray | None = None
+        self._codes: np.ndarray | None = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: StateColumns,
+        values: np.ndarray,
+        codes: np.ndarray,
+        initial_value: float,
+        decisions: "dict[State, str] | None" = None,
+    ) -> "MemorylessStrategy":
+        """A strategy over ``columns`` with per-state ``values`` and action
+        ``codes``; ``decisions`` may be passed when the caller already
+        built it from the same codes."""
+        if decisions is None:
+            decided = np.flatnonzero(codes >= 0)
+            states, labels = columns.states, columns.labels
+            decisions = {
+                states[s]: labels[c]
+                for s, c in zip(decided.tolist(), codes[decided].tolist())
+            }
+        strategy = cls(decisions, None, initial_value)
+        strategy._columns = columns
+        strategy._value_vec = values
+        strategy._codes = codes
+        return strategy
+
+    @property
+    def values(self) -> dict[State, float]:
+        if self._values is None:
+            self._values = dict(
+                zip(self._columns.states, self._value_vec.tolist())
+            )
+        return self._values
 
     def action(self, state: State) -> str | None:
         """The prescribed action label, or ``None`` if the strategy is
@@ -60,52 +127,114 @@ class MemorylessStrategy:
     def __len__(self) -> int:
         return len(self.decisions)
 
-    def to_payload(self) -> dict:
-        """A JSON/pickle-safe dict form of the strategy.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MemorylessStrategy):
+            return NotImplemented
+        return (
+            self.initial_value == other.initial_value
+            and self.decisions == other.decisions
+            and self.values == other.values
+        )
 
-        Columnar layout — one ``states`` list with parallel ``values`` and
-        ``actions`` columns (``None`` action = no decision at that state) —
-        so rehydration decodes each state token exactly once.  Routing-model
-        states (:class:`~repro.geometry.rect.Rect` patterns plus label
-        strings like the hazard sink) are encoded as 4-int lists or strings;
-        other state types are rejected.  Floats round-trip exactly through
-        both pickle and ``json`` (``repr``-based), including the ``inf``
-        values of unreachable states.
+    def __repr__(self) -> str:
+        return (
+            f"MemorylessStrategy({len(self.decisions)} decisions, "
+            f"initial_value={self.initial_value!r})"
+        )
+
+    def __reduce__(self):
+        # Pickle as the payload: the pool's wire form and the store's.
+        return (MemorylessStrategy.from_payload, (self.to_payload(),))
+
+    def _derive_columns(self) -> None:
+        """Columns for a strategy built from maps, in ``values`` order."""
+        values = self._values
+        if any(state not in values for state in self.decisions):
+            raise ValueError("strategy decides a state that has no value")
+        n = len(values)
+        corners = np.zeros((n, 4), dtype=np.int16)
+        label_states = []
+        codes = np.full(n, -1, dtype=np.int16)
+        labels: dict[str, int] = {}
+        for i, state in enumerate(values):
+            if isinstance(state, Rect):
+                corners[i] = state.as_tuple()
+            elif isinstance(state, str):
+                label_states.append((i, state))
+            else:
+                raise TypeError(f"state {state!r} has no payload encoding")
+            action = self.decisions.get(state)
+            if action is not None:
+                codes[i] = labels.setdefault(action, len(labels))
+        self._columns = StateColumns(
+            states=list(values), corners=corners,
+            label_states=tuple(label_states), labels=tuple(labels),
+        )
+        self._value_vec = np.fromiter(values.values(), dtype=float, count=n)
+        self._codes = codes
+
+    def to_payload(self) -> dict:
+        """The columnar, pickle-safe form of the strategy.
+
+        Scalars and small lists (the action ``labels`` table, the
+        ``label_states`` as ``[index, name]`` pairs, ``initial_value``)
+        beside three per-state arrays in one state order: ``values``
+        (float64, ``inf`` for unreachable states), ``corners`` ((n, 4)
+        int16) and ``codes`` (int16 indices into ``labels``, ``-1`` = no
+        decision).  Routing-model states (Rect patterns and label strings
+        like the hazard sink) are encodable; other state types raise
+        ``TypeError``.  The strategy store writes this form as one binary
+        row (:mod:`repro.engine.store`).
         """
-        states, values, actions = [], [], []
-        for state, value in self.values.items():
-            states.append(_state_token(state))
-            values.append(value)
-            actions.append(self.decisions.get(state))
-        for state, action in self.decisions.items():
-            if state not in self.values:  # decision-only state (unusual)
-                states.append(_state_token(state))
-                values.append(None)
-                actions.append(action)
+        if self._columns is None:
+            self._derive_columns()
+        columns = self._columns
         return {
-            "states": states,
-            "values": values,
-            "actions": actions,
+            "labels": list(columns.labels),
+            "label_states": [[i, s] for i, s in columns.label_states],
             "initial_value": self.initial_value,
+            "values": self._value_vec,
+            "corners": columns.corners,
+            "codes": self._codes,
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "MemorylessStrategy":
-        """Rebuild a strategy from :meth:`to_payload` output."""
-        decisions: dict[State, str] = {}
-        values: dict[State, float] = {}
-        for token, value, action in zip(
-            payload["states"], payload["values"], payload["actions"]
-        ):
-            state = _state_from_token(token)
-            if value is not None:
-                values[state] = value
-            if action is not None:
-                decisions[state] = action
-        return cls(
-            decisions=decisions,
-            values=values,
-            initial_value=float(payload["initial_value"]),
+        """Rebuild a strategy from :meth:`to_payload` output.
+
+        Raises ``ValueError`` on columns that do not describe a strategy:
+        mismatched lengths, an action code outside the label table, a
+        label state out of range or a degenerate rectangle.
+        """
+        labels = tuple(payload["labels"])
+        values = np.asarray(payload["values"], dtype=float)
+        corners = np.asarray(payload["corners"], dtype=np.int16)
+        codes = np.asarray(payload["codes"], dtype=np.int16)
+        n = values.shape[0] if values.ndim == 1 else -1
+        if corners.shape != (n, 4) or codes.shape != (n,):
+            raise ValueError("strategy columns disagree in length")
+        if not all(isinstance(label, str) for label in labels):
+            raise ValueError("action labels must be strings")
+        if n and (codes.min() < -1 or codes.max() >= len(labels)):
+            raise ValueError("action code outside the label table")
+        label_states = tuple((int(i), s) for i, s in payload["label_states"])
+        is_rect = np.ones(n, dtype=bool)
+        for i, name in label_states:
+            if not (0 <= i < n and is_rect[i] and isinstance(name, str)):
+                raise ValueError(f"bad label state {i!r}: {name!r}")
+            is_rect[i] = False
+        xa, ya, xb, yb = corners[is_rect].T
+        if not ((xa <= xb) & (ya <= yb)).all():
+            raise ValueError("degenerate state rectangle")
+        # Corners were validated above, so the Rects skip their own check.
+        states: list = [_trusted_rect(*row) for row in corners.tolist()]
+        for i, name in label_states:
+            states[i] = name
+        values = values.view()
+        values.flags.writeable = False
+        columns = StateColumns(states, corners, label_states, labels)
+        return cls.from_columns(
+            columns, values, codes, float(payload["initial_value"])
         )
 
 

@@ -338,7 +338,7 @@ class TestChaosHarness:
         ChaosInjector(ChaosConfig(seed=0)).worker_inject("t")
 
     def test_corrupt_payload_gates_on_probability(self):
-        payload = '{"a": 1, "b": 2}'
+        payload = b'{"a": 1, "b": 2}'
         on = ChaosInjector(ChaosConfig(seed=0, store_p=1.0))
         off = ChaosInjector(ChaosConfig(seed=0))
         assert off.corrupt_payload("k", payload) == payload

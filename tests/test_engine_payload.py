@@ -1,13 +1,13 @@
 """Round-trip tests for the engine's wire formats (payloads and pickle).
 
 The synthesis engine ships jobs to worker processes and strategies back as
-compact payload dicts; the persistent store serializes the same payloads as
-JSON.  Everything the scheduler consumes must survive those trips exactly.
+columnar payload dicts; the persistent store writes the same payloads as
+binary rows.  Everything the scheduler consumes must survive those trips
+exactly.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 
 import numpy as np
@@ -23,6 +23,7 @@ from repro.core.strategy import (
 )
 from repro.core.synthesis import SynthesisResult, synthesize
 from repro.engine.payload import warm_values_from_payload, warm_values_to_payload
+from repro.engine.store import decode_payload, encode_payload
 from repro.geometry.rect import Rect
 from repro.modelcheck.strategy import MemorylessStrategy
 
@@ -49,17 +50,18 @@ class TestMemorylessStrategyPayload:
         assert rebuilt.values == policy.values
         assert rebuilt.initial_value == policy.initial_value
 
-    def test_round_trip_survives_json(self):
-        """The store writes payloads as JSON; Rect keys, label-string states
-        and infinite values must all survive text form exactly."""
+    def test_round_trip_survives_blob(self):
+        """The store writes payloads as binary rows; Rect keys, label-string
+        states and infinite values must all survive that form exactly."""
         policy = MemorylessStrategy(
             decisions={Rect(1, 1, 2, 2): "E1", "HAZARD": "hold"},
             values={Rect(1, 1, 2, 2): 3.25, "HAZARD": float("inf")},
             initial_value=3.25,
         )
-        text = json.dumps(policy.to_payload())
-        rebuilt = MemorylessStrategy.from_payload(json.loads(text))
+        blob = encode_payload(policy.to_payload())
+        rebuilt = MemorylessStrategy.from_payload(decode_payload(blob))
         assert rebuilt == policy
+        assert list(rebuilt.values) == list(policy.values)
         assert rebuilt.values["HAZARD"] == float("inf")
 
     def test_unencodable_state_rejected(self):

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import sqlite3
+import types
 
 import numpy as np
+import pytest
 
 from repro.core.routing_job import RoutingJob, zone
 from repro.core.strategy import strategy_from_synthesis
 from repro.core.synthesis import synthesize
-from repro.engine.store import StrategyStore, default_store_path
+from repro.engine import store as store_module
+from repro.engine.store import (
+    StrategyStore,
+    decode_payload,
+    default_store_path,
+    encode_payload,
+)
 from repro.geometry.rect import Rect
 
 W, H = 30, 20
@@ -124,6 +133,127 @@ class TestCorruptionTolerance:
         store.put(job(), full_health(), solved_strategy())
         assert store.get(job(), full_health()) is None
         store.close()
+
+
+def _rewrite_row(path, edit) -> None:
+    """Replace the single stored row's payload with ``edit(blob)``."""
+    with sqlite3.connect(str(path)) as conn:
+        (blob,) = conn.execute("SELECT payload FROM strategies").fetchone()
+        conn.execute("UPDATE strategies SET payload = ?", (edit(blob),))
+        conn.commit()
+
+
+def _code_out_of_range(blob: bytes) -> bytes:
+    payload = decode_payload(blob)
+    codes = payload["codes"].copy()
+    codes[int(np.flatnonzero(codes >= 0)[0])] = len(payload["labels"])
+    payload["codes"] = codes
+    return encode_payload(payload)
+
+
+class TestBinaryRows:
+    def test_row_is_one_blob(self, tmp_path):
+        path = tmp_path / "s.sqlite"
+        strategy = solved_strategy()
+        with StrategyStore(path) as store:
+            store.put(job(), full_health(), strategy)
+        with sqlite3.connect(str(path)) as conn:
+            (blob,) = conn.execute("SELECT payload FROM strategies").fetchone()
+        assert isinstance(blob, bytes) and blob[:4] == b"RSv4"
+        payload = decode_payload(blob)
+        assert not payload["values"].flags.writeable
+        assert encode_payload(payload) == blob
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda blob: blob[:-3],  # truncated
+            lambda blob: blob + b"\x00",  # trailing bytes
+            _code_out_of_range,
+        ],
+        ids=["truncated", "trailing-bytes", "code-out-of-range"],
+    )
+    def test_undecodable_row_is_a_counted_miss(self, tmp_path, edit):
+        path = tmp_path / "s.sqlite"
+        with StrategyStore(path) as store:
+            store.put(job(), full_health(), solved_strategy())
+        _rewrite_row(path, edit)
+        with StrategyStore(path) as store:
+            assert store.get(job(), full_health()) is None
+            assert store.corrupt == 1 and store.misses == 1
+            assert len(store) == 0  # the bad row was deleted
+
+
+def _fake_clock(monkeypatch) -> None:
+    """A store clock that ticks one second per reading."""
+    ticks = itertools.count(1000.0, 1.0)
+    monkeypatch.setattr(
+        store_module, "time", types.SimpleNamespace(time=lambda: next(ticks))
+    )
+
+
+class TestDeferredTouches:
+    def test_memo_hit_runs_no_sql(self, tmp_path):
+        with StrategyStore(tmp_path / "s.sqlite") as store:
+            store.put(job(), full_health(), solved_strategy())
+            statements: list[str] = []
+            store._conn.set_trace_callback(statements.append)
+            assert store.get(job(), full_health()) is not None
+            assert store.memo_hits == 1
+            assert statements == []
+            store._conn.set_trace_callback(None)
+
+    def test_eviction_order_matches_immediate_touches(
+        self, tmp_path, monkeypatch
+    ):
+        """Which rows a max_entries=3 store evicts, and in which order,
+        under a scripted put/get sequence.  The expected order is the one
+        the store gave when every hit wrote its touch immediately."""
+        jobs = [job(start=Rect(2, 2 + i, 5, 5 + i)) for i in range(6)]
+        strategies = [solved_strategy(j) for j in jobs]
+        _fake_clock(monkeypatch)
+        script = (
+            "p0 p1 p2 g0 p3 g2 g0 p4 g2 g4 p5 g1 p1 g5 g4 p0 g3 p2 g0 g2 p3"
+        ).split()
+        evicted: list[int] = []
+        with StrategyStore(tmp_path / "s.sqlite", max_entries=3) as store:
+            index = {
+                store._keys(store._raw_key(j, full_health()))[0]: i
+                for i, j in enumerate(jobs)
+            }
+
+            def present() -> set[int]:
+                rows = store._conn.execute("SELECT full_key FROM strategies")
+                return {index[key] for (key,) in rows}
+
+            for op in script:
+                i = int(op[1:])
+                if op[0] == "p":
+                    before = present() | {i}
+                    store.put(jobs[i], full_health(), strategies[i])
+                    evicted.extend(sorted(before - present()))
+                else:
+                    store.get(jobs[i], full_health())
+        assert evicted == [1, 3, 0, 2, 1, 5, 4]
+
+    def test_close_writes_memo_touches(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.sqlite"
+        _fake_clock(monkeypatch)
+        with StrategyStore(path) as store:
+            store.put(job(), full_health(), solved_strategy())  # t=1000
+            assert store.get(job(), full_health()) is not None  # t=1001
+            assert store.get(job(), full_health()) is not None  # t=1002
+            assert store.memo_hits == 2
+        with sqlite3.connect(str(path)) as conn:
+            (last_used,) = conn.execute(
+                "SELECT last_used FROM strategies"
+            ).fetchone()
+        assert last_used == 1002.0
+        with StrategyStore(path) as reopened:
+            row = reopened._conn.execute(
+                "SELECT last_used FROM strategies"
+            ).fetchone()
+            assert row[0] == 1002.0
 
 
 class TestDefaultPath:

@@ -60,6 +60,8 @@ def _random_health(seed: int) -> np.ndarray:
 class TestShapeActionMemo:
     def test_memo_hit_on_repeat(self):
         clear_shape_action_memo()
+        # A template cached by an earlier test would skip the shape layer.
+        clear_build_template_cache()
         perf.reset()
         build_routing_model_fast(_job(), np.ones((W, H)))
         misses = perf.get("fastmdp.shape_memo.miss")
