@@ -6,7 +6,9 @@ reach which) is fixed by the chip geometry while the transition
 *probabilities* move with degradation.  Everything the solver derives
 from the transition *support* alone — qualitative prob0/prob1 sets, the
 total-reward region, the SCC condensation, the per-level row/column
-gathers and the settling prelude's slot-major row layout
+gathers, the per-owner choice segments that every per-state reduction
+and the strategy extraction run on (:class:`interval._Segments`) and
+the settling prelude's slot-major row layout
 (:class:`interval._SlotLayout`) — is therefore shared by every model of
 that support (:class:`SharedContext`, memoized on a structural
 fingerprint).
@@ -115,7 +117,8 @@ class _Level:
     The gather arrays are int32: they index one model's nonzeros, far
     below ``2**31``, and they are most of a cached context's bytes.
     ``np.take`` reads them as they are; fancy indexing would convert each
-    index array to intp on every call.
+    index array to intp on every call.  ``own`` is int32 too: only the
+    exit-policy fallback and the layout build read it.
     """
 
     block: np.ndarray  # bool state mask of the level
@@ -128,6 +131,7 @@ class _Level:
     blockpos: np.ndarray  # gather: Tl.data[blockpos] -> Tblock.data
     tb_indices: np.ndarray
     tb_indptr: np.ndarray
+    seg: interval._Segments  # per-owner segments of ``own``
     #: Whether the level takes the direct (policy-iteration) solve, and
     #: its settling prelude's row layout (``None`` when not direct or when
     #: some state owns no usable choice).
@@ -156,6 +160,7 @@ class SharedContext:
     goal_zero: np.ndarray
     active: np.ndarray
     usable: np.ndarray
+    extract: interval._Segments  # per-owner segments of the usable choices
     levels: tuple[_Level, ...]
 
 
@@ -167,7 +172,7 @@ def _build_level(
     minimize: bool,
 ) -> _Level:
     idx = np.flatnonzero(usable & block[owners])
-    own = owners[idx]
+    own = owners[idx].astype(np.int32)
     states = np.flatnonzero(block)
 
     counts = np.diff(T.indptr)[idx]
@@ -205,6 +210,7 @@ def _build_level(
         blockpos=blockpos,
         tb_indices=tb_indices,
         tb_indptr=tb_indptr,
+        seg=interval._Segments.of(own, T.shape[1]),
         direct=direct,
         layout=(
             interval._slot_layout(states, own, tb_indices, tb_indptr)
@@ -233,7 +239,9 @@ def build_context(cm, goal: str, avoid: str, minimize: bool) -> SharedContext:
         for level in range(num_levels)
     )
     return SharedContext(
-        goal_zero=goal_zero, active=active, usable=usable, levels=levels
+        goal_zero=goal_zero, active=active, usable=usable,
+        extract=interval._Segments.of(owners[usable], cm.num_states),
+        levels=levels,
     )
 
 
@@ -333,6 +341,7 @@ def _solve_model(
             minimize=minimize, seed=seed,
             prepared=(lvl.make_tblock(Tl), lvl.layout) if lvl.direct
             else None,
+            seg=lvl.seg,
         )
     solution = interval.IntervalSolution(
         lower, upper, budget.iterations, len(ctx.levels)
@@ -343,7 +352,8 @@ def _solve_model(
         solution.lower,
     )
     remapped = compiled._extract(
-        cm, values, ctx.usable, cm.choice_reward, not minimize, epsilon
+        cm, values, ctx.usable, cm.choice_reward, not minimize, epsilon,
+        seg=ctx.extract,
     )
     # The extraction Bellman application counts as an iteration.
     iterations = solution.iterations + 1

@@ -147,49 +147,10 @@ def _mask(n: int, members: set[int]) -> np.ndarray:
     return mask
 
 
-def _scatter_opt(
-    owners: np.ndarray, q: np.ndarray, n: int, maximize: bool
-) -> np.ndarray:
-    """Per-state optimum of per-choice values ``q`` (±inf for choiceless)."""
-    out = np.full(n, -np.inf if maximize else np.inf)
-    if maximize:
-        np.maximum.at(out, owners, q)
-    else:
-        np.minimum.at(out, owners, q)
-    return out
-
-
 #: Width of the tie band in strategy extraction, in units of the solve's
-#: ``epsilon`` (see :func:`_argopt_choice`).  Measured over a warm-vs-cold
+#: ``epsilon`` (see :func:`_extract`).  Measured over a warm-vs-cold
 #: sweep of seeded jobs and health fields; see DESIGN.md §7.
 TIE_BAND = 0.1
-
-
-def _argopt_choice(
-    owners: np.ndarray, q: np.ndarray, per_state: np.ndarray, n: int,
-    epsilon: float,
-) -> np.ndarray:
-    """Canonical optimal choice per state: the lowest choice index whose
-    value lies within ``TIE_BAND * epsilon`` of the owner's optimum
-    (exactly equal when the optimum is infinite).
-
-    Solves certify values only to within ``epsilon``, and warm- and
-    cold-started solves of one model land at different points inside
-    that bracket.  Ties — exact ones from symmetric moves included — must
-    not be broken by those differences, or a strategy would depend on the
-    warm seed, i.e. on which jobs ran before.  Fully vectorized:
-    ``np.unique(..., return_index=True)`` picks the first hit per state
-    (``hit`` indices are scanned in ascending choice order).
-    """
-    choice = np.full(n, -1, dtype=np.int64)
-    best = per_state[owners]
-    with np.errstate(invalid="ignore"):
-        near = np.abs(q - best) <= TIE_BAND * epsilon
-    hit = (near & np.isfinite(best)) | (q == best)
-    idx = np.flatnonzero(hit)
-    states, first = np.unique(owners[idx], return_index=True)
-    choice[states] = idx[first]
-    return choice
 
 
 def _sanitize_probability_seed(
@@ -239,24 +200,37 @@ def _extract(
     rewards: np.ndarray | None,
     maximize: bool,
     epsilon: float,
+    seg: interval._Segments | None = None,
 ) -> np.ndarray:
     """Greedy strategy (global choice indices) from values converged to
-    within ``epsilon``, ties broken canonically (:func:`_argopt_choice`)."""
+    within ``epsilon``.
+
+    Each state takes the lowest choice index whose value lies within
+    ``TIE_BAND * epsilon`` of its optimum (exactly equal when the optimum
+    is infinite).  Solves certify values only to within ``epsilon``, and
+    warm- and cold-started solves of one model land at different points
+    inside that bracket.  Ties — exact ones from symmetric moves included
+    — must not be broken by those differences, or a strategy would depend
+    on the warm seed, i.e. on which jobs ran before.  ``seg`` is the
+    segments of ``choice_state[choice_mask]`` when the caller keeps them
+    (:class:`~repro.modelcheck.batch.SharedContext`); otherwise they are
+    derived here.
+    """
     n = cm.num_states
     owners = cm.choice_state
+    if seg is None:
+        seg = interval._Segments.of(owners[choice_mask], n)
     t = cm.transitions
     if t.shape[0] != cm.num_choices:
         t = t[: cm.num_choices]
     q = t @ values
     if rewards is not None:
         q = rewards + q
-    per_state = _scatter_opt(owners[choice_mask], q[choice_mask], n, maximize)
-    choice = _argopt_choice(owners[choice_mask], q[choice_mask], per_state, n,
-                            epsilon)
     mask_idx = np.flatnonzero(choice_mask)
+    choice = seg.canonical(q[mask_idx], maximize, TIE_BAND * epsilon)
     remapped = np.full(n, -1, dtype=np.int64)
     has = choice >= 0
-    remapped[has] = mask_idx[choice[has]]
+    remapped[seg.owners[has]] = mask_idx[choice[has]]
     return remapped
 
 
@@ -338,8 +312,9 @@ def _solve_probability_plain(
     frozen = goal_mask | avoid_mask
     owners = cm.choice_state
     live = ~frozen[owners]
+    seg = interval._Segments.of(owners[live], n)
     has_live = np.zeros(n, dtype=bool)
-    has_live[owners[live]] = True
+    has_live[seg.owners] = True
     trap = ~has_live & ~frozen  # pinned to 0: the run can never reach goal
 
     values = np.where(goal_mask, 1.0, 0.0)
@@ -349,7 +324,7 @@ def _solve_probability_plain(
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         q = cm.transitions @ values
-        per_state = _scatter_opt(owners[live], q[live], n, maximize)
+        per_state = seg.opt(q[live], maximize)
         updatable = np.isfinite(per_state) & ~frozen
         delta = (
             np.max(np.abs(per_state[updatable] - values[updatable]))
@@ -363,7 +338,7 @@ def _solve_probability_plain(
         raise interval.NonConvergence("value iteration did not converge")
     perf.incr("vi.probability.iterations", iterations)
 
-    remapped = _extract(cm, values, live, None, maximize, epsilon)
+    remapped = _extract(cm, values, live, None, maximize, epsilon, seg)
     remapped[frozen] = -1
     return ValueResult(
         values=values, choice=_to_local(cm, remapped), iterations=iterations
@@ -469,7 +444,7 @@ def _solve_reward_plain(
 ) -> ValueResult:
     """Legacy one-sided reward sweep loop (uncertified; ablation baseline)."""
     n = cm.num_states
-    owners = cm.choice_state
+    seg = interval._Segments.of(cm.choice_state[usable], n)
     values = np.full(n, np.inf)
     values[goal_zero] = 0.0
     values[active] = 0.0
@@ -479,9 +454,7 @@ def _solve_reward_plain(
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         q = cm.choice_reward + cm.transitions @ values
-        per_state = _scatter_opt(
-            owners[usable], q[usable], n, maximize=not minimize
-        )
+        per_state = seg.opt(q[usable], not minimize)
         delta = (
             np.max(np.abs(per_state[active] - values[active]))
             if active.any()
@@ -495,7 +468,7 @@ def _solve_reward_plain(
     perf.incr("vi.reward.iterations", iterations)
 
     remapped = _extract(cm, values, usable, cm.choice_reward, not minimize,
-                        epsilon)
+                        epsilon, seg)
     return ValueResult(
         values=values, choice=_to_local(cm, remapped), iterations=iterations
     )

@@ -95,21 +95,18 @@ _SLACK_GROWTH = 64.0
 #: accelerated sweeping outright.  Slowly mixing blocks — escape mass per
 #: sweep near zero — make any sweep-based scheme crawl; a policy's exact
 #: value costs one linear solve and verifies immediately, so direct
-#: solving skips iteration entirely.  Every block's ``I - P_pi`` is
-#: factorized by sparse LU (SuperLU, COLAMD ordering): the routing MDPs
-#: have a handful of grid-local successors per choice, so fill-in stays
-#: near-linear and even the smallest blocks factorize several times
-#: faster than a dense ``O(n^3)`` solve.  The cap only guards against
-#: pathological dense-ish blocks where factorization could dwarf the
-#: sweeps it replaces.
+#: solving skips iteration entirely.  Every evaluation factorizes the
+#: policy's ``I - P_pi`` by sparse LU in the policy's own condensation
+#: order with diagonal pivots (:func:`_evaluate`): the matrix is block
+#: triangular there, so the factors fill in only inside the policy's
+#: multi-state strong components — in the routing MDPs rare and of two
+#: states.  The cap only guards against pathological blocks where one
+#: large cyclic component could make factorization dwarf the sweeps it
+#: replaces.
 _SPARSE_DIRECT_MAX = 65536
 
 #: Policy-improvement rounds before the direct solver gives up.
 _PI_MAX_ROUNDS = 64
-
-#: Relative residual an iterative policy evaluation must reach, checked
-#: on the true residual ``||b - A x||`` (see :func:`_policy_fixpoint`).
-_PI_ITER_RTOL = 1e-12
 
 #: Value-iteration prelude inside the direct solver: greedy policies
 #: stabilize long before values converge, and a sweep costs a sparse
@@ -175,45 +172,76 @@ def _entries(cm) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _opt(owners: np.ndarray, q: np.ndarray, n: int, maximize: bool) -> np.ndarray:
-    """Per-state optimum of per-choice values (±inf where no choice)."""
-    out = np.full(n, -np.inf if maximize else np.inf)
-    if maximize:
-        np.maximum.at(out, owners, q)
-    else:
-        np.minimum.at(out, owners, q)
-    return out
+@dataclass(frozen=True)
+class _Segments:
+    """Per-owner segments of a block of choices (support-derived).
 
-
-def _make_opt(own: np.ndarray, n: int, maximize: bool):
-    """A per-state optimum operator specialized to one choice block.
-
-    Compiled models group choices by owner state, so a block's ``own``
-    array is sorted and its per-owner segments are contiguous: the
-    scatter-reduce collapses to one ``reduceat`` over segment starts
-    computed once per level — several times faster than ``np.maximum.at``,
-    which re-derives the grouping on every sweep.  Unsorted blocks (never
-    produced by :func:`compiled.compile_mdp`; kept as a correctness net)
-    fall back to the generic scatter.
+    Compiled models group choices by owner state in ascending order, so
+    the owners ``own`` of any ascending choice subset split into
+    contiguous per-owner segments.  Every per-state reduction over the
+    block is then one ``reduceat`` over the segment starts.  The
+    structure depends on the owners only, so the solver memo
+    (:mod:`.batch`) keeps it per level and per extraction mask; it holds
+    nothing per choice.
     """
-    neutral = -np.inf if maximize else np.inf
-    if own.size == 0:
-        def empty(q: np.ndarray) -> np.ndarray:
-            return np.full(n, neutral)
 
-        return empty
-    if np.any(own[1:] < own[:-1]):  # pragma: no cover - defensive fallback
-        return lambda q: _opt(own, q, n, maximize)
-    starts = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
-    uniq = own[starts]
-    red = np.maximum.reduceat if maximize else np.minimum.reduceat
+    n: int  # length of per-state outputs (the model's state count)
+    owners: np.ndarray  # owner state of each segment, ascending
+    starts: np.ndarray  # first choice of each segment
+    counts: np.ndarray  # choices in each segment
 
-    def opt(q: np.ndarray) -> np.ndarray:
-        out = np.full(n, neutral)
-        out[uniq] = red(q, starts)
+    @classmethod
+    def of(cls, own: np.ndarray, n: int) -> "_Segments":
+        """The segments of ``own``; raises ``ValueError`` when unsorted."""
+        if np.any(own[1:] < own[:-1]):
+            raise ValueError("choice owners must be grouped ascending")
+        starts = np.flatnonzero(np.r_[True, own[1:] != own[:-1]]) \
+            if own.size else np.zeros(0, dtype=np.intp)
+        return cls(n=n, owners=own[starts].astype(np.intp), starts=starts,
+                   counts=np.diff(np.r_[starts, own.size]))
+
+    def _best(self, q: np.ndarray, maximize: bool) -> np.ndarray:
+        red = np.maximum.reduceat if maximize else np.minimum.reduceat
+        return red(q, self.starts)
+
+    def opt(self, q: np.ndarray, maximize: bool) -> np.ndarray:
+        """Per-state optimum of per-choice values (±inf where no choice)."""
+        out = np.full(self.n, -np.inf if maximize else np.inf)
+        out[self.owners] = self._best(q, maximize)
         return out
 
-    return opt
+    def _first(self, hit: np.ndarray) -> np.ndarray:
+        """Per segment, the lowest choice where ``hit`` holds (else the
+        block size)."""
+        return np.minimum.reduceat(
+            np.where(hit, np.arange(hit.size), hit.size), self.starts
+        )
+
+    def argopt(self, q: np.ndarray, maximize: bool) -> np.ndarray:
+        """Index of each segment's best choice, ties toward the lowest.
+
+        One entry per segment — for a block whose every state owns a
+        choice, aligned with the block's sorted states.
+        """
+        return self._first(
+            q == np.repeat(self._best(q, maximize), self.counts)
+        )
+
+    def canonical(self, q: np.ndarray, maximize: bool,
+                  band: float) -> np.ndarray:
+        """Each segment's lowest choice within the finite ``band`` of its
+        optimum.
+
+        An infinite optimum ties only exactly (``|q - inf|`` is never
+        within the band); a segment whose optimum is NaN has no such
+        choice and gets -1.  This is strategy extraction's tie rule (see
+        :func:`.compiled._extract`).
+        """
+        best = np.repeat(self._best(q, maximize), self.counts)
+        with np.errstate(invalid="ignore"):
+            hit = (np.abs(q - best) <= band) | (q == best)
+        first = self._first(hit)
+        return np.where(first < q.size, first, -1)
 
 
 def _scc_levels(
@@ -393,49 +421,6 @@ def _aitken(
         return None
     jump = d * (rho / (1.0 - rho))
     return values + jump if toward_upper else values - jump
-
-
-def _argopt_idx(own: np.ndarray, q: np.ndarray, maximize: bool) -> np.ndarray:
-    """Index of each owner's best choice (deterministic tie-break).
-
-    Returns one entry per distinct owner, ordered by owner id — which for a
-    block whose every state owns a choice lines up with the sorted state
-    indices of the block.  Ties break toward the lowest choice index.
-    Compiled models group choices by owner, so the common path is two
-    segment reductions; unsorted owners fall back to a stable argsort.
-    """
-    if own.size == 0:
-        return np.empty(0, dtype=np.int64)
-    fast = _make_argopt(own)
-    if fast is not None:
-        return fast(q, maximize)
-    order = np.argsort(-q if maximize else q, kind="stable")
-    _, first = np.unique(own[order], return_index=True)
-    return order[first]
-
-
-def _make_argopt(own: np.ndarray):
-    """Per-owner argopt closure with the segment structure precomputed.
-
-    The structure (segment starts, segment ids, choice indices) depends
-    only on ``own``, so hot loops that argopt the same block every sweep
-    build it once.  Returns ``None`` when the owners are unsorted (the
-    caller falls back to :func:`_argopt_idx`'s argsort path).
-    """
-    if own.size == 0 or np.any(own[1:] < own[:-1]):
-        return None
-    newseg = np.r_[True, own[1:] != own[:-1]]
-    starts = np.flatnonzero(newseg)
-    seg = np.cumsum(newseg) - 1
-    idx = np.arange(own.size)
-
-    def argopt(q: np.ndarray, maximize: bool) -> np.ndarray:
-        red = np.maximum.reduceat if maximize else np.minimum.reduceat
-        best = red(q, starts)
-        cand = np.where(q == best[seg], idx, own.size)
-        return np.minimum.reduceat(cand, starts)
-
-    return argopt
 
 
 def _exit_policy(
@@ -635,6 +620,7 @@ def _policy_fixpoint(
     budget: "_Budget",
     *,
     maximize: bool,
+    seg: _Segments,
     prepared: "tuple[sparse.csr_matrix, _SlotLayout | None] | None" = None,
 ) -> np.ndarray | None:
     """Exact block values by policy iteration with direct linear solves.
@@ -642,10 +628,10 @@ def _policy_fixpoint(
     ``Tsub``/``rsub``/``own`` describe the block's choices; ``outside``
     supplies certified values for successors outside the block (its
     entries at ``states`` are overwritten).  Each round solves
-    ``(I - P_pi) x = r_pi + P_pi->outside`` for the current policy by
-    sparse LU and improves it; improvement switches a state's action only
-    on *strict* q-value improvement, so starting from the proper exit
-    policy the iteration can never drift into an improper
+    ``(I - P_pi) x = r_pi + P_pi->outside`` for the current policy
+    (:func:`_evaluate`) and improves it; improvement switches a state's
+    action only on *strict* q-value improvement, so starting from the
+    proper exit policy the iteration can never drift into an improper
     (forever-looping) policy through ties, and a stable policy's value is
     the Bellman fixpoint to machine precision.  Returns the last solvable
     iterate (``None`` when no proper start exists or the first system is
@@ -655,19 +641,12 @@ def _policy_fixpoint(
     The starting policy comes from the value-iteration prelude
     (:func:`_settle`): greedy policies settle long before values
     converge, and a sweep costs a sparse matvec while a policy
-    evaluation costs a factorization.  ``prepared`` is the block's
-    ``(Tblock, layout)`` when the caller has them from a support-keyed
-    memo; otherwise they are derived here.  Only the first evaluation
-    factorizes; later rounds solve iteratively,
-    preconditioned by that factorization (consecutive policies differ in
-    few rows), and refactorize when the iterative solve stalls or its
-    answer fails a true-residual check.  bicgstab's own ``info == 0`` is
-    not trusted: it tracks a recursively updated residual, and behind a
-    nearly singular factorization (a near-improper first policy) that
-    residual reports convergence while the true one is of order one.  A
-    prelude policy is not guaranteed proper (it can loop inside the
-    block), so a singular or non-finite evaluation restarts once from the
-    backward-BFS exit policy, which is.
+    evaluation costs a factorization.  ``seg`` holds the segments of
+    ``own``; ``prepared`` is the block's ``(Tblock, layout)`` when the
+    caller has them from a support-keyed memo, otherwise they are derived
+    here.  A prelude policy is not guaranteed proper (it can loop inside
+    the block), so a singular or non-finite evaluation restarts once from
+    the backward-BFS exit policy, which is.
     """
     if prepared is None:
         Tblock = Tsub[:, states]
@@ -687,8 +666,98 @@ def _policy_fixpoint(
             return None
     return _pi_rounds(
         states, Tsub, Tblock, base, own, block, held, budget,
-        maximize=maximize, fellback=fellback,
+        maximize=maximize, fellback=fellback, seg=seg,
     )
+
+
+def _policy_rows(
+    Tblock: sparse.csr_matrix, chosen: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Tblock.data`` positions of the rows ``chosen``, in that order:
+    ``(pos, lens, ends)``, row ``k`` holding the ``lens[k]`` positions
+    ``pos[ends[k] - lens[k]:ends[k]]``."""
+    start = Tblock.indptr[chosen]
+    lens = Tblock.indptr[chosen + 1] - start
+    ends = np.cumsum(lens)
+    pos = np.repeat(start - (ends - lens), lens) + np.arange(ends[-1])
+    return pos, lens, ends
+
+
+def _policy_matrix(
+    Tblock: sparse.csr_matrix, chosen: np.ndarray
+) -> tuple[sparse.csc_matrix, np.ndarray]:
+    """``I - P_pi`` of the policy ``chosen``, in its condensation order.
+
+    Returns ``(M, order)``: position ``k`` is block state ``order[k]``, and
+    the CSC matrix ``M`` is the *transpose* of ``I - P_pi`` — its arrays
+    are the CSR arrays of ``I - P_pi``, row ``k`` being state
+    ``order[k]``'s chosen row of ``Tblock`` negated plus a diagonal 1 (a
+    self-loop's ``-p`` and that 1 are summed to ``1 - p``).
+
+    States are sorted by their strong component stably, so each
+    component is contiguous, with the component order reversed: scipy
+    labels components in the order Pearce's algorithm completes them,
+    sinks first, so here every transition to another component points to
+    a later position.  ``I - P_pi`` is then block upper triangular, and
+    ``M`` block lower triangular — the orientation in which SuperLU's
+    column-by-column factorization has nothing to update.  Counts
+    ``vi.pi.cyclic`` when some component has more than one state.
+    """
+    n = chosen.size
+    pos, _, ends = _policy_rows(Tblock, chosen)
+    cols = Tblock.indices[pos]
+    ncomp, label = csgraph.connected_components(
+        _raw_csr(Tblock.data[pos], cols, np.r_[0, ends].astype(cols.dtype),
+                 (n, n)),
+        directed=True, connection="strong",
+    )
+    if ncomp < n:
+        perf.incr("vi.pi.cyclic")
+    order = np.argsort(label, kind="stable")[::-1]
+    rank = np.empty(n, dtype=np.intc)
+    rank[order] = np.arange(n, dtype=np.intc)
+    pos, lens, ends = _policy_rows(Tblock, chosen[order])
+    # Row k: the chosen row's entries negated, then the diagonal 1.
+    diag = np.arange(n, dtype=np.intc)
+    at = np.arange(ends[-1]) + np.repeat(diag, lens)
+    data = np.ones(ends[-1] + n)
+    data[at] = -Tblock.data[pos]
+    indices = np.empty(ends[-1] + n, dtype=np.intc)
+    indices[at] = rank[Tblock.indices[pos]]
+    indices[ends + diag] = diag
+    M = sparse.csc_matrix(
+        (data, indices, np.r_[0, ends + diag + 1].astype(np.intc)),
+        shape=(n, n),
+    )
+    M.sum_duplicates()
+    return M, order
+
+
+def _evaluate(
+    Tblock: sparse.csr_matrix, chosen: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """The value of policy ``chosen``: solves ``(I - P_pi) x = b``.
+
+    For a proper policy ``I - P_pi`` is a nonsingular M-matrix, so every
+    symmetric permutation of it (and of its transpose) has an LU
+    factorization without pivoting, with positive pivots.  SuperLU
+    therefore factors the transpose in the policy's condensation order
+    (:func:`_policy_matrix`) with diagonal pivots, and the factors fill
+    in only inside the multi-state strong components; the solve applies
+    the transpose back.  Panels of one column and no relaxed supernodes
+    suit a matrix that is triangular but for components of a few states:
+    with SuperLU's default panel size and supernode relaxation the
+    factorization took ~1.5x as long on captured lifetime blocks.  An
+    improper policy's trapped component leaves a zero pivot, and ``splu``
+    raises ``RuntimeError``.
+    """
+    M, order = _policy_matrix(Tblock, chosen)
+    perf.incr("vi.pi.factorizations")
+    lu = sparse_linalg.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                            panel_size=1, relax=1)
+    x = np.empty(chosen.size)
+    x[order] = lu.solve(b[order], trans="T")
+    return x
 
 
 def _pi_rounds(
@@ -703,46 +772,19 @@ def _pi_rounds(
     *,
     maximize: bool,
     fellback: bool,
+    seg: _Segments,
 ) -> np.ndarray | None:
     """Policy-improvement rounds from a held starting policy (the
-    exact-solve half of :func:`_policy_fixpoint`)."""
-    fast = _make_argopt(own)
-    argopt = fast if fast is not None else (
-        lambda q, m: _argopt_idx(own, q, m))
+    exact-solve half of :func:`_policy_fixpoint`); ``seg`` holds the
+    segments of ``own``."""
     x = None
-    lu = None
-    eye = sparse.identity(states.size, format="csr")
     for _ in range(_PI_MAX_ROUNDS):
         budget.tick()
         perf.incr("vi.pi.rounds")
-        b = base[chosen]
-        xn = None
         try:
-            A = (eye - Tblock[chosen]).tocsc()
-            if lu is not None:
-                # Consecutive policies differ in few rows, so the
-                # previous round's factorization is an excellent
-                # preconditioner — a handful of matvecs replace a
-                # fresh factorization.
-                perf.incr("vi.pi.iterative_solves")
-                xn, info = sparse_linalg.bicgstab(
-                    A, b, x0=x, rtol=_PI_ITER_RTOL, atol=0.0, maxiter=32,
-                    M=sparse_linalg.LinearOperator(A.shape, lu.solve),
-                )
-                # A NaN residual fails the comparison and is rejected too.
-                if info != 0 or not (np.linalg.norm(b - A @ xn)
-                                     <= _PI_ITER_RTOL * np.linalg.norm(b)):
-                    perf.incr("vi.pi.iterative_rejected")
-                    xn = None
-            if xn is None:
-                # splu raises RuntimeError on an exactly singular factor
-                # (an improper policy trapped in the block).
-                perf.incr("vi.pi.factorizations")
-                lu = sparse_linalg.splu(A)
-                xn = lu.solve(b)
+            xn = _evaluate(Tblock, chosen, base[chosen])
         except RuntimeError:
             xn = None
-            lu = None
         if xn is None or not np.all(np.isfinite(xn)):
             if fellback:
                 return x
@@ -753,7 +795,7 @@ def _pi_rounds(
             continue
         x = xn
         q = base + Tblock @ x
-        greedy = argopt(q, maximize)
+        greedy = seg.argopt(q, maximize)
         best = q[greedy]
         cur = q[chosen]
         margin = _CHECK_RTOL * (1.0 + np.abs(cur))
@@ -934,15 +976,13 @@ def solve_probability_interval(
         mec_of_state = exit_mask = None
         mec_count = 0
 
-    def make_ops(block_T, block_idx):
-        opt = _make_opt(owners[block_idx], n, maximize)
-
+    def make_ops(block_T, block_idx, seg):
         def plain(vec: np.ndarray) -> np.ndarray:
-            return opt(block_T @ vec)
+            return seg.opt(block_T @ vec, maximize)
 
         def check(vec: np.ndarray) -> np.ndarray:
             q = block_T @ vec
-            phi = opt(q)
+            phi = seg.opt(q, maximize)
             if maximize and mec_count:
                 _deflate(phi, q, block_idx, owners, mec_of_state,
                          exit_mask, mec_count)
@@ -952,7 +992,9 @@ def solve_probability_interval(
 
     if seed is not None:
         all_idx = np.flatnonzero(choice_mask)
-        _, check_all = make_ops(T[all_idx], all_idx)
+        _, check_all = make_ops(
+            T[all_idx], all_idx, _Segments.of(owners[all_idx], n)
+        )
         v = np.clip(seed - epsilon if maximize else seed + epsilon, 0.0, 1.0)
         v[one] = 1.0
         v[zero] = 0.0
@@ -978,13 +1020,15 @@ def solve_probability_interval(
     for level in range(num_levels):
         block = unknown & (level_of_state == level)
         idx = np.flatnonzero(choice_mask & block[owners])
-        plain, check = make_ops(T[idx], idx)
+        seg = _Segments.of(owners[idx], n)
+        plain, check = make_ops(T[idx], idx, seg)
         target = float(targets[level])
         states = np.flatnonzero(block)
         if states.size <= _SPARSE_DIRECT_MAX:
             x = _policy_fixpoint(
                 states, T[idx], np.zeros(idx.size), owners[idx],
                 0.5 * (lower + upper), block, budget, maximize=maximize,
+                seg=seg,
             )
             if x is not None:
                 delta = target / 4.0
@@ -1025,13 +1069,15 @@ def _solve_reward_level(
     minimize: bool,
     seed: np.ndarray | None,
     prepared: "tuple[sparse.csr_matrix, _SlotLayout | None] | None" = None,
+    seg: _Segments | None = None,
 ) -> None:
     """Solve one condensation level of a total-reward objective in place.
 
     The solver (:mod:`.batch`) runs it for every level, successors first,
     on the level's rows ``Tl``/``rl``/``own`` of one model.  ``prepared``
     optionally supplies the level's support-derived ``(Tblock, layout)``
-    for the direct solve's settling prelude (see :func:`_policy_fixpoint`).
+    for the direct solve's settling prelude (see :func:`_policy_fixpoint`),
+    and ``seg`` the segments of ``own``; both are derived when absent.
 
     A warm ``seed`` (relaxed down by ``epsilon``, floored at 0) replaces
     the level's lower iterate only when one Bellman application confirms
@@ -1048,10 +1094,11 @@ def _solve_reward_level(
     """
     n = lower.size
     maximize = not minimize
-    opt = _make_opt(own, n, maximize)
+    if seg is None:
+        seg = _Segments.of(own, n)
 
     def phi_of(vec: np.ndarray) -> np.ndarray:
-        return opt(rl + Tl @ vec)
+        return seg.opt(rl + Tl @ vec, maximize)
 
     def sweep_lower() -> np.ndarray:
         """One monotone lower sweep; returns the per-state change."""
@@ -1073,8 +1120,7 @@ def _solve_reward_level(
             perf.incr("vi.warm.rejected")
 
     # Direct solve: exact policy iteration, both bounds certified from
-    # the machine-precision value in two Bellman applications (sparse
-    # LU policy evaluations).  Only for
+    # the machine-precision value in two Bellman applications.  Only for
     # minimization, where every policy of the usable restriction
     # that PI stabilizes on is proper; the verification gate below
     # keeps an improper intermediate from ever leaking out.
@@ -1084,7 +1130,7 @@ def _solve_reward_level(
         certified = np.isfinite(upper)
         vals[certified] = 0.5 * (lower[certified] + upper[certified])
         x = _policy_fixpoint(states, Tl, rl, own, vals, block, budget,
-                             maximize=False, prepared=prepared)
+                             maximize=False, prepared=prepared, seg=seg)
         if x is not None:
             delta = target / 4.0
             cl = np.maximum(lower[block], x - delta)

@@ -14,6 +14,14 @@ They are slow and simple on purpose; no production path calls them.
   step kernel: an actuation matrix per cycle, ``Outcome`` lists rebuilt
   per move from frontier rectangles and ``Generator.choice`` draws.
   ``tests/test_step_kernel.py`` checks the kernel against them.
+* :func:`scatter_opt_reference`, :func:`argopt_choice_reference` and
+  :func:`segment_argopt_reference` — the per-state reductions as they ran
+  before the solver kept per-owner segments
+  (:class:`repro.modelcheck.interval._Segments`): a scatter
+  (``np.minimum.at``/``np.maximum.at``) for the optimum, ``np.unique`` for
+  the first tied choice, and segment starts re-derived on every call.
+  ``tests/test_policy_evaluation.py`` checks extraction and argopt
+  against them, ``tests/test_settle_kernel.py`` settles with the last.
 """
 
 from __future__ import annotations
@@ -300,3 +308,49 @@ def step_reference(
     field = chip.force_field()
     return [sample_outcome_reference(delta, action, field, rng)
             for delta, action in moves]
+
+
+def scatter_opt_reference(
+    owners: np.ndarray, q: np.ndarray, n: int, maximize: bool
+) -> np.ndarray:
+    """Per-state optimum of per-choice values ``q`` (±inf for choiceless)."""
+    out = np.full(n, -np.inf if maximize else np.inf)
+    if maximize:
+        np.maximum.at(out, owners, q)
+    else:
+        np.minimum.at(out, owners, q)
+    return out
+
+
+def argopt_choice_reference(
+    owners: np.ndarray, q: np.ndarray, per_state: np.ndarray, n: int,
+    band: float,
+) -> np.ndarray:
+    """Per state, the lowest choice index (into ``owners``) whose value
+    lies within ``band`` of the state's optimum ``per_state`` (exactly
+    equal when the optimum is infinite); -1 where there is none."""
+    choice = np.full(n, -1, dtype=np.int64)
+    best = per_state[owners]
+    with np.errstate(invalid="ignore"):
+        near = np.abs(q - best) <= band
+    hit = (near & np.isfinite(best)) | (q == best)
+    idx = np.flatnonzero(hit)
+    states, first = np.unique(owners[idx], return_index=True)
+    choice[states] = idx[first]
+    return choice
+
+
+def segment_argopt_reference(
+    own: np.ndarray, q: np.ndarray, maximize: bool
+) -> np.ndarray:
+    """Index of each owner's best choice, ties toward the lowest index, one
+    entry per distinct owner in owner order (``own`` grouped ascending)."""
+    if own.size == 0:
+        return np.empty(0, dtype=np.int64)
+    newseg = np.r_[True, own[1:] != own[:-1]]
+    starts = np.flatnonzero(newseg)
+    seg = np.cumsum(newseg) - 1
+    red = np.maximum.reduceat if maximize else np.minimum.reduceat
+    best = red(q, starts)
+    cand = np.where(q == best[seg], np.arange(own.size), own.size)
+    return np.minimum.reduceat(cand, starts)

@@ -25,7 +25,7 @@ from repro.core.strategy import strategy_from_synthesis
 from repro.core.synthesis import synthesize
 from repro.engine.store import StrategyStore
 from repro.geometry.rect import Rect
-from repro.modelcheck import compiled
+from repro.modelcheck import compiled, interval
 
 W, H = 30, 20
 
@@ -87,8 +87,8 @@ def test_ties_within_the_band_take_the_lowest_choice(maximize):
                 -sign * np.inf, 3.0,
                 150.0 - sign * 0.5 * eps, 150.0,
             ])
-            per_state = compiled._scatter_opt(owners, q, 4, maximize)
-            choice = compiled._argopt_choice(owners, q, per_state, 4, eps)
+            seg = interval._Segments.of(owners, 4)
+            choice = seg.canonical(q, maximize, compiled.TIE_BAND * eps)
             assert choice.tolist() == [0, 3, 6, 8]
 
 
@@ -119,7 +119,7 @@ from repro.core.strategy import strategy_from_synthesis
 from repro.core.synthesis import synthesize
 from repro.engine.store import StrategyStore
 from repro.geometry.rect import Rect
-from repro.modelcheck import compiled
+from repro.modelcheck import compiled, interval
 
 args = json.loads(sys.argv[1])
 job = RoutingJob(*(Rect(*r) for r in args["job"]))

@@ -19,27 +19,24 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.modelcheck import interval
+from tests.oracles import segment_argopt_reference
 
 
 def reference_settle(Tblock, base, own, n, x, budget, maximize):
     """The per-state segment-reduction prelude (one model, one block)."""
-    fast = interval._make_argopt(own)
-    argopt = fast if fast is not None else (
-        lambda q, m: interval._argopt_idx(own, q, m))
-    if fast is not None:
-        starts = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
-        vred = np.maximum.reduceat if maximize else np.minimum.reduceat
+    starts = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
+    vred = np.maximum.reduceat if maximize else np.minimum.reduceat
     held = None
     stable = 0
     for k in range(interval._PI_PRELUDE_MAX):
         budget.tick()
         q = base + Tblock @ x
-        if fast is not None and (k + 1) % interval._PI_PRELUDE_CHECK:
+        if own.size and (k + 1) % interval._PI_PRELUDE_CHECK:
             x = vred(q, starts)
             if x.size != n:
                 return None
             continue
-        greedy = argopt(q, maximize)
+        greedy = segment_argopt_reference(own, q, maximize)
         if greedy.size != n:
             return None
         best = q[greedy]

@@ -9,7 +9,7 @@ and the outcome sampler, which are required to be bit-identical.
 
 They were re-recorded when strategy extraction started breaking ties
 canonically (lowest choice index within a tie band of the optimum, see
-``repro.modelcheck.compiled._argopt_choice``): routes changed at tied
+``repro.modelcheck.compiled._extract``): routes changed at tied
 choices.  Since then a synthesized strategy is a pure function of its key,
 so every digest must come out the same whether the run's router starts
 empty or pre-warmed by other runs (its library and warm seeds filled);
