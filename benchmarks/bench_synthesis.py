@@ -69,6 +69,7 @@ from repro.core.synthesis import (  # noqa: E402
 )
 from repro.geometry.rect import Rect  # noqa: E402
 from repro.modelcheck.compiled import solve_reach_avoid_reward  # noqa: E402
+from repro.modelcheck.strategy import MemorylessStrategy  # noqa: E402
 from tests.oracles import build_routing_model_scalar  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -134,7 +135,7 @@ def run_bench() -> dict:
     # -- post-PR pipeline: vectorized builder + memo + warm-started VI -------
     clear_shape_action_memo()
     perf.reset()
-    warm: dict[tuple, dict] = {}
+    warm: dict[tuple, MemorylessStrategy] = {}
     for health in healths:
         field = force_field_from_health(health)
         for job in jobs:
@@ -145,7 +146,7 @@ def run_bench() -> dict:
             post_solve.append(result.solve_time * 1e3)
             post_total.append(result.total_time * 1e3)
             if result.strategy is not None:
-                warm[job.key()] = result.strategy.values
+                warm[job.key()] = result.strategy
     counters = perf.snapshot()
 
     # -- batched pipeline: one synthesize_batch call per health epoch --------

@@ -93,7 +93,7 @@ class AdaptiveRouter:
     def prefetch(self, job: RoutingJob, health: np.ndarray) -> bool:
         """Speculatively submit ``(job, health)`` to the engine pool.
 
-        Skips jobs the library already covers; warm-start values are
+        Skips jobs the library already covers; the warm-start policy is
         captured now, exactly as a synchronous plan at this moment would.
         """
         if self.engine is None or not self.engine.pooled:
@@ -110,7 +110,7 @@ class AdaptiveRouter:
         """Speculatively submit a wave of jobs as one batched engine task.
 
         The batch counterpart of :meth:`prefetch`: library-covered jobs
-        are filtered out, warm-start values are captured per job exactly
+        are filtered out, warm-start policies are captured per job exactly
         as a synchronous plan at this moment would, and the rest ship via
         :meth:`~repro.engine.SynthesisEngine.presynthesize_batch` — one
         pool task for the whole wave (or an in-process batched solve when
@@ -136,10 +136,10 @@ class AdaptiveRouter:
             # A library miss on a previously solved job means the zone health
             # changed; seed value iteration from the last fixpoint (sound for
             # the default Rmin query — synthesize ignores the seed otherwise).
-            warm_values = self.library.warm_start(job)
+            warm = self.library.warm_start(job)
             rj_span.set(
                 cache="miss",
-                warm=warm_values is not None,
+                warm=warm is not None,
                 health_fp=fingerprint_digest(
                     health_fingerprint(health, job.hazard)
                 ),
@@ -157,7 +157,7 @@ class AdaptiveRouter:
                     return speculated
                 stored = self.engine.store_get(job, health)
                 if stored is not None:
-                    # library.put also installs the stored values as the
+                    # library.put also installs the stored policy as the
                     # job's warm-start seed for future resyntheses.
                     rj_span.set(store="hit")
                     self.library.put(job, health, stored)
@@ -170,7 +170,7 @@ class AdaptiveRouter:
                 max_aspect=self.max_aspect,
                 pessimistic=self.pessimistic,
                 epsilon=self.epsilon,
-                warm_values=warm_values,
+                warm_values=warm,
             )
             self.syntheses += 1
             self.synthesis_seconds += result.total_time
@@ -183,7 +183,7 @@ class AdaptiveRouter:
                 ms=result.total_time * 1e3,
                 construct_ms=result.construction_time * 1e3,
                 solve_ms=result.solve_time * 1e3,
-                warm=warm_values is not None,
+                warm=warm is not None,
                 exists=result.exists,
             )
             strategy = strategy_from_synthesis(job, result)

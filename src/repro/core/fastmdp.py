@@ -997,22 +997,16 @@ def extract_fast_strategy(
     """Memoryless strategy from a solved compiled routing model.
 
     The strategy keeps the model's state columns, the solve's value
-    vector (read-only) and one int16 action code per state; only the
-    ``decisions`` map is built here.
+    vector (read-only) and one int16 action code per state; no per-state
+    map is built here.
     """
     cm = model.compiled
     decided = np.flatnonzero(result.choice >= 0)
     picked = cm.first_choice()[decided] + result.choice[decided]
     codes = np.full(cm.num_states, -1, dtype=np.int16)
     codes[decided] = model.choice_codes[picked]
-    states = model.states
-    labels = model.choice_labels
-    decisions: dict[object, str] = {
-        states[s]: labels[c] for s, c in zip(decided.tolist(), picked.tolist())
-    }
     values = result.values.view()
     values.flags.writeable = False
     return MemorylessStrategy.from_columns(
-        model.columns, values, codes, float(result.values[cm.initial]),
-        decisions,
+        model.columns, values, codes, float(result.values[cm.initial])
     )

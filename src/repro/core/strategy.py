@@ -129,8 +129,8 @@ class StrategyLibrary:
     entries: dict[tuple[tuple[int, ...], bytes], RoutingStrategy] = field(
         default_factory=dict
     )
-    #: Last solved policy per job key (health-independent); its values
-    #: warm-start value iteration on the next resynthesis of the same job.
+    #: Last solved policy per job key (health-independent); it warm-starts
+    #: value iteration on the next resynthesis of the same job.
     warm_policies: dict[tuple[int, ...], MemorylessStrategy] = field(
         default_factory=dict
     )
@@ -164,23 +164,29 @@ class StrategyLibrary:
     def put(
         self, job: RoutingJob, health: np.ndarray, strategy: RoutingStrategy
     ) -> None:
-        """Cache a synthesized strategy and retain its values for warm-start.
+        """Cache a synthesized strategy and keep its policy for warm-start.
 
         MC health is monotone non-increasing, so when the same job is
         resynthesized under degraded health the previous ``Rmin`` fixpoint
         is a natural seed: the new values dominate the old ones pointwise
         and the stochastic-shortest-path iteration converges from any
         nonnegative start, so seeding is sound and typically saves most of
-        the iterations.
+        the iterations.  The policy is kept as it is (its state columns
+        and value vector); no per-state map is built.
         """
         self.entries[self._key(job, health)] = strategy
         self.warm_policies[job.key()] = strategy.policy
 
-    def warm_start(self, job: RoutingJob) -> dict | None:
-        """The last solved ``{pattern: value}`` map for ``job``, if any
-        (derived from the policy's value column on first use)."""
-        policy = self.warm_policies.get(job.key())
-        return None if policy is None else policy.values
+    def warm_start(self, job: RoutingJob) -> MemorylessStrategy | None:
+        """The last solved policy for ``job``, if any.
+
+        Synthesis seeds from its value vector as it is when the new model
+        shares its state columns and joins states otherwise (see
+        :func:`repro.core.synthesis._warm_seed`).  Test it with ``is
+        None``: its length counts decisions, and a policy without any
+        still seeds.
+        """
+        return self.warm_policies.get(job.key())
 
     def __len__(self) -> int:
         return len(self.entries)

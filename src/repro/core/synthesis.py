@@ -12,6 +12,7 @@ probability).  When no strategy exists the result carries
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +49,10 @@ from repro.modelcheck.compiled import (
 from repro.modelcheck.properties import Objective, Query, reward_query
 from repro.modelcheck.reachability import ValueResult
 from repro.modelcheck.strategy import MemorylessStrategy, extract_strategy
+
+#: A warm start: the job's last solved policy, a ``{pattern: value}`` map
+#: (what the engine's wire format carries) or ``None`` for a cold solve.
+WarmStart = MemorylessStrategy | Mapping | None
 
 #: Default convergence threshold for synthesis-time value iteration.  The
 #: routing decisions are insensitive to value errors far below one cycle, so
@@ -150,7 +155,7 @@ def synthesize(
     max_aspect: float = DEFAULT_MAX_ASPECT,
     pessimistic: bool = False,
     epsilon: float = SYNTHESIS_EPSILON,
-    warm_values: "dict | None" = None,
+    warm_values: WarmStart = None,
 ) -> SynthesisResult:
     """Algorithm 2: synthesize an adaptive routing strategy for ``job``.
 
@@ -173,33 +178,35 @@ def synthesize_with_field(
     max_aspect: float = DEFAULT_MAX_ASPECT,
     epsilon: float = SYNTHESIS_EPSILON,
     families: tuple[ActionClass, ...] | None = None,
-    warm_values: "dict | None" = None,
+    warm_values: WarmStart = None,
 ) -> SynthesisResult:
     """Synthesize against an explicit force field.
 
     Used directly by the degradation-unaware baseline (uniform full-health
     field) and by the ablation benches (true-``D`` oracle fields).
 
-    ``warm_values`` is an optional ``{pattern: value}`` map (typically the
-    ``values`` of a previously synthesized strategy for the same job) used
-    to seed value iteration.  With the certified interval pipeline the seed
-    only ever warm-starts the *contracting* side of the bracket, so it is
-    safe for every objective; states absent from the map fill with the
-    side-neutral value (0 for ``Rmin``/``Pmax``, 1 for ``Pmin``), so
-    partial overlap after a health change is fine.  Seeds that fail the
-    solver's one-step Bellman validation are silently dropped
-    (``vi.warm.rejected``) — a wrong seed can cost the warm start, never
-    soundness.
+    ``warm_values`` is an optional warm start: a previously synthesized
+    policy for the same job (what :meth:`StrategyLibrary.warm_start
+    <repro.core.strategy.StrategyLibrary.warm_start>` returns) or a
+    ``{pattern: value}`` map, used to seed value iteration.  With the
+    certified interval pipeline the seed only ever warm-starts the
+    *contracting* side of the bracket, so it is safe for every objective;
+    states the warm start does not know fill with the side-neutral value
+    (0 for ``Rmin``/``Pmax``, 1 for ``Pmin``), so partial overlap after a
+    health change is fine.  Seeds that fail the solver's one-step Bellman
+    validation are silently dropped (``vi.warm.rejected``) — a wrong seed
+    can cost the warm start, never soundness.
 
-    A cold request (no ``warm_values``) against a matrix-backed field
-    first reads the job template's remembered cold result
-    (:func:`_recall`); a hit skips the build and the solve and returns a
-    slim result (``model=None``, zero times).
+    A cold request (``warm_values`` is ``None`` or an empty map) against
+    a matrix-backed field first reads the job template's remembered cold
+    result (:func:`_recall`); a hit skips the build and the solve and
+    returns a slim result (``model=None``, zero times).
     """
     query = query if query is not None else reward_query()
     forces = _force_matrix(field)
+    warm = _warm_policy(warm_values)
     memo = None
-    if forces is not None and not warm_values:
+    if forces is not None and warm is None:
         memo = (job, forces, (query, float(epsilon)), max_aspect, families)
         hit = _recall(memo)
         if hit is not None:
@@ -220,7 +227,7 @@ def synthesize_with_field(
             compiled = compile_mdp(model.mdp)
     t1 = time.perf_counter()
 
-    initial_values = _warm_seed(model, compiled, query, warm_values)
+    initial_values = _warm_seed(model, query, warm)
 
     with obs.span("synthesis.solve", states=compiled.num_states,
                   warm=initial_values is not None) as solve_span:
@@ -286,29 +293,39 @@ def _remember(memo: tuple, result: SynthesisResult) -> None:
     remember_cold_result(job, forces, extra, slim, max_aspect, families)
 
 
+def _warm_policy(warm: WarmStart) -> MemorylessStrategy | None:
+    """A warm start as a policy: ``None`` and empty maps are cold, and a
+    ``{pattern: value}`` map becomes a policy without decisions."""
+    if warm is None or isinstance(warm, MemorylessStrategy):
+        return warm
+    return MemorylessStrategy({}, dict(warm), float("nan")) if warm else None
+
+
 def _warm_seed(
     model: "RoutingModel | CompiledRoutingModel",
-    compiled: CompiledMDP,
     query: Query,
-    warm_values: "dict | None",
+    warm: MemorylessStrategy | None,
 ) -> np.ndarray | None:
-    """Map a ``{pattern: value}`` warm-start onto a model's state indexing.
+    """Map a warm-start policy's values onto a model's state indexing.
 
-    Mapped by state identity, not index: a health change alters state
-    discovery, so the same pattern can sit at a different index.  Absent
-    states fill with the side-neutral value for the seeded bound: 1 for
-    the Pmin upper iterate, 0 everywhere else.
+    A model built on the policy's own state columns (same template and
+    support) takes the value vector as it is (``synthesis.warm_seed.reused``).
+    Otherwise states are joined by identity, not index — a health change
+    alters state discovery, so the same pattern can sit at a different
+    index — and absent states fill with the side-neutral value for the
+    seeded bound: 1 for the Pmin upper iterate, 0 everywhere else
+    (``synthesis.warm_seed.joined``).
     """
-    if not warm_values or not isinstance(model, CompiledRoutingModel):
+    if warm is None or not isinstance(model, CompiledRoutingModel):
         return None
-    fill = 1.0 if query.objective is Objective.PMIN else 0.0
-    seed = np.fromiter(
-        (warm_values.get(s, fill) for s in model.states),
-        dtype=float,
-        count=compiled.num_states,
-    )
     perf.incr("synthesis.warm_seeded")
-    return seed
+    if warm.columns is model.columns:
+        perf.incr("synthesis.warm_seed.reused")
+        return warm.value_vector
+    perf.incr("synthesis.warm_seed.joined")
+    fill = 1.0 if query.objective is Objective.PMIN else 0.0
+    at = warm.columns.positions(model.columns)
+    return np.where(at >= 0, warm.value_vector[at], fill)
 
 
 def _finalize(
@@ -364,7 +381,15 @@ class BatchRequest:
 
     job: RoutingJob
     field: ForceField
-    warm_values: "dict | None" = None
+    warm_values: WarmStart = None
+
+
+def _same_warm_start(a: WarmStart, b: WarmStart) -> bool:
+    """Whether two requests seed alike: the same policy object, or equal
+    maps (comparing policies would build their maps)."""
+    return a is b or (
+        not isinstance(a, MemorylessStrategy) and a is not None and a == b
+    )
 
 
 def clear_batch_value_memo() -> None:
@@ -427,13 +452,15 @@ def synthesize_batch(
             if token is not None:
                 dkey = (req.job.key(), token)
                 for j in seen.get(dkey, ()):
-                    if requests[j].warm_values == req.warm_values:
+                    if _same_warm_start(requests[j].warm_values,
+                                        req.warm_values):
                         dup_of[i] = j
                         perf.incr("vi.batch.dedup")
                         break
                 if i in dup_of:
                     continue
-            if not req.warm_values:
+            warm = _warm_policy(req.warm_values)
+            if warm is None:
                 memos[i] = (req.job, forces, (query, float(epsilon)),
                             max_aspect, families)
                 hit = _recall(memos[i])
@@ -453,7 +480,7 @@ def synthesize_batch(
             perf.add_time("synthesis.construct_seconds", construct[i])
             perf.observe("synthesis.construct_ms", construct[i] * 1e3)
             models[i] = model
-            seeds[i] = _warm_seed(model, model.compiled, query, req.warm_values)
+            seeds[i] = _warm_seed(model, query, warm)
             key = structural_key(model.compiled)
             buckets.setdefault(key, []).append(i)
             if token is None:  # first build for this geometry: window known now

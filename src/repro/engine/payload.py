@@ -18,7 +18,11 @@ silently rejected deep inside the solver.
 
 from __future__ import annotations
 
-from repro.modelcheck.strategy import _state_from_token, _state_token
+from repro.modelcheck.strategy import (
+    MemorylessStrategy,
+    _state_from_token,
+    _state_token,
+)
 
 #: Valid bounding sides for a warm-start seed.
 SEED_SIDES = ("lower", "upper")
@@ -48,13 +52,16 @@ def side_for_objective(objective) -> str:
 
 
 def warm_values_to_payload(
-    warm_values: dict | None, side: str = "lower"
+    warm_values: "MemorylessStrategy | dict | None", side: str = "lower"
 ) -> dict | None:
-    """Encode a ``{pattern: value}`` warm-start map with its bounding side."""
+    """Encode a warm start (a policy, sent as its ``values`` map, or a
+    ``{pattern: value}`` map) with its bounding side."""
     if warm_values is None:
         return None
     if side not in SEED_SIDES:
         raise ValueError(f"unknown warm-seed side {side!r}")
+    if isinstance(warm_values, MemorylessStrategy):
+        warm_values = warm_values.values
     return {
         "side": side,
         "entries": [[_state_token(s), float(v)] for s, v in warm_values.items()],

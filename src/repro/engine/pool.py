@@ -98,6 +98,7 @@ from repro.core.strategy import (
 from repro.core.synthesis import (
     SYNTHESIS_EPSILON,
     BatchRequest,
+    WarmStart,
     force_field_from_health,
     synthesize_batch,
     synthesize_with_field,
@@ -740,7 +741,7 @@ class SynthesisEngine:
         self,
         job: RoutingJob,
         health: np.ndarray,
-        warm_values: dict | None = None,
+        warm_values: WarmStart = None,
         tenant: str = "",
     ) -> bool:
         """Speculatively synthesize ``(job, health)`` on the pool.
@@ -761,7 +762,7 @@ class SynthesisEngine:
         self,
         job: RoutingJob,
         health: np.ndarray,
-        warm_values: dict | None,
+        warm_values: WarmStart,
         tenant: str,
     ) -> bool:
         if self._executor is None or self.degraded or self._closed:
@@ -826,7 +827,7 @@ class SynthesisEngine:
 
     def presynthesize_batch(
         self,
-        items: "list[tuple[RoutingJob, dict | None]]",
+        items: "list[tuple[RoutingJob, WarmStart]]",
         health: np.ndarray,
         tenant: str = "",
     ) -> int:
@@ -857,7 +858,7 @@ class SynthesisEngine:
 
     def _presynthesize_batch(
         self,
-        items: "list[tuple[RoutingJob, dict | None]]",
+        items: "list[tuple[RoutingJob, WarmStart]]",
         health: np.ndarray,
         tenant: str,
     ) -> int:
@@ -1202,7 +1203,7 @@ class TenantView:
         self,
         job: RoutingJob,
         health: np.ndarray,
-        warm_values: dict | None = None,
+        warm_values: WarmStart = None,
     ) -> bool:
         return self._engine.submit(
             job, health, warm_values, tenant=self.name
@@ -1218,7 +1219,7 @@ class TenantView:
 
     def presynthesize_batch(
         self,
-        items: "list[tuple[RoutingJob, dict | None]]",
+        items: "list[tuple[RoutingJob, WarmStart]]",
         health: np.ndarray,
     ) -> int:
         return self._engine.presynthesize_batch(

@@ -8,6 +8,7 @@ action label of the optimal choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable
 
 import numpy as np
@@ -46,13 +47,53 @@ class StateColumns:
     as int16 when it is a :class:`~repro.geometry.rect.Rect` pattern and
     zeros when it is a label state, listed as ``(i, name)`` in
     ``label_states``.  ``labels`` is the action label table the
-    strategies' int16 action codes index.
+    strategies' int16 action codes index.  The lookup structures below
+    are derived on first use and then shared by those strategies.
     """
 
     states: list
     corners: np.ndarray
     label_states: tuple[tuple[int, str], ...]
     labels: tuple[str, ...]
+
+    @cached_property
+    def index(self) -> dict[State, int]:
+        """``{state: i}``: what a strategy's per-cycle lookup reads."""
+        return dict(zip(self.states, range(len(self.states))))
+
+    @cached_property
+    def _sorted_rects(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Rect states' packed corners, sorted, and their indices."""
+        rect = np.ones(len(self.states), dtype=bool)
+        rect[[i for i, _ in self.label_states]] = False
+        idx = np.flatnonzero(rect)
+        keys = _packed(self.corners)[idx]
+        order = np.argsort(keys, kind="stable")
+        return keys[order], idx[order]
+
+    def positions(self, other: "StateColumns") -> np.ndarray:
+        """Each of ``other``'s states' index here, ``-1`` where absent.
+
+        Rect states join by their packed int16 corners, label states by
+        name; states are unique within a model, so each finds at most
+        one match.
+        """
+        keys, idx = self._sorted_rects
+        out = np.full(len(other.states), -1, dtype=np.int64)
+        if len(keys):
+            want = _packed(other.corners)
+            at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            found = keys[at] == want
+            out[found] = idx[at[found]]
+        names = {name: i for i, name in self.label_states}
+        for i, name in other.label_states:
+            out[i] = names.get(name, -1)
+        return out
+
+
+def _packed(corners: np.ndarray) -> np.ndarray:
+    """One int64 key per ``(xa, ya, xb, yb)`` int16 row."""
+    return np.ascontiguousarray(corners, dtype=np.int16).view(np.int64)[:, 0]
 
 
 class MemorylessStrategy:
@@ -64,19 +105,20 @@ class MemorylessStrategy:
     A strategy is held as the columns its solve produced (see
     :meth:`from_columns`): the model's :class:`StateColumns`, the value
     vector and one int16 action code per state (``-1`` = no decision).
-    ``decisions`` is built eagerly, since routing reads it every cycle;
-    the ``values`` map is derived on first use.  Strategies built from
-    maps (the explicit-model path) derive their columns when first
-    encoded.
+    :meth:`action` reads the columns' shared ``{state: index}`` map and
+    the code column, and a warm start reads the value vector, so neither
+    the ``decisions`` nor the ``values`` map is built unless asked for.
+    Strategies built from maps (the explicit-model path, warm-start maps)
+    derive their columns on first use.
     """
 
     def __init__(
         self,
-        decisions: dict[State, str],
+        decisions: "dict[State, str] | None",
         values: "dict[State, float] | None",
         initial_value: float,
     ) -> None:
-        self.decisions = decisions
+        self._decisions = decisions
         self.initial_value = initial_value
         self._values = values
         self._columns: StateColumns | None = None
@@ -90,23 +132,25 @@ class MemorylessStrategy:
         values: np.ndarray,
         codes: np.ndarray,
         initial_value: float,
-        decisions: "dict[State, str] | None" = None,
     ) -> "MemorylessStrategy":
         """A strategy over ``columns`` with per-state ``values`` and action
-        ``codes``; ``decisions`` may be passed when the caller already
-        built it from the same codes."""
-        if decisions is None:
-            decided = np.flatnonzero(codes >= 0)
-            states, labels = columns.states, columns.labels
-            decisions = {
-                states[s]: labels[c]
-                for s, c in zip(decided.tolist(), codes[decided].tolist())
-            }
-        strategy = cls(decisions, None, initial_value)
+        ``codes``."""
+        strategy = cls(None, None, initial_value)
         strategy._columns = columns
         strategy._value_vec = values
         strategy._codes = codes
         return strategy
+
+    @property
+    def decisions(self) -> dict[State, str]:
+        if self._decisions is None:
+            decided = np.flatnonzero(self._codes >= 0)
+            states, labels = self._columns.states, self._columns.labels
+            self._decisions = {
+                states[s]: labels[c]
+                for s, c in zip(decided.tolist(), self._codes[decided].tolist())
+            }
+        return self._decisions
 
     @property
     def values(self) -> dict[State, float]:
@@ -116,16 +160,39 @@ class MemorylessStrategy:
             )
         return self._values
 
+    @property
+    def columns(self) -> StateColumns:
+        if self._columns is None:
+            self._derive_columns()
+        return self._columns
+
+    @property
+    def value_vector(self) -> np.ndarray:
+        """Per-state values in ``columns`` order."""
+        if self._columns is None:
+            self._derive_columns()
+        return self._value_vec
+
     def action(self, state: State) -> str | None:
         """The prescribed action label, or ``None`` if the strategy is
         undefined at ``state`` (goal/hazard/unreached states)."""
-        return self.decisions.get(state)
+        codes = self._codes
+        if codes is None:
+            return self._decisions.get(state)
+        columns = self._columns
+        i = columns.index.get(state)
+        if i is None:
+            return None
+        code = codes.item(i)
+        return None if code < 0 else columns.labels[code]
 
     def value_at(self, state: State) -> float | None:
         return self.values.get(state)
 
     def __len__(self) -> int:
-        return len(self.decisions)
+        if self._codes is None:
+            return len(self._decisions)
+        return int(np.count_nonzero(self._codes >= 0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MemorylessStrategy):
@@ -138,7 +205,7 @@ class MemorylessStrategy:
 
     def __repr__(self) -> str:
         return (
-            f"MemorylessStrategy({len(self.decisions)} decisions, "
+            f"MemorylessStrategy({len(self)} decisions, "
             f"initial_value={self.initial_value!r})"
         )
 
@@ -149,7 +216,7 @@ class MemorylessStrategy:
     def _derive_columns(self) -> None:
         """Columns for a strategy built from maps, in ``values`` order."""
         values = self._values
-        if any(state not in values for state in self.decisions):
+        if any(state not in values for state in self._decisions):
             raise ValueError("strategy decides a state that has no value")
         n = len(values)
         corners = np.zeros((n, 4), dtype=np.int16)
@@ -163,7 +230,7 @@ class MemorylessStrategy:
                 label_states.append((i, state))
             else:
                 raise TypeError(f"state {state!r} has no payload encoding")
-            action = self.decisions.get(state)
+            action = self._decisions.get(state)
             if action is not None:
                 codes[i] = labels.setdefault(action, len(labels))
         self._columns = StateColumns(
@@ -186,9 +253,7 @@ class MemorylessStrategy:
         ``TypeError``.  The strategy store writes this form as one binary
         row (:mod:`repro.engine.store`).
         """
-        if self._columns is None:
-            self._derive_columns()
-        columns = self._columns
+        columns = self.columns
         return {
             "labels": list(columns.labels),
             "label_states": [[i, s] for i, s in columns.label_states],

@@ -22,6 +22,10 @@ They are slow and simple on purpose; no production path calls them.
   the first tied choice, and segment starts re-derived on every call.
   ``tests/test_policy_evaluation.py`` checks extraction and argopt
   against them, ``tests/test_settle_kernel.py`` settles with the last.
+* :func:`warm_seed_reference` — the warm seed as it was mapped before
+  strategies stayed columns: one ``{pattern: value}`` lookup per state of
+  the new model.  ``tests/test_warm_seed_columns.py`` checks the column
+  reuse and the corner join against it.
 """
 
 from __future__ import annotations
@@ -354,3 +358,13 @@ def segment_argopt_reference(
     best = red(q, starts)
     cand = np.where(q == best[seg], np.arange(own.size), own.size)
     return np.minimum.reduceat(cand, starts)
+
+
+def warm_seed_reference(
+    values: dict, states: list, fill: float
+) -> np.ndarray:
+    """Each of ``states``' warm value from the ``values`` map, ``fill``
+    where the map has none."""
+    return np.fromiter(
+        (values.get(s, fill) for s in states), dtype=float, count=len(states)
+    )

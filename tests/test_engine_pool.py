@@ -218,7 +218,7 @@ class TestWarmStartFromStore:
             loaded = router.plan(job(), full_health())
             assert loaded is not None
             assert router.syntheses == 0  # came from the store
-            assert router.library.warm_start(job()) == loaded.policy.values
+            assert router.library.warm_start(job()) is loaded.policy
 
             degraded = full_health()
             degraded[10, 8] = 1  # inside the zone: forces a resynthesis

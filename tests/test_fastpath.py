@@ -242,14 +242,14 @@ class TestWarmStartedSynthesis:
         assert library.warm_start(job) is None
         s1 = router.plan(job, h1)
         assert s1 is not None
-        assert library.warm_start(job) is s1.policy.values
+        assert library.warm_start(job) is s1.policy
         h2 = h1.copy()
         h2[10:14, 6:10] = 1
         perf.reset()
         s2 = router.plan(job, h2)
         assert s2 is not None
         assert perf.get("vi.reward.warm_solves") == 1
-        assert library.warm_start(job) is s2.policy.values
+        assert library.warm_start(job) is s2.policy
 
     def test_uncompiled_path_ignores_warm_values(self):
         # Exotic force fields fall back to the explicit builder; warm values

@@ -230,27 +230,32 @@ def assert_certified(res, epsilon: float) -> None:
 
 
 class TestCompiledAgainstReference:
-    """The vectorized solvers must agree with the pure-Python reference."""
+    """The vectorized solvers must agree with the pure-Python reference
+    wherever the reference converges, and certify on every draw."""
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_pmax_agreement(self, seed: int):
         mdp = random_mdp(seed)
-        ref = reach_avoid_probability(mdp, epsilon=1e-10)
         cm = compile_mdp(mdp)
         vec = solve_reach_avoid_probability(cm, epsilon=1e-10)
-        np.testing.assert_allclose(vec.values, ref.values, atol=1e-6)
         assert_certified(vec, 1e-10)
+        ref = _reference_or_none(reach_avoid_probability, mdp, epsilon=1e-10)
+        if ref is not None:
+            np.testing.assert_allclose(vec.values, ref.values, atol=1e-6)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=500, deadline=None)
     def test_pmin_agreement(self, seed: int):
         mdp = random_mdp(seed)
-        ref = reach_avoid_probability(mdp, maximize=False, epsilon=1e-10)
         cm = compile_mdp(mdp)
         vec = solve_reach_avoid_probability(cm, maximize=False, epsilon=1e-10)
-        np.testing.assert_allclose(vec.values, ref.values, atol=1e-6)
         assert_certified(vec, 1e-10)
+        ref = _reference_or_none(
+            reach_avoid_probability, mdp, maximize=False, epsilon=1e-10
+        )
+        if ref is not None:
+            np.testing.assert_allclose(vec.values, ref.values, atol=1e-6)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -265,15 +270,17 @@ class TestCompiledAgainstReference:
     @settings(max_examples=40, deadline=None)
     def test_rmin_agreement(self, seed: int):
         mdp = random_mdp(seed)
-        ref = reach_avoid_reward(mdp, epsilon=1e-10)
         cm = compile_mdp(mdp)
         vec = solve_reach_avoid_reward(cm, epsilon=1e-10)
+        assert_certified(vec, 1e-10)
+        ref = _reference_or_none(reach_avoid_reward, mdp, epsilon=1e-10)
+        if ref is None:
+            return
         finite = np.isfinite(ref.values)
         assert (np.isfinite(vec.values) == finite).all()
         np.testing.assert_allclose(
             vec.values[finite], ref.values[finite], atol=1e-5
         )
-        assert_certified(vec, 1e-10)
 
     def test_strategy_extraction_matches_choice_semantics(self):
         mdp = risky_mdp()
