@@ -137,13 +137,11 @@ class AdaptiveRouter:
             # changed; seed value iteration from the last fixpoint (sound for
             # the default Rmin query — synthesize ignores the seed otherwise).
             warm = self.library.warm_start(job)
-            rj_span.set(
-                cache="miss",
-                warm=warm is not None,
-                health_fp=fingerprint_digest(
+            rj_span.set(cache="miss", warm=warm is not None)
+            if obs.enabled():
+                rj_span.set(health_fp=fingerprint_digest(
                     health_fingerprint(health, job.hazard)
-                ),
-            )
+                ))
             if self.engine is not None:
                 status, speculated = self.engine.take(job, health)
                 rj_span.set(engine=status)

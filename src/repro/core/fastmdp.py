@@ -19,12 +19,12 @@ built for the synthesis hot loop.  No build expands states one at a time:
 * transitions are assembled into CSR form directly, without explicit
   model objects.
 
-Builds are cached per job geometry as a three-part template (DESIGN.md
-§9): the force-independent *geometry* (gathers, successor targets, choice
-owners), the *support* (which outcomes have positive probability, and the
-CSR skeleton derived from it) and the *values*, which every build
-recomputes through one kernel, :func:`_values`.  When the support is
-unchanged the values drop into the recorded skeleton (a *replay*);
+Builds are cached in three parts (DESIGN.md §9): per job geometry, the
+force-independent *geometry* (gathers, successor targets, choice owners);
+under it, per *support* (which outcomes have positive probability), the
+CSR skeleton and solver contexts derived from it; and the *values*, which
+every build recomputes through one kernel, :func:`_values`.  When the
+support is a retained one the values drop into its skeleton (a *replay*);
 otherwise emission, BFS and CSR assembly run again over the same geometry
 (a *rebuild*).  Every path gives a bit-identical model.
 
@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -239,12 +240,16 @@ class CompiledRoutingModel:
 
     compiled: CompiledMDP
     states: list[Rect | str]
-    choice_labels: list[str]
     job: RoutingJob
     #: The state inventory as strategy columns (``states`` included) and
     #: each choice's int16 code into ``columns.labels``.
-    columns: StateColumns | None = None
-    choice_codes: np.ndarray | None = None
+    columns: StateColumns
+    choice_codes: np.ndarray
+
+    @cached_property
+    def choice_labels(self) -> list[str]:
+        """Each choice's action label, derived from the codes on first use."""
+        return [self.columns.labels[c] for c in self.choice_codes.tolist()]
 
     @property
     def num_states(self) -> int:
@@ -310,11 +315,12 @@ class _ShapeGeometry:
     The shape's ``k`` non-goal patterns each own one choice per spec; its
     entries are the ``(rows, k)`` outcome grid (rows as in
     :class:`_ShapeActions`), stored row-major from ``offset``.
-    ``gather[:, l, i]`` holds the four flat indices into the window-local
-    force prefix whose signed sum is leg ``l``'s force total at position
-    ``i``, corners clamped to the chip as the scalar ``rect_mean`` clamps
-    them.  A leg with no on-chip overlap points all four at the prefix's
-    zero corner, so its total, and its probability, are exactly 0.0.
+    ``gather[:, l, i]`` holds the four flat int32 indices into the
+    window-local force prefix whose signed sum is leg ``l``'s force total
+    at position ``i``, corners clamped to the chip as the scalar
+    ``rect_mean`` clamps them.  A leg with no on-chip overlap points all
+    four at the prefix's zero corner, so its total, and its probability,
+    are exactly 0.0.
     """
 
     actions: _ShapeActions
@@ -439,7 +445,7 @@ def _record_geometry(
         iya = cya - 1 - wy0
         gather = np.stack(
             [ixb * ph + iyb, ixa * ph + iyb, ixb * ph + iya, ixa * ph + iya]
-        )
+        ).astype(np.int32)
         gather[:, (cxb < cxa) | (cyb < cya)] = 0
         shape_geos.append(_ShapeGeometry(tab, gather, size))
 
@@ -524,7 +530,7 @@ def _values(geo: _Geometry, forces: np.ndarray) -> np.ndarray:
     for sh in geo.shapes:
         tab = sh.actions
         n_legs, k = sh.gather.shape[1:]
-        corners = pf[sh.gather]
+        corners = np.take(pf, sh.gather)
         table = np.empty((2 * n_legs + 1, k))
         probs = table[:n_legs]
         np.subtract(corners[0], corners[1], out=probs)
@@ -543,25 +549,18 @@ def _values(geo: _Geometry, forces: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _BuildTemplate:
-    """One job geometry's cached build: geometry, support and skeleton.
-
-    ``geometry`` is force-independent and shared by every template of the
-    key.  ``mask`` is the support the template was recorded for — which
-    entries had positive probability; the transition *structure*
-    (targets, reachability, renumbering, CSR layout) depends on the force
-    matrix only through it, so a build whose mask is equal replays the
-    recorded skeleton with new values (see :func:`build_routing_model_fast`).
+    """A retained support of a job geometry: the CSR skeleton, model parts
+    and solver contexts its builds share.  The transition *structure*
+    depends on the forces only through the support, so a build of an equal
+    support replays it with new values (:func:`build_routing_model_fast`).
     """
 
-    geometry: _Geometry
-    mask: np.ndarray
-    # CSR skeleton; ``value_gather`` None = the no-transitions edge case.
-    # With ``dup_steps`` (the canonical shortcut, see :func:`_support`),
-    # ``value_gather`` picks each canonical entry's first value in scipy's
-    # post-``sort_indices`` order and ``dup_steps`` adds the rest of its
-    # duplicate run (:func:`_canonical_data`); ``indices``/``indptr`` are
-    # canonical.  Without it the gather gives the values in row order
-    # and the replay re-runs ``sum_duplicates``.
+    # CSR skeleton; ``value_gather`` (int32) None = no transitions.  With
+    # ``dup_steps`` (the canonical shortcut, see :func:`_support`) it picks
+    # each canonical entry's first value in scipy's post-``sort_indices``
+    # order and ``dup_steps`` adds the rest of its duplicate run
+    # (:func:`_canonical_data`).  Without it the gather gives the values
+    # in row order and the replay re-runs ``sum_duplicates``.
     value_gather: np.ndarray | None = None
     dup_steps: tuple | None = None
     indices: np.ndarray | None = None
@@ -570,49 +569,66 @@ class _BuildTemplate:
     n: int = 0
     # Shared (read-only) model components.
     choice_state: np.ndarray | None = None
-    choice_reward: np.ndarray | None = None
     labels: dict | None = None
     columns: StateColumns | None = None
-    choice_labels: list | None = None
     choice_codes: np.ndarray | None = None
     first_choice: np.ndarray | None = None
     digest: str | None = None
-    #: The last cold result solved for this job geometry, as
-    #: ``((window bytes, extra), result)`` — see :func:`cold_result`.
+    #: The batch solver's contexts (``CompiledMDP.contexts``).
+    contexts: dict = field(default_factory=dict)
+
+
+@dataclass
+class _GeometryEntry:
+    """A job geometry's retained support keys (packed support masks) and
+    its cold-result slot ``((window bytes, extra), result)``."""
+
+    geometry: _Geometry
+    supports: set = field(default_factory=set)
     cold: tuple | None = None
 
 
-#: Process-global LRU of build templates keyed by job geometry
-#: ``(job.key(), forces.shape, max_aspect, families)``.  A build hit or a
-#: cold-result hit refreshes its entry; ``build_dedup_token`` only peeks.
-_TEMPLATE_CACHE: "OrderedDict[tuple, _BuildTemplate]" = OrderedDict()
-_TEMPLATE_CACHE_MAX = 64
+#: The process-global template cache (DESIGN.md §9), one entry per job
+#: geometry ``(job.key(), forces.shape, max_aspect, families)``.  One bound
+#: counts the support templates, LRU across geometries (``_SUPPORT_LRU``,
+#: keyed ``(geometry key, support key)``); a geometry leaves with its last.
+_GEOMETRIES: dict[tuple, _GeometryEntry] = {}
+_SUPPORT_LRU: "OrderedDict[tuple, _BuildTemplate]" = OrderedDict()
+_SUPPORT_CACHE_MAX = 96
 
-#: Guards cache mutation and the cold slots.  The serve layer runs builds
-#: on worker threads; a template is complete before it is published, and
-#: a rebuild publishes a new one rather than changing the old, so a
-#: concurrent replay never sees a half-built template.
+#: Guards the cache, its cold slots and the size gauge.  The serve layer
+#: runs builds on worker threads; a template is complete before it is
+#: published and is never changed after, so a concurrent replay never
+#: sees a half-built template.
 _TEMPLATE_LOCK = threading.Lock()
 
 
 def clear_build_template_cache() -> None:
-    """Drop the build-template cache, cold results included (benches
-    model a cold process with this; regular code never needs it —
-    replays and remembered results are bit-identical)."""
+    """Drop the build-template cache, cold results and solver contexts
+    included (benches model a cold process with this; regular code never
+    needs it — replays and remembered results are bit-identical)."""
     with _TEMPLATE_LOCK:
-        _TEMPLATE_CACHE.clear()
+        _GEOMETRIES.clear()
+        _SUPPORT_LRU.clear()
         perf.set_gauge("fastmdp.template.size", 0)
 
 
 def clear_cold_results() -> None:
-    """Forget every template's remembered cold result, keeping the
+    """Forget every geometry's remembered cold result, keeping the
     templates themselves."""
     with _TEMPLATE_LOCK:
-        for tpl in _TEMPLATE_CACHE.values():
-            tpl.cold = None
+        for entry in _GEOMETRIES.values():
+            entry.cold = None
 
 
-def _template_key(
+def clear_solver_contexts() -> None:
+    """Empty every template's solver contexts (the templates stay)."""
+    with _TEMPLATE_LOCK:
+        for tpl in _SUPPORT_LRU.values():
+            tpl.contexts.clear()
+
+
+def _geometry_key(
     job: RoutingJob,
     forces: np.ndarray,
     max_aspect: float,
@@ -624,9 +640,31 @@ def _template_key(
     )
 
 
-def _window_bytes(tpl: _BuildTemplate, forces: np.ndarray) -> bytes:
-    x0, x1, y0, y1 = tpl.geometry.window
+def _window_bytes(geo: _Geometry, forces: np.ndarray) -> bytes:
+    x0, x1, y0, y1 = geo.window
     return forces[x0:x1, y0:y1].tobytes()
+
+
+def _publish(key: tuple, entry: _GeometryEntry, support: bytes,
+             tpl: _BuildTemplate) -> None:
+    """Insert a new support template (the caller holds the lock) and
+    evict beyond the bound.  A retained template of equal structural key
+    (of any geometry, e.g. a translated job) lends it its context slot:
+    the solver contexts depend on that structure alone."""
+    tpl.contexts = next((other.contexts for other in _SUPPORT_LRU.values()
+                         if other.digest == tpl.digest), tpl.contexts)
+    entry = _GEOMETRIES.setdefault(key, entry)
+    entry.supports.add(support)
+    entry.cold = None
+    _SUPPORT_LRU.setdefault((key, support), tpl)
+    _SUPPORT_LRU.move_to_end((key, support))
+    while len(_SUPPORT_LRU) > _SUPPORT_CACHE_MAX:
+        (old_key, old_support), _ = _SUPPORT_LRU.popitem(last=False)
+        old = _GEOMETRIES[old_key]
+        old.supports.discard(old_support)
+        if not old.supports:
+            del _GEOMETRIES[old_key]
+    perf.set_gauge("fastmdp.template.size", len(_SUPPORT_LRU))
 
 
 def cold_result(
@@ -638,23 +676,24 @@ def cold_result(
 ):
     """The cold result remembered for ``(job, forces, extra)``, or None.
 
-    Each template keeps one slot: the last result stored by
+    Each geometry keeps one slot: the last result stored by
     :func:`remember_cold_result`, keyed by the bytes of the force window
     the build reads plus ``extra`` (the caller's solve parameters).  A
     build is a pure function of those bytes (:func:`_read_window`), so a
     cold solve of it is too, and a hit is exactly what a fresh build and
-    solve would return.  A hit refreshes the template's LRU entry, as the
-    build it replaces would.
+    solve would return.  A hit refreshes the geometry's supports in the
+    LRU, as the build it replaces would.
     """
-    key = _template_key(job, forces, max_aspect, families)
+    key = _geometry_key(job, forces, max_aspect, families)
     with _TEMPLATE_LOCK:
-        tpl = _TEMPLATE_CACHE.get(key)
-        if tpl is None or tpl.cold is None:
+        entry = _GEOMETRIES.get(key)
+        if entry is None or entry.cold is None:
             return None
-        stored_key, result = tpl.cold
-        if stored_key != (_window_bytes(tpl, forces), extra):
+        stored_key, result = entry.cold
+        if stored_key != (_window_bytes(entry.geometry, forces), extra):
             return None
-        _TEMPLATE_CACHE.move_to_end(key)
+        for support in entry.supports:
+            _SUPPORT_LRU.move_to_end((key, support))
     return result
 
 
@@ -666,14 +705,15 @@ def remember_cold_result(
     max_aspect: float = DEFAULT_MAX_ASPECT,
     families: tuple[ActionClass, ...] | None = None,
 ) -> None:
-    """Store ``result`` in the slot of the job's template (see
+    """Store ``result`` in the slot of the job's geometry (see
     :func:`cold_result`), replacing what it held; a no-op when the
-    template has been evicted since the build."""
-    key = _template_key(job, forces, max_aspect, families)
+    geometry has been evicted since the build."""
+    key = _geometry_key(job, forces, max_aspect, families)
     with _TEMPLATE_LOCK:
-        tpl = _TEMPLATE_CACHE.get(key)
-        if tpl is not None:
-            tpl.cold = ((_window_bytes(tpl, forces), extra), result)
+        entry = _GEOMETRIES.get(key)
+        if entry is not None:
+            entry.cold = ((_window_bytes(entry.geometry, forces), extra),
+                          result)
 
 
 def build_routing_model_fast(
@@ -689,42 +729,41 @@ def build_routing_model_fast(
     to the given classes (``None`` = all five).
 
     Every build computes its outcome probabilities with :func:`_values`
-    over the job geometry's recorded :class:`_Geometry` (recorded here on
-    the first build of a geometry).  When their support equals the cached
-    template's, the values drop into its CSR skeleton (a replay — the
-    common case in resynthesis storms, where only the health fingerprint
-    changes); otherwise :func:`_support` emits, restricts and assembles
-    the model again over the same geometry and publishes a new template.
-    All three paths give bit-identical models, so the cache is
-    transparent to every caller.
+    over the job geometry's recorded :class:`_Geometry` (recorded here
+    when no support of the geometry is retained).  When their support
+    equals a retained template's, the values drop into its CSR skeleton (a
+    replay — the common case in resynthesis storms, where only the health
+    fingerprint changes, and on chips that have aged alike); otherwise
+    :func:`_support` emits, restricts and assembles the model again over
+    the same geometry and publishes a new template.  All three paths give
+    bit-identical models, so the cache is transparent to every caller.
     """
     if job.is_dispense:
         raise ValueError("dispense jobs are materialized, not routed")
-    key = _template_key(job, forces, max_aspect, families)
+    key = _geometry_key(job, forces, max_aspect, families)
     with _TEMPLATE_LOCK:
-        tpl = _TEMPLATE_CACHE.get(key)
-        if tpl is not None:
-            _TEMPLATE_CACHE.move_to_end(key)
-    if tpl is None:
+        entry = _GEOMETRIES.get(key)
+    if entry is None:
         perf.incr("fastmdp.template.misses")
-        geo = _record_geometry(job, forces.shape, max_aspect, families)
-    else:
-        geo = tpl.geometry
-    values = _values(geo, forces)
+        entry = _GeometryEntry(
+            _record_geometry(job, forces.shape, max_aspect, families)
+        )
+    values = _values(entry.geometry, forces)
     mask = values > 0.0
-    if tpl is not None:
-        if np.array_equal(mask, tpl.mask):
-            perf.incr("fastmdp.template.hits")
-            return _replay(tpl, job, values)
-        perf.incr("fastmdp.template.rebuilds")
-    model, tpl = _support(geo, job, values, mask)
+    support = np.packbits(mask).tobytes()
     with _TEMPLATE_LOCK:
-        _TEMPLATE_CACHE[key] = tpl
-        _TEMPLATE_CACHE.move_to_end(key)
-        while len(_TEMPLATE_CACHE) > _TEMPLATE_CACHE_MAX:
-            _TEMPLATE_CACHE.popitem(last=False)
-        perf.set_gauge("fastmdp.template.size", len(_TEMPLATE_CACHE))
-    return model
+        tpl = _SUPPORT_LRU.get((key, support))
+        if tpl is not None:
+            _SUPPORT_LRU.move_to_end((key, support))
+    if tpl is not None:
+        perf.incr("fastmdp.template.hits")
+        return _replay(tpl, job, values)
+    if entry.supports:
+        perf.incr("fastmdp.template.rebuilds")
+    transitions, tpl = _support(entry.geometry, job, values, mask)
+    with _TEMPLATE_LOCK:
+        _publish(key, entry, support, tpl)
+    return _model(tpl, job, transitions)
 
 
 def build_dedup_token(
@@ -738,14 +777,14 @@ def build_dedup_token(
     Two builds of the same job whose tokens are equal produce bit-identical
     models (the build is a pure function of the window slice — see
     :func:`_read_window`), so batch callers can solve one and reuse the
-    result for the other.  Returns ``None`` when no template is cached for
-    the job geometry yet (the window is discovered by the first build).
+    result for the other.  Returns ``None`` when no geometry is retained
+    for the job yet (the window is discovered by the first build).
     """
     with _TEMPLATE_LOCK:
-        tpl = _TEMPLATE_CACHE.get(
-            _template_key(job, forces, max_aspect, families)
+        entry = _GEOMETRIES.get(
+            _geometry_key(job, forces, max_aspect, families)
         )
-    return None if tpl is None else _window_bytes(tpl, forces)
+    return None if entry is None else _window_bytes(entry.geometry, forces)
 
 
 def _canonical_data(
@@ -756,7 +795,7 @@ def _canonical_data(
     arithmetic of scipy's ``sum_duplicates``, so the result is
     bit-identical to it (``np.add.reduceat`` is not: it adds a run's
     tail pairwise before adding it to the head)."""
-    data = values[first]
+    data = np.take(values, first)
     for runs, pos in dup_steps:
         data[runs] += values[pos]
     return data
@@ -782,32 +821,35 @@ def _replay(
     else:
         transitions = sparse.csr_matrix(
             (
-                values[tpl.value_gather], tpl.indices.copy(),
+                np.take(values, tpl.value_gather), tpl.indices.copy(),
                 tpl.indptr.copy(),
             ),
             shape=shape,
         )
         transitions.sum_duplicates()
+    return _model(tpl, job, transitions)
 
+
+def _model(
+    tpl: _BuildTemplate, job: RoutingJob, transitions: sparse.csr_matrix
+) -> CompiledRoutingModel:
+    """A model of the template's support; every choice costs one cycle,
+    so the rewards are a read-only broadcast, not a stored array."""
     compiled = CompiledMDP(
         num_states=tpl.n,
         choice_state=tpl.choice_state,
-        choice_reward=tpl.choice_reward,
+        choice_reward=np.broadcast_to(CYCLE_REWARD, tpl.num_choices),
         transitions=transitions,
         labels=tpl.labels,
         initial=1,
+        contexts=tpl.contexts,
     )
-    compiled._first_choice_cache.append(tpl.first_choice)
-    if tpl.digest is None:
-        from repro.modelcheck.batch import structural_key
-
-        tpl.digest = structural_key(compiled)
-    else:
+    if tpl.digest is not None:  # None only while _support records it
+        compiled._first_choice_cache.append(tpl.first_choice)
         compiled._digest_cache.append(tpl.digest)
     return CompiledRoutingModel(
-        compiled=compiled, states=tpl.columns.states,
-        choice_labels=tpl.choice_labels, job=job, columns=tpl.columns,
-        choice_codes=tpl.choice_codes,
+        compiled=compiled, states=tpl.columns.states, job=job,
+        columns=tpl.columns, choice_codes=tpl.choice_codes,
     )
 
 
@@ -816,8 +858,9 @@ def _support(
     job: RoutingJob,
     values: np.ndarray,
     mask: np.ndarray,
-) -> "tuple[CompiledRoutingModel, _BuildTemplate]":
-    """Build the model for one support of ``geo`` and record its template.
+) -> "tuple[sparse.csr_matrix, _BuildTemplate]":
+    """Record the template of one support of ``geo`` and build the
+    transitions of ``values`` on it.
 
     Emits the positive entries (``mask``) as provisional transitions in
     entry order, restricts the model to the component reachable from the
@@ -827,7 +870,7 @@ def _support(
     owner, stably), and assembles the CSR matrix.
     """
     perf.incr("fastmdp.builds")
-    tpl = _BuildTemplate(geometry=geo, mask=mask)
+    tpl = _BuildTemplate()
     entries = np.flatnonzero(mask)
     row_arr = geo.choice[entries].astype(np.int64)
     col_arr = geo.target[entries].astype(np.int64)
@@ -869,7 +912,6 @@ def _support(
     num_choices = final_choices.size
     choice_state = new_owner[perm]
     choice_codes = geo.code[final_choices]
-    choice_labels: list[str] = geo.labels[choice_codes].tolist()
     choice_new = np.full(owner_arr.size, -1, dtype=np.int64)
     choice_new[final_choices] = np.arange(num_choices, dtype=np.int64)
 
@@ -886,7 +928,7 @@ def _support(
         indptr = np.zeros(max(num_choices, 1) + 1, dtype=np.int64)
         indptr[1 : num_choices + 1] = np.cumsum(counts)
         cols_sorted = cols_f[t_order]
-        tpl.value_gather = kept[t_order]
+        tpl.value_gather = kept[t_order].astype(np.int32)
         tpl.indices = cols_sorted.copy()
         tpl.indptr = indptr.copy()
         transitions = sparse.csr_matrix(
@@ -937,7 +979,7 @@ def _support(
                 )
                 and np.array_equal(cols2[starts], transitions.indices)
             ):
-                tpl.value_gather = first
+                tpl.value_gather = first.astype(np.int32)
                 tpl.dup_steps = dup_steps
                 tpl.indices = transitions.indices.copy()
                 tpl.indptr = transitions.indptr.copy()
@@ -949,17 +991,8 @@ def _support(
     goal_mask[goal_new[goal_new >= 0]] = True
     hazard_mask = np.zeros(n, dtype=bool)
     hazard_mask[HAZARD_INDEX] = True
-    labels = {"goal": goal_mask, "hazard": hazard_mask}
-    choice_reward = np.full(num_choices, CYCLE_REWARD)
-    compiled = CompiledMDP(
-        num_states=n,
-        choice_state=choice_state,
-        choice_reward=choice_reward,
-        transitions=transitions,
-        labels=labels,
-        initial=1,
-    )
     from repro.core.mdp import HAZARD_STATE
+    from repro.modelcheck.batch import structural_key
 
     inv = np.zeros(n, dtype=np.int64)
     inv[new_id[reach_pids]] = reach_pids
@@ -970,7 +1003,7 @@ def _support(
     state_objects: list[Rect | str] = [HAZARD_STATE] + [
         _trusted_rect(*c) for c in corners[1:].tolist()
     ]
-    columns = StateColumns(
+    tpl.columns = StateColumns(
         states=state_objects, corners=corners,
         label_states=((HAZARD_INDEX, HAZARD_STATE),),
         labels=tuple(geo.labels.tolist()),
@@ -978,17 +1011,12 @@ def _support(
     tpl.num_choices = num_choices
     tpl.n = n
     tpl.choice_state = choice_state
-    tpl.choice_reward = choice_reward
-    tpl.labels = labels
-    tpl.columns = columns
-    tpl.choice_labels = choice_labels
+    tpl.labels = {"goal": goal_mask, "hazard": hazard_mask}
     tpl.choice_codes = choice_codes
+    compiled = _model(tpl, job, transitions).compiled
     tpl.first_choice = compiled.first_choice()
-    model = CompiledRoutingModel(
-        compiled=compiled, states=state_objects, choice_labels=choice_labels,
-        job=job, columns=columns, choice_codes=choice_codes,
-    )
-    return model, tpl
+    tpl.digest = structural_key(compiled)
+    return transitions, tpl
 
 
 def extract_fast_strategy(

@@ -10,8 +10,8 @@ gathers, the per-owner choice segments that every per-state reduction
 and the strategy extraction run on (:class:`interval._Segments`) and
 the settling prelude's slot-major row layout
 (:class:`interval._SlotLayout`) — is therefore shared by every model of
-that support (:class:`SharedContext`, memoized on a structural
-fingerprint).
+that support (:class:`SharedContext`, kept on the context slot of the
+fastmdp build template the model came from).
 
 A solo solve (:func:`~repro.modelcheck.compiled.solve_reach_avoid_reward`
 and ``solve_reach_avoid_probability``) is a family of one, so every
@@ -31,8 +31,6 @@ nothing here knows about routing jobs, strategies or engines.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +115,8 @@ class _Level:
     The gather arrays are int32: they index one model's nonzeros, far
     below ``2**31``, and they are most of a cached context's bytes.
     ``np.take`` reads them as they are; fancy indexing would convert each
-    index array to intp on every call.  ``own`` is int32 too: only the
-    exit-policy fallback and the layout build read it.
+    index array to intp on every call.  ``idx`` and ``own`` are int32 too:
+    only gathers, the exit-policy fallback and the layout build read them.
     """
 
     block: np.ndarray  # bool state mask of the level
@@ -201,7 +199,7 @@ def _build_level(
     direct = minimize and states.size <= interval._SPARSE_DIRECT_MAX
     return _Level(
         block=block,
-        idx=idx,
+        idx=idx.astype(np.int32),
         own=own,
         states=states,
         rowpos=rowpos.astype(np.int32),
@@ -245,53 +243,28 @@ def build_context(cm, goal: str, avoid: str, minimize: bool) -> SharedContext:
     )
 
 
-#: Support-keyed memos of the reward contexts and the probability
-#: objective's qualitative sets.  Every synthesis reads them, so the cap
-#: is sized to the working set of job shapes: a 120-assay lifetime run on
-#: the 60x30 chip solves 108 shapes, and an LRU of 64 contexts hits 89% of
-#: its solves (32: 54%, 96: 93%) while each context costs memory.
-_CONTEXT_CACHE: OrderedDict[tuple, SharedContext] = OrderedDict()
-_CONTEXT_CACHE_MAX = 64
-_QUAL_CACHE: OrderedDict[tuple, precompute.QualitativeSets] = OrderedDict()
-_QUAL_CACHE_MAX = 64
+def _context(cm, key: tuple, build):
+    """The context ``key`` of ``cm``'s support, built on a miss.
 
-#: Guards lookup, insertion and eviction of both memos and the size gauge
-#: (so the last published size is the current one): serve workers solve
-#: on threads, and an unguarded ``move_to_end`` racing a ``popitem`` can
-#: raise mid-job.  Builds run outside the lock.
-_CACHE_LOCK = threading.Lock()
-
-
-def _memoized(cache: OrderedDict, cap: int, key: tuple, build):
-    """LRU lookup of ``key`` in ``cache``, building and inserting on a miss.
-
-    Publishes ``vi.batch.precompute.{hits,misses}`` and the combined size
-    of both memos as the ``vi.batch.precompute.size`` gauge.
+    A model built from a fastmdp template carries its slot (``contexts``,
+    DESIGN.md §9): a lookup neither hashes nor touches an LRU, and a model
+    without one builds per call.  Dict reads and ``setdefault`` are atomic,
+    so racing solves need no lock.  Counts ``vi.batch.precompute.*``.
     """
-    with _CACHE_LOCK:
-        value = cache.get(key)
-        if value is not None:
-            cache.move_to_end(key)
+    slot = cm.contexts
+    value = None if slot is None else slot.get(key)
     if value is not None:
         perf.incr("vi.batch.precompute.hits")
         return value
     perf.incr("vi.batch.precompute.misses")
     value = build()
-    with _CACHE_LOCK:
-        cache[key] = value
-        while len(cache) > cap:
-            cache.popitem(last=False)
-        perf.set_gauge(
-            "vi.batch.precompute.size", len(_CONTEXT_CACHE) + len(_QUAL_CACHE)
-        )
-    return value
+    return value if slot is None else slot.setdefault(key, value)
 
 
 def reward_context(cm, goal: str, avoid: str, minimize: bool) -> SharedContext:
-    """Memoized :func:`build_context` keyed on the structural fingerprint."""
-    return _memoized(
-        _CONTEXT_CACHE, _CONTEXT_CACHE_MAX,
-        (structural_key(cm), goal, avoid, minimize),
+    """:func:`build_context`, kept on the model's context slot."""
+    return _context(
+        cm, ("reward", goal, avoid, minimize),
         lambda: build_context(cm, goal, avoid, minimize),
     )
 
@@ -299,10 +272,9 @@ def reward_context(cm, goal: str, avoid: str, minimize: bool) -> SharedContext:
 def qualitative_context(
     cm, goal: str, avoid: str, maximize: bool
 ) -> precompute.QualitativeSets:
-    """Memoized qualitative prob0/prob1 sets for a model family."""
-    return _memoized(
-        _QUAL_CACHE, _QUAL_CACHE_MAX,
-        (structural_key(cm), goal, avoid, maximize),
+    """The qualitative prob0/prob1 sets, kept on the model's context slot."""
+    return _context(
+        cm, ("qualitative", goal, avoid, maximize),
         lambda: precompute.qualitative(
             cm, cm.label_mask(goal), cm.label_mask(avoid), maximize
         ),
@@ -310,11 +282,11 @@ def qualitative_context(
 
 
 def clear_context_cache() -> None:
-    """Drop both support-keyed memos (reward contexts, qualitative sets)."""
-    with _CACHE_LOCK:
-        _CONTEXT_CACHE.clear()
-        _QUAL_CACHE.clear()
-        perf.set_gauge("vi.batch.precompute.size", 0)
+    """Drop every retained reward context and qualitative set (they live
+    on the fastmdp build templates, which stay)."""
+    from repro.core.fastmdp import clear_solver_contexts
+
+    clear_solver_contexts()
 
 
 def _solve_model(

@@ -73,6 +73,9 @@ class CompiledMDP:
     transitions: sparse.csr_matrix
     labels: dict[str, np.ndarray]
     initial: int
+    #: The batch solver's context slot for this model's support, ``None``
+    #: to build contexts per solve (see :func:`.batch.reward_context`).
+    contexts: dict | None = field(default=None, repr=False, compare=False)
     _first_choice_cache: list = field(
         default_factory=list, repr=False, compare=False
     )

@@ -530,12 +530,11 @@ def _slot_layout(
     lens = np.zeros(slots * n, dtype=np.int64)
     lens[used] = row_len
     total = int(row_len.sum())
-    # intp, not int32: every ``_settle`` call gathers through it, and an
-    # int32 index is converted to intp on each use.
+    # int32, read with ``np.take``: it is the layout's largest array.
     gather = (
         np.repeat(tb_indptr[real] - (np.cumsum(row_len) - row_len), row_len)
         + np.arange(total)
-    ).astype(np.intp)
+    ).astype(np.int32)
     return _SlotLayout(
         n=n,
         slots=slots,
@@ -574,7 +573,7 @@ def _settle(
         return None
     n, slots = layout.n, layout.slots
     B = _raw_csr(
-        Tblock.data[layout.gather], layout.indices, layout.indptr,
+        np.take(Tblock.data, layout.gather), layout.indices, layout.indptr,
         (slots * n, n),
     )
     padded = base[layout.choice]

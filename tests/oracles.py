@@ -54,6 +54,7 @@ from repro.core.routing_job import RoutingJob
 from repro.core.transitions import MatrixForceField, Outcome
 from repro.geometry.rect import Rect
 from repro.modelcheck.compiled import CompiledMDP
+from repro.modelcheck.strategy import StateColumns
 
 IntRect = tuple[int, int, int, int]
 
@@ -208,9 +209,19 @@ def build_routing_model_scalar(
     state_objects: list[Rect | str] = [HAZARD_STATE] + [
         Rect(*r) for r in states[1:]  # type: ignore[misc]
     ]
+    label_table = tuple(dict.fromkeys(choice_labels))
+    columns = StateColumns(
+        states=state_objects,
+        corners=np.array([(0, 0, 0, 0)] + states[1:], dtype=np.int16),
+        label_states=((HAZARD_INDEX, HAZARD_STATE),),
+        labels=label_table,
+    )
     return CompiledRoutingModel(
-        compiled=compiled, states=state_objects, choice_labels=choice_labels,
-        job=job,
+        compiled=compiled, states=state_objects, job=job, columns=columns,
+        choice_codes=np.array(
+            [label_table.index(label) for label in choice_labels],
+            dtype=np.int16,
+        ),
     )
 
 

@@ -2,13 +2,13 @@
 
 A build is served by one of three paths: a *first build* records the job
 geometry, a *replay* drops new values into the recorded CSR skeleton when
-the support (which outcomes have positive probability) is unchanged, and a
-*rebuild* re-emits the model over the same geometry when it changed.  The
-contract under test: whatever path served it, the model equals, field by
-field, a build of the same inputs right after
+the support (which outcomes have positive probability) is a retained one,
+and a *rebuild* re-emits the model over the same geometry when it is new.
+The contract under test: whatever path served it, the model equals, field
+by field, a build of the same inputs right after
 ``clear_build_template_cache()``; each build counts exactly one of
-``fastmdp.template.hits`` and ``fastmdp.builds``; and a rebuild's template
-shares its predecessor's geometry object.
+``fastmdp.template.hits`` and ``fastmdp.builds``; and a rebuild keeps the
+geometry it was recorded with.
 
 Health fields degrade step by step and kill whole blocks of cells, so
 frontier legs die, outcome probabilities fall to exactly 0 and the
@@ -99,26 +99,46 @@ def _healths(seed: int, steps: int = 8) -> list[np.ndarray]:
     return out
 
 
-def _template(job, forces, kwargs):
-    key = fastmdp._template_key(
+def _entry(job, forces, kwargs):
+    """The job geometry's cache entry, or None when none is retained."""
+    key = fastmdp._geometry_key(
         job, forces, kwargs.get("max_aspect", fastmdp.DEFAULT_MAX_ASPECT),
         kwargs.get("families"),
     )
     with fastmdp._TEMPLATE_LOCK:
-        return fastmdp._TEMPLATE_CACHE.get(key)
+        return fastmdp._GEOMETRIES.get(key)
+
+
+def _template(job, forces, kwargs):
+    """The retained template a build of ``(job, forces)`` replays, or
+    None."""
+    entry = _entry(job, forces, kwargs)
+    if entry is None:
+        return None
+    mask = fastmdp._values(entry.geometry, forces) > 0.0
+    key = fastmdp._geometry_key(
+        job, forces, kwargs.get("max_aspect", fastmdp.DEFAULT_MAX_ASPECT),
+        kwargs.get("families"),
+    )
+    with fastmdp._TEMPLATE_LOCK:
+        return fastmdp._SUPPORT_LRU.get((key, np.packbits(mask).tobytes()))
 
 
 def _fresh(job, forces, kwargs):
     """A build from an empty template cache, which is then restored."""
     with fastmdp._TEMPLATE_LOCK:
-        saved = list(fastmdp._TEMPLATE_CACHE.items())
+        geometries = dict(fastmdp._GEOMETRIES)
+        lru = list(fastmdp._SUPPORT_LRU.items())
     clear_build_template_cache()
     try:
         return build_routing_model_fast(job, forces, **kwargs)
     finally:
         with fastmdp._TEMPLATE_LOCK:
-            fastmdp._TEMPLATE_CACHE.clear()
-            fastmdp._TEMPLATE_CACHE.update(saved)
+            fastmdp._GEOMETRIES.clear()
+            fastmdp._GEOMETRIES.update(geometries)
+            fastmdp._SUPPORT_LRU.clear()
+            fastmdp._SUPPORT_LRU.update(lru)
+            perf.set_gauge("fastmdp.template.size", len(lru))
 
 
 def _assert_array(a: np.ndarray, b: np.ndarray) -> None:
@@ -158,22 +178,24 @@ def _serve_sequence(job, kwargs, seed: int) -> list[str]:
     paths = []
     for health in _healths(seed):
         forces = force_field_from_health(health).forces
+        entry = _entry(job, forces, kwargs)
         before = _template(job, forces, kwargs)
         hits, builds = _counts()
         model = build_routing_model_fast(job, forces, **kwargs)
         d_hits, d_builds = _counts()[0] - hits, _counts()[1] - builds
         assert (d_hits, d_builds) in ((1, 0), (0, 1))
         after = _template(job, forces, kwargs)
-        if before is None:
+        assert after is not None
+        if entry is None:
             paths.append("first")
         elif d_hits:
             paths.append("replay")
             assert after is before
         else:
             paths.append("rebuild")
-            assert after is not before
-            assert after.geometry is before.geometry
-            assert after.cold is None
+            assert before is None
+            assert _entry(job, forces, kwargs) is entry  # same geometry
+            assert entry.cold is None
         assert_same_model(model, _fresh(job, forces, kwargs))
     return paths
 
@@ -215,23 +237,30 @@ class TestGeometry:
         forces = force_field_from_health(healthy).forces
         build_routing_model_fast(job, forces)
         first = _template(job, forces, {})
-        first.cold = (("window", "extra"), "result")
+        entry = _entry(job, forces, {})
+        geometry = entry.geometry
+        entry.cold = (("window", "extra"), "result")
         dead = healthy.copy()
         dead[8:12, 6:10] = 0  # whole frontiers die: the support changes
+        dead_forces = force_field_from_health(dead).forces
         perf.reset()
-        build_routing_model_fast(job, force_field_from_health(dead).forces)
+        build_routing_model_fast(job, dead_forces)
         assert perf.get("fastmdp.template.rebuilds") == 1
-        second = _template(job, forces, {})
+        second = _template(job, dead_forces, {})
         assert second is not first
-        assert second.geometry is first.geometry
-        assert second.cold is None
+        assert perf.get("fastmdp.template.misses") == 0
+        assert _entry(job, forces, {}) is entry
+        assert entry.geometry is geometry
+        assert entry.cold is None
+        # Both supports stay: the healthy field replays its own template.
+        assert _template(job, forces, {}) is first
 
     def test_shape_tables_ride_the_shape_action_memo(self):
         fastmdp.clear_shape_action_memo()
         job, _ = CASES["open"]
         build_routing_model_fast(job, np.ones((W, H)))
         memo = list(fastmdp._SHAPE_ACTION_MEMO.values())
-        shapes = _template(job, np.ones((W, H)), {}).geometry.shapes
+        shapes = _entry(job, np.ones((W, H)), {}).geometry.shapes
         assert shapes
         for sh in shapes:
             assert any(entry is sh.actions for entry in memo)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import obs, perf
+from repro.core import baseline
 from repro.core.fastmdp import clear_build_template_cache
 from repro.core.routing_job import RoutingJob
 from repro.core.synthesis import synthesize
@@ -199,6 +200,31 @@ class TestDisabledMode:
                        for k in snap), snap
         # the ordinary perf metrics still flow
         assert snap["synthesis.count"] == 1
+
+    @pytest.mark.parametrize("tracing", [False, True])
+    def test_plan_digests_the_health_only_when_tracing(
+        self, full_health, monkeypatch, tracing
+    ):
+        """A library miss puts the health digest on the ``rj.plan`` span;
+        with tracing off there is no span, so no digest is computed."""
+        calls = []
+
+        def counting(fingerprint):
+            calls.append(fingerprint)
+            return real(fingerprint)
+
+        real = baseline.fingerprint_digest
+        monkeypatch.setattr(baseline, "fingerprint_digest", counting)
+        if tracing:
+            tracer, _ = obs.configure(tracing=True)
+        router = baseline.AdaptiveRouter()
+        health = full_health[:16, :12]
+        assert router.plan(small_job(), health) is not None  # a miss
+        assert router.plan(small_job(), health) is not None  # a hit
+        assert len(calls) == (1 if tracing else 0)
+        if tracing:
+            (miss, _) = tracer.find("rj.plan")
+            assert miss.attrs["health_fp"] == real(calls[0])
 
     def test_journal_event_without_journal_is_noop(self):
         obs.journal_event("anything", cycle=1, data="x")  # must not raise

@@ -1,14 +1,15 @@
-"""Differential tests for the support-keyed solver memos.
+"""Differential tests for the support-keyed solver contexts.
 
 Every certified solve runs the batch kernel, and the kernel takes its
 support-derived precompute (prob-1 region, SCC levels, per-level row and
-column gathers, qualitative sets) from process-wide memos.  The contract
-under test: a solve against a warm memo is bit-identical, in every
-``ValueResult`` field, to the same solve right after
-``clear_context_cache()`` — and both equal an uncached oracle that slices
-the transition matrix directly, as the solver did before the memo.
-Also covered: the memos' locking under threaded solves, their size
-gauges, and the LRU order of the build-template cache.
+column gathers, qualitative sets) from the context slot of the build
+template the model came from.  The contract under test: a solve against
+a filled slot is bit-identical, in every ``ValueResult`` field, to the
+same solve right after ``clear_context_cache()`` — and both equal an
+uncached oracle that slices the transition matrix directly, as the
+solver did before the memo.  Also covered: threaded builds and solves
+against a small template bound, the slot and cache size figures, and
+the LRU order of the build-template cache.
 """
 
 from __future__ import annotations
@@ -205,13 +206,15 @@ class TestWarmContextMatchesCold:
         _assert_matches_oracle(warm, cm, high)
 
     def test_stored_zero_model_is_solved_but_never_cached(self):
-        cm = _with_stored_zero(_model(JOB, 2))
+        source = _model(JOB, 2)
+        cm = _with_stored_zero(source)
         assert not batch.supports_batching(cm)
+        assert cm.contexts is None
         cold = _cold(solve_reach_avoid_reward, cm)
         hits = perf.get("vi.batch.precompute.hits")
         misses = perf.get("vi.batch.precompute.misses")
         warm = solve_reach_avoid_reward(cm)
-        assert len(batch._CONTEXT_CACHE) == 0
+        assert not source.contexts
         assert perf.get("vi.batch.precompute.hits") == hits
         assert perf.get("vi.batch.precompute.misses") == misses
         _assert_identical(warm, cold)
@@ -251,12 +254,16 @@ class TestWarmContextMatchesCold:
         )
 
     def test_pmax_probability_query(self):
+        slots = []
         for seed in SWEEP:
             cm = _model(JOB, seed)
             cold = _cold(solve_reach_avoid_probability, cm, maximize=True)
             warm = solve_reach_avoid_probability(cm, maximize=True)
             _assert_identical(warm, cold)
-        assert len(batch._QUAL_CACHE) == 1
+            slots.append(cm.contexts)
+        # One support, so one slot, holding one qualitative context.
+        assert all(slot is slots[0] for slot in slots)
+        assert list(slots[0]) == [("qualitative", "goal", "hazard", True)]
 
     def test_tiny_budget_still_raises(self):
         cm = _model(JOB, 3)
@@ -269,16 +276,16 @@ class TestWarmContextMatchesCold:
 
 class TestThreadedMemo:
     def test_concurrent_solves_bit_identical_to_serial(self, monkeypatch):
-        # Three shapes against a 2-entry memo: threads keep evicting and
-        # re-inserting while others look up.  A short switch interval
-        # makes the threads interleave inside the lookups.
-        monkeypatch.setattr(batch, "_CONTEXT_CACHE_MAX", 2)
-        models = [
-            _model(job, seed)
-            for job in (JOB, *OTHER_JOBS)
-            for seed in (4, 5)
+        # Three shapes against a 2-support template bound: threads build
+        # and solve, so they keep evicting and re-inserting templates
+        # (and their contexts) while others look up.  A short switch
+        # interval makes the threads interleave inside the lookups.
+        monkeypatch.setattr(fastmdp, "_SUPPORT_CACHE_MAX", 2)
+        cases = [(job, seed) for job in (JOB, *OTHER_JOBS) for seed in (4, 5)]
+        serial = [
+            _cold(solve_reach_avoid_reward, _model(*case)) for case in cases
         ]
-        serial = [_cold(solve_reach_avoid_reward, cm) for cm in models]
+        clear_build_template_cache()
         results: dict[tuple[int, int], object] = {}
         errors: list[BaseException] = []
         barrier = threading.Barrier(4)
@@ -288,11 +295,11 @@ class TestThreadedMemo:
                 barrier.wait(timeout=60)
                 for rep in range(3):
                     order = np.random.default_rng(10 * t + rep).permutation(
-                        len(models)
+                        len(cases)
                     )
                     for i in order:
                         results[(t, int(i))] = solve_reach_avoid_reward(
-                            models[i]
+                            _model(*cases[i])
                         )
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
@@ -311,30 +318,31 @@ class TestThreadedMemo:
             sys.setswitchinterval(interval_before)
         assert not any(th.is_alive() for th in threads)
         assert not errors, errors
-        assert len(results) == 4 * len(models)
+        assert len(results) == 4 * len(cases)
         for (_, i), result in results.items():
             _assert_identical(result, serial[i])
-        assert len(batch._CONTEXT_CACHE) <= 2
-        # The last published size is the memo's size, whichever thread
+        assert len(fastmdp._SUPPORT_LRU) <= 2
+        # The last published size is the cache's size, whichever thread
         # inserted last.
-        assert perf.get("vi.batch.precompute.size") == len(
-            batch._CONTEXT_CACHE
-        ) + len(batch._QUAL_CACHE)
+        assert perf.get("fastmdp.template.size") == len(fastmdp._SUPPORT_LRU)
 
 
 class TestCacheSizeGauges:
     def test_precompute_size_counts_both_memos(self):
+        # Both kinds of context sit in the template's slot; clearing the
+        # contexts keeps the template.
         cm = _model(JOB, 1)
-        assert perf.get("vi.batch.precompute.size") == 0
+        assert len(cm.contexts) == 0
         solve_reach_avoid_reward(cm)
-        assert perf.get("vi.batch.precompute.size") == 1
+        assert len(cm.contexts) == 1
         solve_reach_avoid_probability(cm)
-        assert perf.get("vi.batch.precompute.size") == 2
+        assert len(cm.contexts) == 2
         batch.clear_context_cache()
-        assert perf.get("vi.batch.precompute.size") == 0
+        assert len(cm.contexts) == 0
+        assert perf.get("fastmdp.template.size") == 1
 
     def test_template_size_follows_inserts_and_evictions(self, monkeypatch):
-        monkeypatch.setattr(fastmdp, "_TEMPLATE_CACHE_MAX", 2)
+        monkeypatch.setattr(fastmdp, "_SUPPORT_CACHE_MAX", 2)
         forces = force_field_from_health(_health(1)).forces
         for n, job in enumerate((JOB, *OTHER_JOBS), start=1):
             build_routing_model_fast(job, forces)
@@ -345,7 +353,7 @@ class TestCacheSizeGauges:
 
 class TestTemplateLru:
     def test_rehit_oldest_survives_eviction(self, monkeypatch):
-        monkeypatch.setattr(fastmdp, "_TEMPLATE_CACHE_MAX", 2)
+        monkeypatch.setattr(fastmdp, "_SUPPORT_CACHE_MAX", 2)
         forces = force_field_from_health(_health(1)).forces
         oldest, middle, newest = JOB, *OTHER_JOBS
         build_routing_model_fast(oldest, forces)

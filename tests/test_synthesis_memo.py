@@ -1,7 +1,7 @@
 """Contract tests for the template-held cold-result memo.
 
-Each build template keeps one slot: the last cold ``SynthesisResult``
-solved for its job geometry, keyed by the bytes of the force window the
+Each job geometry in the template cache keeps one slot: the last cold
+``SynthesisResult`` solved for it, keyed by the bytes of the force window the
 build reads plus the query and epsilon.  A cold synthesis is a pure
 function of that key, so a hit must equal a fresh build and solve.  The
 tests pin what a hit returns, who may read and write the slot, and how
@@ -44,13 +44,13 @@ def _field(seed: int):
 
 
 def _slot(job: RoutingJob = JOB):
-    """The raw slot of the job's template (None when empty)."""
-    key = fastmdp._template_key(
+    """The raw slot of the job's geometry (None when empty)."""
+    key = fastmdp._geometry_key(
         job, np.zeros((W, H)), fastmdp.DEFAULT_MAX_ASPECT, None
     )
     with fastmdp._TEMPLATE_LOCK:
-        tpl = fastmdp._TEMPLATE_CACHE.get(key)
-    return None if tpl is None else tpl.cold
+        entry = fastmdp._GEOMETRIES.get(key)
+    return None if entry is None else entry.cold
 
 
 def _assert_same_answer(a, b) -> None:
