@@ -130,8 +130,7 @@ def snapshot_path_costs(iterations: int) -> dict[str, float]:
     registry = representative_registry()
     baseline = registry.export_state()
     registry.incr("engine.counter.0")  # make the delta non-trivial
-    pump = TelemetryPump(RunJournal(), registry=registry,
-                         worker_pids=lambda: [])
+    pump = TelemetryPump(RunJournal(), registry=registry)
 
     def per_call_ms(fn) -> float:
         t0 = time.perf_counter()

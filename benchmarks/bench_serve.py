@@ -6,8 +6,8 @@ unique (bioassay, seed) specs, each repeated), at client concurrencies
 k in {1, 4, 8, 16}.  Per k the bench reports client-observed latency
 percentiles (submit -> terminal state) and aggregate throughput, and
 compares against the **sequential baseline**: the same workload run solo,
-one job at a time, each with its own fresh engine (same worker budget)
-and no shared store — i.e. what ``repro run`` in a loop would do.
+one job at a time, with no shared store — i.e. what ``repro run`` in a
+loop would do.
 
 Two hard gates (exit 1 unless ``--no-enforce``):
 
@@ -29,7 +29,7 @@ Results land in ``BENCH_serve.json`` at the repository root:
                   "p50_ms": ..., "p99_ms": ...},
   "served": {"8": {"total_s": ..., "throughput_jps": ..., "p50_ms": ...,
                     "p99_ms": ..., "speedup": ..., "trace_identical": true,
-                    "store": {...}, "engine": {...}}, ...},
+                    "store": {...}}, ...},
   "gates": {"throughput_k8_over_sequential": {"value": ..., "target": 3.0,
              "pass": true}, "trace_identity": true}
 }
@@ -94,23 +94,13 @@ def percentile(samples: list[float], q: float) -> float:
     return float(np.percentile(np.asarray(samples), q))
 
 
-def run_sequential(workload: list[AssaySpec], workers: int) -> dict:
-    """One job at a time, fresh engine each, no shared store (solo runs)."""
-    from repro.engine import SynthesisEngine
-
+def run_sequential(workload: list[AssaySpec]) -> dict:
+    """One job at a time, no shared store (solo runs)."""
     latencies_ms: list[float] = []
     t0 = time.perf_counter()
     for spec in workload:
-        engine = (
-            SynthesisEngine(workers=workers, admission_floor=True)
-            if workers != 1 else None
-        )
         t_job = time.perf_counter()
-        try:
-            outcome = execute_assay(spec, engine=engine)
-        finally:
-            if engine is not None:
-                engine.close()
+        outcome = execute_assay(spec, engine=None)
         if not outcome.result.success:
             raise RuntimeError(
                 f"sequential baseline failed: {spec_key(spec)}"
@@ -125,7 +115,7 @@ def run_sequential(workload: list[AssaySpec], workers: int) -> dict:
     }
 
 
-def solo_references(workers: int) -> dict:
+def solo_references() -> dict:
     """One solo trace per unique spec: the bit-identity reference."""
     references = {}
     for spec in UNIQUE_SPECS:
@@ -145,12 +135,12 @@ def serve_workers_for(k: int) -> int:
 
 
 def run_served(
-    workload: list[AssaySpec], k: int, workers: int, references: dict
+    workload: list[AssaySpec], k: int, references: dict
 ) -> dict:
     """k concurrent HTTP clients against a fresh service + fresh store."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as tmp:
         service = ServeService(
-            port=0, serve_workers=serve_workers_for(k), engine_workers=workers,
+            port=0, serve_workers=serve_workers_for(k),
             store_path=Path(tmp) / "store.sqlite", keep_traces=True,
             drain_deadline_s=600.0,
         )
@@ -219,9 +209,7 @@ def run_served(
                         f"({spec_key(job.spec)}) diverged from its solo run"
                     )
 
-            store = service.engine.store
-            store_counters = store.counters() if store is not None else {}
-            engine_counters = service.engine.counters()
+            store_counters = service.store.counters()
         finally:
             if not service._stopped:
                 service.drain(deadline_s=600.0)
@@ -235,11 +223,10 @@ def run_served(
         "p99_ms": round(percentile(latencies_ms, 99), 3),
         "trace_identical": True,
         "store": store_counters,
-        "engine": engine_counters,
     }
 
 
-def run_bench(workers: int) -> dict:
+def run_bench() -> dict:
     repeats = scaled(12, 24)
     workload = build_workload(repeats)
 
@@ -249,12 +236,12 @@ def run_bench(workers: int) -> dict:
     for spec in UNIQUE_SPECS:
         execute_assay(spec, engine=None)
 
-    references = solo_references(workers)
-    sequential = run_sequential(workload, workers)
+    references = solo_references()
+    sequential = run_sequential(workload)
 
     served: dict[str, dict] = {}
     for k in CONCURRENCIES:
-        result = run_served(workload, k, workers, references)
+        result = run_served(workload, k, references)
         result["speedup"] = (
             result["throughput_jps"] / sequential["throughput_jps"]
         )
@@ -264,7 +251,6 @@ def run_bench(workers: int) -> dict:
     return {
         "bench": "serve",
         "cores": os.cpu_count(),
-        "engine_workers": workers,
         "scale": SCALE,
         "workload": {
             "jobs": len(workload),
@@ -287,25 +273,19 @@ def run_bench(workers: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="shared engine worker processes (default 1: synchronous "
-             "engine; amortization comes from the shared store)",
-    )
-    parser.add_argument(
         "--no-enforce", action="store_true",
         help="report gate violations without failing (debugging)",
     )
     args = parser.parse_args(argv)
 
-    report = run_bench(args.workers)
+    report = run_bench()
     JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     sequential = report["sequential"]
     lines = [
         f"multi-assay serving: {report['workload']['jobs']} jobs over "
         f"{report['workload']['unique_specs']} unique specs, "
-        f"{report['cores']} cores, engine workers="
-        f"{report['engine_workers']} (scale={report['scale']})",
+        f"{report['cores']} cores (scale={report['scale']})",
         f"  sequential        {sequential['throughput_jps']:6.2f} job/s  "
         f"p50 {sequential['p50_ms']:7.1f} ms  "
         f"p99 {sequential['p99_ms']:7.1f} ms",

@@ -27,8 +27,7 @@ and written as ``BENCH_synthesis.json`` at the repository root:
   "pre":  {"mean_ms": ..., "p50_ms": ..., "p95_ms": ...,
             "construct_mean_ms": ..., "solve_mean_ms": ...},
   "post": {... same keys ...},
-  "batched": {"solves": ..., "per_rj_throughput": ...,
-               "batched_throughput": ..., "speedup": ...},
+  "certified": {"epsilon": ..., "solves": ..., "gap_max": ..., ...},
   "speedup_mean": 2.7,
   "perf_counters": {"fastmdp.shape_memo.hit": ..., ...}
 }
@@ -54,17 +53,11 @@ sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
 from common import CHIP_HEIGHT, CHIP_WIDTH, SCALE, emit, scaled  # noqa: E402
 
 from repro import perf  # noqa: E402
-from repro.core.fastmdp import (  # noqa: E402
-    clear_build_template_cache,
-    clear_shape_action_memo,
-)
+from repro.core.fastmdp import clear_shape_action_memo  # noqa: E402
 from repro.core.routing_job import RoutingJob  # noqa: E402
 from repro.core.synthesis import (  # noqa: E402
     SYNTHESIS_EPSILON,
-    BatchRequest,
-    clear_batch_value_memo,
     force_field_from_health,
-    synthesize_batch,
     synthesize_with_field,
 )
 from repro.geometry.rect import Rect  # noqa: E402
@@ -149,51 +142,6 @@ def run_bench() -> dict:
                 warm[job.key()] = result.strategy
     counters = perf.snapshot()
 
-    # -- batched pipeline: one synthesize_batch call per health epoch --------
-    # Solve-throughput comparison (RJ/s): the same workload through the
-    # batched solver core, cold caches, asserting bit-identity with the
-    # cold per-RJ path it replaces.
-    clear_build_template_cache()
-    clear_batch_value_memo()
-    solo_results = []
-    t0 = time.perf_counter()
-    for health in healths:
-        field = force_field_from_health(health)
-        for job in jobs:
-            clear_build_template_cache()
-            solo_results.append(synthesize_with_field(job, field))
-    solo_elapsed = time.perf_counter() - t0
-    clear_build_template_cache()
-    clear_batch_value_memo()
-    batched_results = []
-    t0 = time.perf_counter()
-    for health in healths:
-        field = force_field_from_health(health)
-        batched_results.extend(
-            synthesize_batch([BatchRequest(job, field) for job in jobs])
-        )
-    batched_elapsed = time.perf_counter() - t0
-    for rb, rs in zip(batched_results, solo_results):
-        if rb.expected_cycles != rs.expected_cycles or (
-            rb.strategy is not None
-            and (
-                rb.strategy.decisions != rs.strategy.decisions
-                or rb.strategy.values != rs.strategy.values
-            )
-        ):
-            raise RuntimeError(
-                "synthesize_batch diverged from synthesize_with_field"
-            )
-    solves = len(jobs) * len(healths)
-    batched = {
-        "solves": solves,
-        "per_rj_s": round(solo_elapsed, 4),
-        "batched_s": round(batched_elapsed, 4),
-        "per_rj_throughput": solves / solo_elapsed,
-        "batched_throughput": solves / batched_elapsed,
-        "speedup": solo_elapsed / batched_elapsed,
-    }
-
     pre = _stats(pre_total)
     pre["construct_mean_ms"] = float(np.mean(pre_construct))
     pre["solve_mean_ms"] = float(np.mean(pre_solve))
@@ -221,7 +169,6 @@ def run_bench() -> dict:
         "samples": len(pre_total),
         "pre": pre,
         "post": post,
-        "batched": batched,
         "certified": certified,
         "speedup_mean": pre["mean_ms"] / post["mean_ms"],
         "perf_counters": {k: counters[k] for k in sorted(counters)},
@@ -240,10 +187,6 @@ def main() -> int:
         f"  post (vectorized build + warm VI): mean {report['post']['mean_ms']:8.1f} ms"
         f"  p50 {report['post']['p50_ms']:8.1f}  p95 {report['post']['p95_ms']:8.1f}",
         f"  speedup (mean total): {report['speedup_mean']:.2f}x",
-        f"  batched solver core:  "
-        f"{report['batched']['per_rj_throughput']:.1f} RJ/s per-RJ vs "
-        f"{report['batched']['batched_throughput']:.1f} RJ/s batched "
-        f"({report['batched']['speedup']:.2f}x, bit-identical)",
         f"  certified gaps over {int(report['certified']['solves'])} solves:"
         f"  max {report['certified']['gap_max']:.2e}"
         f"  mean {report['certified']['gap_mean']:.2e}"

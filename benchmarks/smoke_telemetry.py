@@ -1,21 +1,17 @@
-"""Live telemetry plane smoke: pooled run + /metrics scrape + merged trace.
+"""Live telemetry plane smoke: ``repro run --monitor-port`` + /metrics scrape.
 
-CI-facing end-to-end check of the observability stack under a real
-2-worker pool:
+CI-facing end-to-end check of the observability stack on a serial run:
 
-1. runs the ``cep`` evaluation bioassay with tracing, a journal, metrics,
-   and a live :class:`~repro.obs.monitor.MonitorServer` on an ephemeral
-   port;
-2. a scraper thread hits ``/metrics`` throughout the run and every scrape
+1. runs ``repro run`` (two runs of the ``cep`` evaluation bioassay) with
+   tracing, a journal and a live monitor endpoint on a free port;
+2. a scraper thread hits ``/metrics`` throughout the run, and every scrape
    must parse as OpenMetrics;
-3. after the engine closes (salvaging worker-side telemetry), the final
-   scrape must show non-zero worker-side counters
-   (``repro_worker_solves_total``) next to the engine/scheduler counters;
-4. the journal must contain ``worker.synthesis`` events stamped with
-   worker pids;
-5. the merged Chrome/Perfetto trace exported to ``obs-artifacts/`` must
-   contain ``worker.solve`` spans parented under the engine's
-   ``engine.submit`` / ``engine.batch.submit`` spans, on worker pids.
+3. some scrape taken mid-run must show the scheduler and synthesis
+   counters moving (``repro_scheduler_cycles_total``,
+   ``repro_synthesis_count_total``);
+4. the journal must hold ``synthesis`` events, and the Chrome/Perfetto
+   trace exported to ``obs-artifacts/`` must parent every
+   ``synthesis.solve`` span under an ``rj.plan`` span.
 
 Exits nonzero on any violated expectation.  Run with
 ``PYTHONPATH=src python benchmarks/smoke_telemetry.py``.
@@ -23,76 +19,63 @@ Exits nonzero on any violated expectation.  Run with
 
 from __future__ import annotations
 
+import json
+import socket
 import sys
 import threading
-import time
 import urllib.request
 from pathlib import Path
-
-import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT_DIR = REPO_ROOT / "obs-artifacts"
 
-from repro import obs, perf  # noqa: E402
-from repro.bioassay.library import ALL_BIOASSAYS  # noqa: E402
-from repro.bioassay.planner import plan  # noqa: E402
-from repro.biochip.chip import MedaChip  # noqa: E402
-from repro.biochip.simulator import MedaSimulator  # noqa: E402
-from repro.core.baseline import AdaptiveRouter  # noqa: E402
-from repro.core.scheduler import HybridScheduler  # noqa: E402
-from repro.engine import SynthesisEngine  # noqa: E402
+from repro.cli import main as repro_main  # noqa: E402
 from repro.obs.journal import read_journal  # noqa: E402
-from repro.obs.monitor import MonitorServer  # noqa: E402
 from repro.obs.openmetrics import parse_openmetrics  # noqa: E402
 
-W, H = 60, 30
-WORKERS = 2
-MAX_CYCLES = 2000
-SETTLE_TIMEOUT_S = 120.0
+WATCHED = ("repro_scheduler_cycles_total", "repro_synthesis_count_total")
+
+
+def free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 class Scraper(threading.Thread):
-    """Polls /metrics for the whole run; every response must parse."""
+    """Polls /metrics for the whole run; every response must parse.
+
+    Connection errors before the first scrape mean the endpoint is not
+    up yet; after it, they mean the run finished and the endpoint closed.
+    """
 
     def __init__(self, url: str) -> None:
         super().__init__(name="smoke-scraper", daemon=True)
         self.url = url
         self.stop_event = threading.Event()
         self.scrapes = 0
-        self.last_samples: dict[str, float] = {}
+        self.peak = dict.fromkeys(WATCHED, 0.0)
         self.error: "str | None" = None
-
-    def scrape_once(self) -> dict[str, float]:
-        with urllib.request.urlopen(f"{self.url}/metrics", timeout=10) as r:
-            body = r.read().decode()
-        samples = parse_openmetrics(body)
-        self.scrapes += 1
-        self.last_samples = samples
-        return samples
 
     def run(self) -> None:
         while not self.stop_event.wait(0.05):
             try:
-                self.scrape_once()
-            except Exception as exc:  # noqa: BLE001 - report, don't die
-                self.error = f"scrape #{self.scrapes + 1} failed: {exc}"
+                with urllib.request.urlopen(
+                    f"{self.url}/metrics", timeout=10
+                ) as response:
+                    body = response.read().decode()
+            except OSError:
+                if self.scrapes:
+                    return
+                continue
+            try:
+                samples = parse_openmetrics(body)
+            except ValueError as exc:
+                self.error = f"scrape #{self.scrapes + 1} did not parse: {exc}"
                 return
-
-
-def settle_engine(engine: SynthesisEngine) -> None:
-    """Wait for in-flight worker futures so close() can salvage them all."""
-    deadline = time.monotonic() + SETTLE_TIMEOUT_S
-    pending = [s.future for s in engine._pending.values()]
-    pending += [s.future for s in engine._zombies]
-    for future in pending:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            break
-        try:
-            future.exception(timeout=remaining)
-        except Exception:  # noqa: BLE001 - settled either way
-            pass
+            self.scrapes += 1
+            for name in WATCHED:
+                self.peak[name] = max(self.peak[name], samples.get(name, 0.0))
 
 
 def fail(message: str) -> int:
@@ -105,90 +88,50 @@ def main() -> int:
     journal_path = ARTIFACT_DIR / "smoke_telemetry.journal.jsonl"
     trace_path = ARTIFACT_DIR / "smoke_telemetry.trace.json"
 
-    obs.shutdown()
-    perf.reset()
-    tracer, _ = obs.configure(tracing=True, journal=journal_path,
-                              metrics=True)
-    graph = plan(ALL_BIOASSAYS["cep"](), W, H)
-    chip = MedaChip.sample(W, H, np.random.default_rng(0))
-    engine = SynthesisEngine(workers=WORKERS)
-    router = AdaptiveRouter(engine=engine)
-
-    monitor = MonitorServer(port=0)
-    monitor.start()
-    scraper = Scraper(monitor.url)
+    port = free_port()
+    scraper = Scraper(f"http://127.0.0.1:{port}")
     scraper.start()
-    print(f"monitor: {monitor.url}/metrics")
-
     try:
-        scheduler = HybridScheduler(graph, router, W, H)
-        scheduler.presynthesize(chip.health())
-        sim = MedaSimulator(chip, np.random.default_rng(1))
-        result = sim.run(scheduler, max_cycles=MAX_CYCLES)
-        if not result.success:
-            return fail(f"cep run failed: {result.failure}")
-        print(f"run: ok, {result.cycles} cycles, "
-              f"{result.resyntheses} resyntheses")
-
-        # Let in-flight speculation futures finish, then close: the engine
-        # salvages every completed worker's telemetry bundle on the way out.
-        settle_engine(engine)
+        code = repro_main([
+            "run", "--bioassay", "cep", "--seed", "0", "--runs", "2",
+            "--max-cycles", "2000",
+            "--monitor-port", str(port),
+            "--trace", str(trace_path), "--journal", str(journal_path),
+        ])
     finally:
-        engine.close()
-
-    try:
         scraper.stop_event.set()
         scraper.join(timeout=10)
-        if scraper.error is not None:
-            return fail(scraper.error)
-        if scraper.scrapes == 0:
-            return fail("scraper never completed a scrape during the run")
-        # Final scrape after engine close: worker telemetry is merged now.
-        samples = scraper.scrape_once()
-        print(f"scrapes: {scraper.scrapes}, "
-              f"{len(samples)} series in the final scrape")
-
-        worker_solves = samples.get("repro_worker_solves_total", 0)
-        if worker_solves <= 0:
-            return fail("repro_worker_solves_total is zero: worker-side "
-                        "metric deltas never merged back")
-        engine_series = [k for k in samples if k.startswith("repro_engine_")]
-        scheduler_series = [k for k in samples
-                            if k.startswith("repro_scheduler_")]
-        if not engine_series or not scheduler_series:
-            return fail("expected engine+scheduler counter families, got "
-                        f"{len(engine_series)}/{len(scheduler_series)}")
-        print(f"worker solves merged: {worker_solves:.0f}")
-    finally:
-        monitor.stop()
-        tracer.export_chrome(str(trace_path))
-        obs.shutdown()
+    if code != 0:
+        return fail(f"repro run exited {code}")
+    if scraper.error is not None:
+        return fail(scraper.error)
+    if scraper.scrapes == 0:
+        return fail("scraper never completed a scrape during the run")
+    print(f"scrapes: {scraper.scrapes}, peak counters {scraper.peak}")
+    for name, value in scraper.peak.items():
+        if value <= 0:
+            return fail(f"{name} never moved in a mid-run scrape")
 
     records = read_journal(journal_path)
-    worker_events = [r for r in records if r["event"] == "worker.synthesis"]
-    if not worker_events:
-        return fail("journal has no worker.synthesis events")
-    pids = {r.get("worker_pid") for r in worker_events}
-    if pids == {None}:
-        return fail("worker.synthesis events lack worker_pid stamps")
-    print(f"journal: {len(records)} events, {len(worker_events)} "
-          f"worker.synthesis from pids {sorted(p for p in pids if p)}")
+    syntheses = [r for r in records if r["event"] == "synthesis"]
+    if not syntheses:
+        return fail("journal has no synthesis events")
+    print(f"journal: {len(records)} events, {len(syntheses)} synthesis")
 
-    solves = tracer.find("worker.solve")
-    if not solves:
-        return fail("merged trace has no worker.solve spans")
-    parent_ids = {s.span_id for s in tracer.find("engine.submit")}
-    parent_ids |= {s.span_id for s in tracer.find("engine.batch.submit")}
-    orphans = [s for s in solves if s.parent_id not in parent_ids]
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    spans = [e for e in events if e.get("ph") == "X"]
+    if not any(e["name"] == "synthesis.solve" for e in spans):
+        return fail("trace has no synthesis.solve spans")
+    spans_path = Path(f"{trace_path}.spans.jsonl")
+    records = [json.loads(line) for line in spans_path.read_text().splitlines()]
+    names = {r["id"]: r["name"] for r in records}
+    solves = [r for r in records if r["name"] == "synthesis.solve"]
+    orphans = [r for r in solves if names.get(r["parent"]) != "rj.plan"]
     if orphans:
-        return fail(f"{len(orphans)}/{len(solves)} worker.solve spans are "
-                    "not parented under engine submit spans")
-    import os
-
-    if all(s.pid in (None, os.getpid()) for s in solves):
-        return fail("worker.solve spans carry no worker pids")
-    print(f"trace: {len(solves)} worker.solve spans correlated to engine "
-          f"submit spans -> {trace_path}")
+        return fail(f"{len(orphans)}/{len(solves)} synthesis.solve spans "
+                    "are not parented under rj.plan")
+    print(f"trace: {len(solves)} synthesis.solve spans under rj.plan "
+          f"-> {trace_path}")
 
     print("PASS: live telemetry smoke")
     return 0

@@ -5,17 +5,17 @@ Commands:
 * ``list`` — the bioassay suite with op counts;
 * ``run`` — execute a bioassay on a sampled chip and print the outcome
   (optionally the wear heatmap); ``--trace``/``--journal``/``--perf``
-  switch on the :mod:`repro.obs` telemetry; ``--workers``/``--prefetch``/
-  ``--strategy-cache`` enable the parallel synthesis engine
-  (:mod:`repro.engine`); ``--engine-retries``/``--engine-deadline-ms``
-  bound its fault tolerance and ``--chaos`` injects deterministic faults
-  (:mod:`repro.engine.chaos`);
+  switch on the :mod:`repro.obs` telemetry; ``--strategy-cache`` persists
+  synthesized strategies across runs (:mod:`repro.engine.store`);
 * ``report`` — summarize a run journal written by ``run --journal``
   (``--json`` for machine-readable output, ``--slo`` to gate on
   objectives);
 * ``monitor`` — ``run`` with the live telemetry endpoint always on:
   serves OpenMetrics ``/metrics`` and JSON ``/healthz`` while the
   bioassay executes (``--port``, default 9178);
+* ``serve`` / ``submit`` — the resident multi-assay server
+  (:mod:`repro.serve`) and its client: assays run on serve worker
+  threads against one shared strategy store;
 * ``synth`` — synthesize a single routing job and print the route map;
 * ``degradation`` — print the D(n)/H(n) lifetime table for given (tau, c).
 
@@ -84,49 +84,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
         c_range=(args.c_min, args.c_max),
     )
 
-    if args.chaos is not None:
-        from repro.engine import chaos
-
-        try:
-            chaos.activate(chaos.parse_spec(args.chaos))
-        except ValueError as exc:
-            print(f"bad --chaos spec: {exc}", file=sys.stderr)
-            return 2
-
-    engine = None
-    if args.router == "adaptive" and (
-        args.workers != 1 or args.strategy_cache is not None
-    ):
-        from repro.engine import StrategyStore, SynthesisEngine
-
-        store = None
+    store = None
+    if args.router == "adaptive":
         if args.strategy_cache is not None:
+            from repro.engine import StrategyStore
+
             store = StrategyStore(
                 None if args.strategy_cache == "auto" else args.strategy_cache
             )
-        engine = SynthesisEngine(
-            workers=args.workers, store=store, prefetch=args.prefetch,
-            retries=args.engine_retries, deadline_ms=args.engine_deadline_ms,
-            admission_floor=True,
-        )
-    if args.router == "adaptive":
-        router = AdaptiveRouter(engine=engine)
+        router = AdaptiveRouter(store=store)
     else:
         router = BaselineRouter(args.width, args.height)
 
-    # Mark metric propagation wanted whenever the telemetry plane is in
-    # play, so pool workers ship their metric deltas back even when
-    # neither tracing nor a journal is on (e.g. a bare /metrics endpoint).
-    want_metrics = (
-        args.monitor_port is not None
-        or args.snapshot_interval_ms is not None
-        or bool(slos)
-    )
     tracer, _ = obs.configure(
-        tracing=args.trace is not None,
-        journal=args.journal,
-        metrics=True if want_metrics else None,
+        tracing=args.trace is not None, journal=args.journal
     )
+    cleaned = {"store": False, "pump": False}
+
+    def _close_store() -> None:
+        """Close the store exactly once, whichever path the run leaves
+        by: closing flushes the memo's pending LRU touches to disk."""
+        if store is None or cleaned["store"]:
+            return
+        cleaned["store"] = True
+        store.close()
+        if args.perf:
+            pairs = ", ".join(
+                f"{k}={v}" for k, v in store.counters().items()
+            )
+            print(f"store: {pairs}")
 
     monitor = None
     if args.monitor_port is not None:
@@ -136,10 +122,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return {
                 "bioassay": args.bioassay,
                 "router": args.router,
-                "workers": args.workers,
-                "engine_degraded": bool(
-                    engine is not None and engine.degraded
-                ),
             }
 
         monitor = MonitorServer(
@@ -150,8 +132,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"cannot start monitor endpoint: {exc}", file=sys.stderr)
             obs.shutdown()
-            if engine is not None:
-                engine.close()
+            _close_store()
             return 2
         print(f"monitor: {monitor.url}/metrics (OpenMetrics), "
               f"{monitor.url}/healthz")
@@ -165,48 +146,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if monitor is not None:
                 monitor.stop()
             obs.shutdown()
-            if engine is not None:
-                engine.close()
+            _close_store()
             return 2
         from repro.obs.pump import TelemetryPump
 
         try:
             pump = TelemetryPump(
-                journal,
-                interval_s=args.snapshot_interval_ms / 1e3,
-                worker_pids=(
-                    engine.worker_pids
-                    if engine is not None and engine.pooled
-                    else None
-                ),
+                journal, interval_s=args.snapshot_interval_ms / 1e3
             )
         except ValueError as exc:
             print(f"bad --snapshot-interval-ms: {exc}", file=sys.stderr)
             if monitor is not None:
                 monitor.stop()
             obs.shutdown()
-            if engine is not None:
-                engine.close()
+            _close_store()
             return 2
         pump.start()
 
     total_failures = 0
     slo_results = None
-    cleaned = {"engine": False, "pump": False}
-
-    def _close_engine() -> None:
-        if engine is None or cleaned["engine"]:
-            return
-        cleaned["engine"] = True
-        engine.close()
-        if engine.degraded:
-            print("engine: worker pool degraded mid-run; finished on "
-                  "the synchronous path", file=sys.stderr)
-        if args.perf:
-            pairs = ", ".join(
-                f"{k}={v}" for k, v in engine.counters().items()
-            )
-            print(f"engine: {pairs}")
 
     def _stop_pump() -> None:
         if pump is None or cleaned["pump"]:
@@ -218,7 +176,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for run_idx in range(args.runs):
             obs.journal_event("cli.run", run=run_idx + 1,
                               bioassay=args.bioassay, router=args.router,
-                              seed=args.seed, workers=args.workers)
+                              seed=args.seed)
             if args.wear_level and run_idx:
                 # Re-place from scratch against the wear accumulated by the
                 # previous runs, steering module slots and ports away from
@@ -237,19 +195,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                         reconfig=reconfig)
             sim = MedaSimulator(chip,
                                 np.random.default_rng(args.seed + 1 + run_idx))
-            if engine is not None and engine.pooled:
-                scheduler.presynthesize(chip.health())
             result = sim.run(scheduler, max_cycles=args.max_cycles)
             status = "ok" if result.success else f"FAILED ({result.failure})"
             extra = f" remaps={scheduler.remaps}" if args.reconfig else ""
             print(f"run {run_idx + 1}: {status:24s} cycles={result.cycles:4d} "
                   f"replans={result.resyntheses}{extra}")
             total_failures += 0 if result.success else 1
-        # Orderly teardown before the SLO gate: closing the engine salvages
-        # any remaining worker telemetry (merging worker-side metric deltas
-        # and spans), and the pump's final flush then journals a snapshot
-        # that includes them — so objectives can gate on worker metrics.
-        _close_engine()
+        # Orderly teardown before the SLO gate: the pump's final flush
+        # journals a snapshot of the finished run.
+        _close_store()
         _stop_pump()
         if slos:
             from repro.obs.slo import evaluate
@@ -266,7 +220,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for result_entry in slo_results:
                 obs.journal_event("slo.result", **result_entry.to_record())
     finally:
-        _close_engine()
+        _close_store()
         _stop_pump()
         if monitor is not None:
             monitor.stop()
@@ -369,13 +323,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         host=args.host,
         serve_workers=args.serve_workers,
-        engine_workers=args.workers,
         store_path=args.strategy_cache,
-        prefetch=args.prefetch,
         drain_deadline_s=args.drain_deadline,
         journal_path=args.journal,
-        engine_retries=args.engine_retries,
-        engine_deadline_ms=args.engine_deadline_ms,
     )
     try:
         port = service.start()
@@ -384,8 +334,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     print(f"serving on {service.url} "
           f"(POST /jobs, GET /jobs/<id>[/events], /metrics, /healthz)")
-    print(f"serve workers={args.serve_workers} engine workers={args.workers} "
-          f"store={'on' if service.engine.store is not None else 'off'}")
+    print(f"serve workers={args.serve_workers} "
+          f"store={'on' if service.store is not None else 'off'}")
 
     stop = threading.Event()
 
@@ -512,15 +462,6 @@ def _cmd_degradation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workers_arg(value: str) -> int:
-    workers = int(value)
-    if workers < 0:
-        raise argparse.ArgumentTypeError(
-            "workers must be >= 0 (0 = one per core, 1 = synchronous)"
-        )
-    return workers
-
-
 def _add_run_options(run: argparse.ArgumentParser) -> None:
     """Register the execution options shared by ``run`` and ``monitor``."""
     run.add_argument("--bioassay", default="covid-rat")
@@ -538,32 +479,11 @@ def _add_run_options(run: argparse.ArgumentParser) -> None:
     run.add_argument("--tau-max", type=float, default=0.9)
     run.add_argument("--c-min", type=float, default=200.0)
     run.add_argument("--c-max", type=float, default=500.0)
-    run.add_argument("--workers", type=_workers_arg, default=1,
-                     help="synthesis worker processes (adaptive router only): "
-                          "1 = synchronous (default), 0 = one per core, "
-                          "N>1 = a pool of N")
-    run.add_argument("--prefetch", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="speculatively prefetch strategies for MOs about "
-                          "to activate (needs --workers != 1)")
     run.add_argument("--strategy-cache", metavar="PATH", nargs="?",
                      const="auto", default=None,
                      help="persist synthesized strategies across runs in a "
                           "SQLite cache; with no PATH, uses "
                           "~/.cache/repro/strategies.sqlite")
-    run.add_argument("--engine-retries", type=int, default=2, metavar="N",
-                     help="how many times a speculation is resubmitted after "
-                          "a transient worker failure (default 2)")
-    run.add_argument("--engine-deadline-ms", type=float, default=None,
-                     metavar="MS",
-                     help="per-speculation deadline; in-flight synthesis "
-                          "older than this is reaped and hung workers are "
-                          "killed (default: no deadline)")
-    run.add_argument("--chaos", metavar="SPEC", default=None,
-                     help="deterministic fault injection, e.g. "
-                          "'kill=0.1,raise=0.05,delay=0.1:250,store=0.2,"
-                          "seed=7' (see repro.engine.chaos; REPRO_CHAOS_SEED "
-                          "overrides the seed)")
     run.add_argument("--reconfig", action=argparse.BooleanOptionalAction,
                      default=False,
                      help="quarantine failing silicon and remap module "
@@ -602,9 +522,8 @@ def _add_telemetry_options(
     parser.add_argument("--snapshot-interval-ms", type=float, default=None,
                         metavar="MS",
                         help="journal a telemetry.snapshot (metrics) and "
-                             "telemetry.resources (/proc RSS+CPU, worker "
-                             "liveness) event every MS milliseconds "
-                             "(needs --journal)")
+                             "telemetry.resources (/proc RSS+CPU) event "
+                             "every MS milliseconds (needs --journal)")
     parser.add_argument("--slo", action="append", default=None,
                         metavar="SPEC",
                         help="declarative objective evaluated at end of "
@@ -657,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
-        help="resident multi-assay server: shared engine + store, "
+        help="resident multi-assay server: shared strategy store, "
              "HTTP job API",
     )
     srv.add_argument("--port", type=int, default=DEFAULT_PORT,
@@ -667,19 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bind address (default 127.0.0.1)")
     srv.add_argument("--serve-workers", type=int, default=2, metavar="N",
                      help="concurrent assay worker threads (default 2)")
-    srv.add_argument("--workers", type=_workers_arg, default=1,
-                     help="shared synthesis engine worker processes "
-                          "(1 = synchronous, 0 = one per core)")
-    srv.add_argument("--prefetch", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="speculative prefetch on the shared engine")
     srv.add_argument("--strategy-cache", metavar="PATH", nargs="?",
                      const="auto", default=None,
                      help="shared persistent strategy store; with no PATH, "
                           "uses the default cache location")
-    srv.add_argument("--engine-retries", type=int, default=2, metavar="N")
-    srv.add_argument("--engine-deadline-ms", type=float, default=None,
-                     metavar="MS")
     srv.add_argument("--drain-deadline", type=float, default=30.0,
                      metavar="S",
                      help="seconds SIGTERM/SIGINT waits for queued + "

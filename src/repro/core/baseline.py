@@ -16,7 +16,7 @@ the experiments comes from *information*, not implementation differences.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from repro.core.synthesis import (
     synthesize_with_field,
 )
 from repro.modelcheck.properties import Query
+
+if TYPE_CHECKING:
+    from repro.engine.store import StrategyStore
 
 
 class Router(Protocol):
@@ -69,16 +72,16 @@ class AdaptiveRouter:
         pessimistic: bool = False,
         epsilon: float = SYNTHESIS_EPSILON,
         library: StrategyLibrary | None = None,
-        engine: "object | None" = None,
+        store: "StrategyStore | None" = None,
     ) -> None:
-        """``engine`` is an optional :class:`repro.engine.SynthesisEngine`.
+        """``store`` is an optional persistent
+        :class:`~repro.engine.store.StrategyStore`.
 
-        When present, plans are served in priority order: in-memory library,
-        completed speculation from the worker pool, persistent store, and
-        finally synchronous synthesis.  Speculation and store only ever
-        supply strategies that synchronous synthesis would have produced
-        for the same (job, health), so the routing decisions are identical
-        with and without an engine.
+        When present, plans are served in priority order: in-memory
+        library, store, and finally synchronous synthesis, whose result
+        is written back to both.  A store row is exactly what synthesis
+        would produce for the same (job, health), so the routing
+        decisions are identical with and without a store.
         """
         self.bits = bits
         self.query = query
@@ -86,46 +89,9 @@ class AdaptiveRouter:
         self.pessimistic = pessimistic
         self.epsilon = epsilon
         self.library = library if library is not None else StrategyLibrary()
-        self.engine = engine
+        self.store = store
         self.syntheses = 0
         self.synthesis_seconds = 0.0
-
-    def prefetch(self, job: RoutingJob, health: np.ndarray) -> bool:
-        """Speculatively submit ``(job, health)`` to the engine pool.
-
-        Skips jobs the library already covers; the warm-start policy is
-        captured now, exactly as a synchronous plan at this moment would.
-        """
-        if self.engine is None or not self.engine.pooled:
-            return False
-        if self.library.contains(job, health):
-            return False
-        return self.engine.submit(
-            job, health, warm_values=self.library.warm_start(job)
-        )
-
-    def prefetch_batch(
-        self, jobs: "list[RoutingJob]", health: np.ndarray
-    ) -> int:
-        """Speculatively submit a wave of jobs as one batched engine task.
-
-        The batch counterpart of :meth:`prefetch`: library-covered jobs
-        are filtered out, warm-start policies are captured per job exactly
-        as a synchronous plan at this moment would, and the rest ship via
-        :meth:`~repro.engine.SynthesisEngine.presynthesize_batch` — one
-        pool task for the whole wave (or an in-process batched solve when
-        the engine has no pool).  Returns the number of jobs submitted.
-        """
-        if self.engine is None:
-            return 0
-        items = [
-            (job, self.library.warm_start(job))
-            for job in jobs
-            if not self.library.contains(job, health)
-        ]
-        if not items:
-            return 0
-        return self.engine.presynthesize_batch(items, health)
 
     def plan(self, job: RoutingJob, health: np.ndarray) -> RoutingStrategy | None:
         with obs.span("rj.plan", job=job.key()) as rj_span:
@@ -142,18 +108,8 @@ class AdaptiveRouter:
                 rj_span.set(health_fp=fingerprint_digest(
                     health_fingerprint(health, job.hazard)
                 ))
-            if self.engine is not None:
-                status, speculated = self.engine.take(job, health)
-                rj_span.set(engine=status)
-                if status in ("hit", "no-plan"):
-                    # A completed speculation is a definitive answer for this
-                    # exact (job, health fingerprint) pair.
-                    perf.incr("engine.presynthesized")
-                    if speculated is not None:
-                        self.library.put(job, health, speculated)
-                        self.engine.store_put(job, health, speculated)
-                    return speculated
-                stored = self.engine.store_get(job, health)
+            if self.store is not None:
+                stored = self.store.get(job, health)
                 if stored is not None:
                     # library.put also installs the stored policy as the
                     # job's warm-start seed for future resyntheses.
@@ -187,8 +143,8 @@ class AdaptiveRouter:
             strategy = strategy_from_synthesis(job, result)
             if strategy is not None:
                 self.library.put(job, health, strategy)
-                if self.engine is not None:
-                    self.engine.store_put(job, health, strategy)
+                if self.store is not None:
+                    self.store.put(job, health, strategy)
             return strategy
 
 

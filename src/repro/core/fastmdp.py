@@ -284,8 +284,8 @@ def _read_window(
     extremes over a shape's anchor range bound every lookup.  The build
     sums forces over a prefix *local to this window*, which makes the
     model a pure function of ``forces[x0:x1, y0:y1]`` — the foundation of
-    the cold-result memo and the batch kernel's dedup (identical window
-    bytes imply a bit-identical model).
+    the cold-result memo (identical window bytes imply a bit-identical
+    model).
     """
     x0, x1 = width, 0
     y0, y1 = height, 0
@@ -764,27 +764,6 @@ def build_routing_model_fast(
     with _TEMPLATE_LOCK:
         _publish(key, entry, support, tpl)
     return _model(tpl, job, transitions)
-
-
-def build_dedup_token(
-    job: RoutingJob,
-    forces: np.ndarray,
-    max_aspect: float = DEFAULT_MAX_ASPECT,
-    families: tuple[ActionClass, ...] | None = None,
-) -> bytes | None:
-    """The bytes of the force window a build of ``(job, forces)`` reads.
-
-    Two builds of the same job whose tokens are equal produce bit-identical
-    models (the build is a pure function of the window slice — see
-    :func:`_read_window`), so batch callers can solve one and reuse the
-    result for the other.  Returns ``None`` when no geometry is retained
-    for the job yet (the window is discovered by the first build).
-    """
-    with _TEMPLATE_LOCK:
-        entry = _GEOMETRIES.get(
-            _geometry_key(job, forces, max_aspect, families)
-        )
-    return None if entry is None else _window_bytes(entry.geometry, forces)
 
 
 def _canonical_data(

@@ -50,10 +50,9 @@ class RoutingStrategy:
     def to_payload(self) -> dict:
         """The policy's columnar payload plus ``job`` and ``expected_cycles``.
 
-        This is the wire format of the synthesis engine: worker processes
-        ship strategies as these pickle-safe dicts instead of model
-        objects, and the persistent strategy store writes them as one
-        binary row (see :meth:`MemorylessStrategy.to_payload`).
+        The persistent strategy store writes it as one binary row (see
+        :meth:`MemorylessStrategy.to_payload` and
+        :func:`repro.engine.store.encode_payload`).
         """
         payload = self.policy.to_payload()
         payload["job"] = job_to_payload(self.job)
@@ -145,7 +144,7 @@ class StrategyLibrary:
     def contains(self, job: RoutingJob, health: np.ndarray) -> bool:
         """Membership check that does not touch the hit/miss counters.
 
-        Used by speculative machinery (prefetch submission) that must not
+        For observers (the benchmark's replan tracer) that must not
         pollute the cache statistics with lookups no plan ever asked for.
         """
         return self._key(job, health) in self.entries

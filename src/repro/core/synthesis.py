@@ -21,9 +21,7 @@ from repro import obs, perf
 from repro.core.actions import DEFAULT_MAX_ASPECT, ActionClass
 from repro.core.fastmdp import (
     CompiledRoutingModel,
-    build_dedup_token,
     build_routing_model_fast,
-    clear_cold_results,
     cold_result,
     extract_fast_strategy,
     remember_cold_result,
@@ -34,11 +32,6 @@ from repro.core.transitions import ForceField, MatrixForceField, UniformForceFie
 from repro.degradation.model import (
     DEFAULT_HEALTH_BITS,
     health_to_degradation_estimate,
-)
-from repro.modelcheck.batch import (
-    solve_reach_avoid_probability_batch,
-    solve_reach_avoid_reward_batch,
-    structural_key,
 )
 from repro.modelcheck.compiled import (
     CompiledMDP,
@@ -51,7 +44,7 @@ from repro.modelcheck.reachability import ValueResult
 from repro.modelcheck.strategy import MemorylessStrategy, extract_strategy
 
 #: A warm start: the job's last solved policy, a ``{pattern: value}`` map
-#: (what the engine's wire format carries) or ``None`` for a cold solve.
+#: or ``None`` for a cold solve.
 WarmStart = MemorylessStrategy | Mapping | None
 
 #: Default convergence threshold for synthesis-time value iteration.  The
@@ -115,36 +108,6 @@ class SynthesisResult:
     def exists(self) -> bool:
         """Whether a usable strategy was synthesized."""
         return self.strategy is not None
-
-    def to_payload(self) -> dict:
-        """A compact, pickle-safe dict of this result.
-
-        The heavyweight ``model`` (state inventory + CSR transitions) is
-        deliberately dropped: cross-process consumers only need the policy
-        and its value, and shipping the model would dwarf them both.
-        """
-        return {
-            "strategy": None if self.strategy is None
-            else self.strategy.to_payload(),
-            "expected_cycles": self.expected_cycles,
-            "success_probability": self.success_probability,
-            "construction_time": self.construction_time,
-            "solve_time": self.solve_time,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SynthesisResult":
-        """Rehydrate a result from :meth:`to_payload` (``model`` is None)."""
-        strategy = payload["strategy"]
-        return cls(
-            strategy=None if strategy is None
-            else MemorylessStrategy.from_payload(strategy),
-            expected_cycles=float(payload["expected_cycles"]),
-            success_probability=payload["success_probability"],
-            model=None,
-            construction_time=float(payload["construction_time"]),
-            solve_time=float(payload["solve_time"]),
-        )
 
 
 def synthesize(
@@ -337,11 +300,8 @@ def _finalize(
     construction_time: float,
     solve_time: float,
 ) -> SynthesisResult:
-    """Package a solved model into a :class:`SynthesisResult`.
-
-    Shared by the solo and batched synthesis paths, so strategy extraction
-    and the no-plan/start-coverage gating cannot diverge between them.
-    """
+    """Package a solved model into a :class:`SynthesisResult`: extract the
+    strategy, then gate it on plan existence and start coverage."""
     if query.objective in (Objective.RMIN, Objective.RMAX):
         expected = float(result.values[compiled.initial])
         probability: float | None = None
@@ -373,166 +333,6 @@ def _finalize(
         construction_time=construction_time,
         solve_time=solve_time,
     )
-
-
-@dataclass(frozen=True)
-class BatchRequest:
-    """One synthesis problem in a :func:`synthesize_batch` call."""
-
-    job: RoutingJob
-    field: ForceField
-    warm_values: WarmStart = None
-
-
-def _same_warm_start(a: WarmStart, b: WarmStart) -> bool:
-    """Whether two requests seed alike: the same policy object, or equal
-    maps (comparing policies would build their maps)."""
-    return a is b or (
-        not isinstance(a, MemorylessStrategy) and a is not None and a == b
-    )
-
-
-def clear_batch_value_memo() -> None:
-    """Forget every remembered cold result (benches model cold runs);
-    the build templates stay."""
-    clear_cold_results()
-
-
-def synthesize_batch(
-    requests: "list[BatchRequest]",
-    query: Query | None = None,
-    max_aspect: float = DEFAULT_MAX_ASPECT,
-    epsilon: float = SYNTHESIS_EPSILON,
-    families: tuple[ActionClass, ...] | None = None,
-) -> "list[SynthesisResult]":
-    """Synthesize a family of routing jobs through the batched solver core.
-
-    Models are built per request (template-cached construction), grouped
-    into shape buckets by :func:`repro.modelcheck.batch.structural_key`,
-    and each bucket is solved by one batch-kernel call that shares the
-    support-keyed precompute.  Every result is bit-identical to the
-    corresponding :func:`synthesize_with_field` call — the kernel solves
-    each model exactly as a solo solve would, the extraction/gating tail
-    is literally shared code, and cold requests read and fill the same
-    template-held cold results (``vi.batch.memo.{hits,misses}`` besides
-    ``synthesis.memo.*``) — so callers (the engine's presynthesis, the
-    scheduler's degraded sync path) can swap the per-RJ loop for this
-    without disturbing trace identity.
-
-    Requests whose field has no backing matrix fall back to the solo path.
-    Per-item ``solve_time`` is the bucket's wall-clock share (individual
-    attribution inside one kernel call is necessarily amortized).
-    """
-    query = query if query is not None else reward_query()
-    n = len(requests)
-    results: "list[SynthesisResult | None]" = [None] * n
-    models: "list[CompiledRoutingModel | None]" = [None] * n
-    seeds: "list[np.ndarray | None]" = [None] * n
-    construct: "list[float]" = [0.0] * n
-    buckets: "dict[str, list[int]]" = {}
-    # Requests whose (job, force-window, warm seed) coincide with an
-    # earlier one get the earlier result verbatim: the model build is a
-    # pure function of the window bytes (see fastmdp.build_dedup_token),
-    # so the solo path would reproduce the exact same floats anyway.
-    dup_of: "dict[int, int]" = {}
-    seen: "dict[tuple, list[int]]" = {}
-    memos: "dict[int, tuple]" = {}
-
-    with obs.span("synthesis.batch", jobs=n) as batch_span:
-        for i, req in enumerate(requests):
-            forces = _force_matrix(req.field)
-            if forces is None:
-                results[i] = synthesize_with_field(
-                    req.job, req.field, query=query, max_aspect=max_aspect,
-                    epsilon=epsilon, families=families,
-                    warm_values=req.warm_values,
-                )
-                continue
-            token = build_dedup_token(req.job, forces, max_aspect, families)
-            if token is not None:
-                dkey = (req.job.key(), token)
-                for j in seen.get(dkey, ()):
-                    if _same_warm_start(requests[j].warm_values,
-                                        req.warm_values):
-                        dup_of[i] = j
-                        perf.incr("vi.batch.dedup")
-                        break
-                if i in dup_of:
-                    continue
-            warm = _warm_policy(req.warm_values)
-            if warm is None:
-                memos[i] = (req.job, forces, (query, float(epsilon)),
-                            max_aspect, families)
-                hit = _recall(memos[i])
-                perf.incr("vi.batch.memo.hits" if hit is not None
-                          else "vi.batch.memo.misses")
-                if hit is not None:
-                    results[i] = hit
-                    seen.setdefault((req.job.key(), token), []).append(i)
-                    continue
-            perf.incr("synthesis.count")
-            t0 = time.perf_counter()
-            with obs.span("synthesis.construct", job=req.job.key()):
-                model = build_routing_model_fast(
-                    req.job, forces, max_aspect=max_aspect, families=families
-                )
-            construct[i] = time.perf_counter() - t0
-            perf.add_time("synthesis.construct_seconds", construct[i])
-            perf.observe("synthesis.construct_ms", construct[i] * 1e3)
-            models[i] = model
-            seeds[i] = _warm_seed(model, query, warm)
-            key = structural_key(model.compiled)
-            buckets.setdefault(key, []).append(i)
-            if token is None:  # first build for this geometry: window known now
-                token = build_dedup_token(req.job, forces, max_aspect, families)
-            if token is not None:
-                seen.setdefault((req.job.key(), token), []).append(i)
-        batch_span.set(buckets=len(buckets), dedup=len(dup_of))
-
-        for idxs in buckets.values():
-            cms = [models[i].compiled for i in idxs]
-            ivs = [seeds[i] for i in idxs]
-            t0 = time.perf_counter()
-            with obs.span("synthesis.solve", states=cms[0].num_states,
-                          models=len(idxs),
-                          warm=any(s is not None for s in ivs)) as solve_span:
-                if query.objective in (Objective.RMIN, Objective.RMAX):
-                    value_results = solve_reach_avoid_reward_batch(
-                        cms,
-                        goal=query.formula.goal_label,
-                        avoid=query.formula.avoid_label,
-                        minimize=query.objective is Objective.RMIN,
-                        epsilon=epsilon,
-                        initial_values=ivs,
-                    )
-                else:
-                    value_results = solve_reach_avoid_probability_batch(
-                        cms,
-                        goal=query.formula.goal_label,
-                        avoid=query.formula.avoid_label,
-                        maximize=query.objective is Objective.PMAX,
-                        epsilon=epsilon,
-                        initial_values=ivs,
-                    )
-                solve_span.set(
-                    iterations=max(r.iterations for r in value_results)
-                )
-            share = (time.perf_counter() - t0) / len(idxs)
-            for i, vr in zip(idxs, value_results):
-                perf.add_time("synthesis.solve_seconds", share)
-                perf.observe("synthesis.solve_ms", share * 1e3)
-                perf.observe("synthesis.total_ms", (construct[i] + share) * 1e3)
-                perf.observe("synthesis.vi_iterations", vr.iterations,
-                             bounds=perf.DEFAULT_COUNT_BUCKETS)
-                results[i] = _finalize(
-                    requests[i].job, query, models[i], models[i].compiled,
-                    vr, construct[i], share,
-                )
-                if i in memos:
-                    _remember(memos[i], results[i])
-        for i, j in dup_of.items():
-            results[i] = results[j]
-    return results
 
 
 def baseline_field(width: int, height: int) -> UniformForceField:

@@ -1,27 +1,12 @@
-"""Synthesis execution engine: worker pool, speculation, persistent store.
+"""The persistent cross-run strategy store.
 
-See :mod:`repro.engine.pool` for the speculative multi-worker engine,
-:mod:`repro.engine.store` for the cross-run SQLite strategy cache,
-:mod:`repro.engine.faults` for the worker-failure taxonomy and retry
-policy, and :mod:`repro.engine.chaos` for the deterministic
-fault-injection harness.
+See :mod:`repro.engine.store` for the SQLite strategy cache that the
+adaptive router reads before it synthesizes and writes after.
 """
 
-from repro.engine.chaos import ChaosConfig, ChaosInjectedError, ChaosInjector
-from repro.engine.faults import FaultKind, RetryPolicy, classify_failure
-from repro.engine.pool import SynthesisEngine, TenantView, resolve_workers
 from repro.engine.store import StrategyStore, default_store_path
 
 __all__ = [
-    "ChaosConfig",
-    "ChaosInjectedError",
-    "ChaosInjector",
-    "FaultKind",
-    "RetryPolicy",
-    "SynthesisEngine",
     "StrategyStore",
-    "TenantView",
-    "classify_failure",
     "default_store_path",
-    "resolve_workers",
 ]

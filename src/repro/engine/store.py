@@ -61,7 +61,6 @@ import numpy as np
 from repro import perf
 from repro.core.routing_job import RoutingJob
 from repro.core.strategy import RoutingStrategy, health_fingerprint
-from repro.engine import chaos
 from repro.modelcheck.properties import Query
 
 #: Bump when the payload layout or key derivation changes; old rows become
@@ -287,8 +286,8 @@ class StrategyStore:
         """Guard get/put against use after :meth:`close`.
 
         A closed connection would raise ``sqlite3.ProgrammingError`` on
-        use; a late ``store_put`` from a router outliving its engine must
-        be a counted no-op, not a crash mid-assay.
+        use; a late put from a router outliving the store's owner must be
+        a counted no-op, not a crash mid-assay.
         """
         if self._closed:
             self.use_after_close += 1
@@ -447,14 +446,7 @@ class StrategyStore:
         raw = self._raw_key(job, health)
         full, base = self._keys(raw)
         now = time.time()
-        clean = encode_payload(strategy.to_payload())
-        payload = clean
-        injector = chaos.injector()
-        if injector is not None:
-            # Chaos harness: maybe garble this row before it hits disk, so
-            # the corruption-tolerance path (undecodable row -> delete +
-            # miss) is exercised by real mid-run writes.
-            payload = injector.corrupt_payload(full, payload)
+        payload = encode_payload(strategy.to_payload())
         # Pending touches ride this put's commit, written before its
         # INSERT (which sets this row's own last_used), so the eviction
         # query after it orders rows exactly as immediate touches would.
@@ -469,12 +461,7 @@ class StrategyStore:
         )
         if ok:
             perf.incr("store.puts")
-            if payload == clean:
-                # Memoize only what actually hit the disk intact: a
-                # chaos-garbled row must still be discovered (and deleted)
-                # by the corruption-tolerance read path, not masked by the
-                # memo.
-                self._memo_put(raw, full, strategy)
+            self._memo_put(raw, full, strategy)
             self._evict()
 
     def _flush_touches(self) -> None:

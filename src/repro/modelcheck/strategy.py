@@ -210,7 +210,7 @@ class MemorylessStrategy:
         )
 
     def __reduce__(self):
-        # Pickle as the payload: the pool's wire form and the store's.
+        # Pickle as the columnar payload, the store's row form.
         return (MemorylessStrategy.from_payload, (self.to_payload(),))
 
     def _derive_columns(self) -> None:

@@ -52,7 +52,7 @@ from repro.obs.metrics import (
 from repro.obs.tracing import NULL_SPAN, NullSpan, Span, Tracer
 
 __all__ = [
-    "configure", "shutdown", "enabled", "metrics_enabled", "tracer",
+    "configure", "shutdown", "enabled", "tracer",
     "journal", "span", "begin_span", "end_span", "under", "traced",
     "journal_event", "journal_scope",
     "Tracer", "Span", "NullSpan", "NULL_SPAN", "RunJournal",
@@ -64,7 +64,6 @@ __all__ = [
 
 _tracer: Tracer | None = None
 _journal: RunJournal | None = None
-_metrics = False
 
 
 class _NullContext:
@@ -85,49 +84,35 @@ _NULL_CONTEXT = _NullContext()
 def configure(
     tracing: bool = False,
     journal: "RunJournal | str | Path | TextIO | Callable[[dict], None] | None" = None,
-    metrics: bool | None = None,
 ) -> tuple[Tracer | None, RunJournal | None]:
     """Enable telemetry for this process; returns ``(tracer, journal)``.
 
     ``tracing=True`` installs a fresh :class:`Tracer` (replacing any
     previous one).  ``journal`` accepts an existing :class:`RunJournal` or
     any sink the journal constructor takes (path, stream, callable);
-    ``None`` leaves the current journal untouched.  ``metrics=True`` marks
-    metric *propagation* as wanted — the perf registry is always live, but
-    pool workers only ship their per-task metric deltas back when the
-    parent has some telemetry switched on (see
-    :mod:`repro.obs.propagate`); the flag requests that shipping even when
-    neither tracing nor a journal is configured (e.g. a bare ``/metrics``
-    monitor endpoint).  ``None`` leaves the flag untouched.
+    ``None`` leaves the current journal untouched.  (The perf metrics
+    registry needs no switch: it is always live.)
     """
-    global _tracer, _journal, _metrics
+    global _tracer, _journal
     if tracing:
         _tracer = Tracer()
     if journal is not None:
         _journal = journal if isinstance(journal, RunJournal) else RunJournal(journal)
-    if metrics is not None:
-        _metrics = bool(metrics)
     return _tracer, _journal
 
 
 def shutdown() -> None:
     """Disable telemetry: drop the tracer, close and drop the journal."""
-    global _tracer, _journal, _metrics
+    global _tracer, _journal
     if _journal is not None:
         _journal.close()
     _tracer = None
     _journal = None
-    _metrics = False
 
 
 def enabled() -> bool:
     """Whether span tracing is currently active."""
     return _tracer is not None
-
-
-def metrics_enabled() -> bool:
-    """Whether cross-process metric propagation was explicitly requested."""
-    return _metrics
 
 
 def tracer() -> Tracer | None:

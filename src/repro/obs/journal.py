@@ -48,28 +48,6 @@ JOURNAL_SCHEMA_VERSION = 1
 #: journals (no ``schema_version`` field), which remain readable.
 SUPPORTED_SCHEMA_VERSIONS = (0, JOURNAL_SCHEMA_VERSION)
 
-#: Event names the synthesis engine's fault-tolerance layer emits.  The
-#: journal itself is schema-free — any event name is accepted — but these
-#: are documented here so report tooling and tests agree on the spelling:
-#:
-#: * ``engine.fault`` — one classified worker failure
-#:   (``kind`` in ``pool``/``transient``/``payload``, ``job``, ``detail``);
-#: * ``engine.rebuild`` — the worker pool was rebuilt after a breakage
-#:   (``attempt``, ``backoff_ms``);
-#: * ``engine.deadline`` — an in-flight speculation exceeded its deadline
-#:   and was reaped (``job``, ``deadline_ms``, ``hung``);
-#: * ``engine.degraded`` — the rebuild budget ran out; the engine fell
-#:   back to the synchronous path permanently (``reason``, ``rebuilds``);
-#: * ``engine.degraded.observed`` — the scheduler noticed the degraded
-#:   engine (``cycle``, ``rebuilds``).
-ENGINE_EVENTS = (
-    "engine.fault",
-    "engine.rebuild",
-    "engine.deadline",
-    "engine.degraded",
-    "engine.degraded.observed",
-)
-
 #: Event names the reconfiguration layer (``repro.reconfig``) emits:
 #:
 #: * ``reconfig.quarantine`` — the quarantine map changed (``cycle``,

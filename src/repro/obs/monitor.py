@@ -2,12 +2,11 @@
 
 Opt-in observability substrate for a running assay process: while a run is
 in flight, ``GET /metrics`` returns the OpenMetrics rendering of the live
-perf registry (engine/store/vi counters, latency histograms — including
-worker-side metrics merged back by :mod:`repro.obs.propagate`), and
-``GET /healthz`` returns a small JSON liveness document the caller can
-enrich with run state.  This is the surface the planned ``repro.serve``
-job layer will scrape; until then, ``python -m repro monitor`` (or
-``run --monitor-port``) exposes it for any single run.
+perf registry (store/vi counters, latency histograms), and ``GET
+/healthz`` returns a small JSON liveness document the caller can enrich
+with run state.  ``repro serve`` mounts its job API on the same server;
+``python -m repro monitor`` (or ``run --monitor-port``) exposes it for
+any single run.
 
 Implementation notes: a ``ThreadingHTTPServer`` on a daemon thread, so a
 hung scrape can never wedge the scheduler loop, and binding port ``0``
@@ -112,7 +111,7 @@ class MonitorServer:
 
     ``registry`` defaults to the live perf registry at scrape time;
     ``health`` is an optional callable whose dict return is merged into
-    the ``/healthz`` document (run progress, degraded-engine flags, ...).
+    the ``/healthz`` document (run progress, queue depth, ...).
     ``routes`` mounts extra endpoints on the same server: a callable
     ``(method, raw_path, body) -> (status, content_type, body) | None``
     consulted before the built-ins for every GET/POST — return ``None``

@@ -10,7 +10,7 @@ final registry state into a textfile-collector drop.
 Mapping:
 
 * dotted repro metric names sanitize to underscores under a ``repro_``
-  prefix (``engine.prefetch.hits`` -> ``repro_engine_prefetch_hits``);
+  prefix (``store.memo.hits`` -> ``repro_store_memo_hits``);
 * counters render as ``<name>_total`` with ``# TYPE ... counter``;
 * gauges render verbatim with ``# TYPE ... gauge``;
 * histograms render cumulative ``_bucket{le="..."}`` series (including the

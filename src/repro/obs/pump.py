@@ -1,8 +1,8 @@
 """Streaming telemetry: periodic metric snapshots and resource sampling.
 
-The journal records *what happened*; during a long pooled run the operator
-also needs *what is happening* — are synthesis latencies drifting, is a
-worker leaking memory, did a pool process die.  The
+The journal records *what happened*; during a long run the operator also
+needs *what is happening* — are synthesis latencies drifting, is the
+process leaking memory.  The
 :class:`TelemetryPump` is a small daemon thread that, every ``interval_s``
 seconds, emits two journal events:
 
@@ -12,8 +12,7 @@ seconds, emits two journal events:
   so a journal tail shows live rates and an SLO tracker can evaluate per
   window;
 * ``telemetry.resources`` — RSS and CPU time of this process read from
-  ``/proc/self/stat``, and per-worker liveness + resources for any pool
-  worker pids the caller exposes.
+  ``/proc/self/stat``.
 
 Everything is opt-in: no pump, no thread, no events.  A ``tick()`` is a
 registry export + a handful of ``/proc`` reads — budgeted in
@@ -25,7 +24,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Callable, Iterable
+from typing import Any
 
 from repro import perf
 from repro.obs.journal import RunJournal
@@ -42,8 +41,7 @@ def sample_process(pid: "int | None" = None) -> "dict[str, Any] | None":
     """RSS and CPU time of one process from ``/proc/<pid>/stat``.
 
     Returns ``{"pid", "rss_kb", "cpu_s"}`` or ``None`` when the process is
-    gone or ``/proc`` is unavailable (non-Linux) — callers treat ``None``
-    for a worker pid as "not alive".
+    gone or ``/proc`` is unavailable (non-Linux).
     """
     try:
         with open(f"/proc/{pid if pid is not None else 'self'}/stat") as fh:
@@ -72,11 +70,7 @@ class TelemetryPump:
 
     ``journal`` is the sink (typically the run's configured journal);
     ``registry`` defaults to the live :func:`repro.perf.registry` resolved
-    at each tick.  ``worker_pids`` is an optional zero-argument callable
-    returning the pool's current worker pids (see
-    :meth:`~repro.engine.SynthesisEngine.worker_pids`) — each tick then
-    reports per-worker RSS/CPU and liveness, which is how a silently
-    OOM-killed worker shows up in the journal before the engine notices.
+    at each tick.
     """
 
     def __init__(
@@ -84,14 +78,12 @@ class TelemetryPump:
         journal: RunJournal,
         interval_s: float = DEFAULT_INTERVAL_S,
         registry: "MetricsRegistry | None" = None,
-        worker_pids: "Callable[[], Iterable[int]] | None" = None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
         self.journal = journal
         self.interval_s = interval_s
         self._registry = registry
-        self._worker_pids = worker_pids
         self._prev_state: "dict | None" = None
         self._started_at: "float | None" = None
         self._window = 0
@@ -130,23 +122,10 @@ class TelemetryPump:
         }
         self.journal.emit("telemetry.snapshot", **snapshot_record)
 
-        resources: dict[str, Any] = {
-            "window": self._window,
-            "process": sample_process(),
-        }
-        if self._worker_pids is not None:
-            workers = {}
-            for pid in self._worker_pids():
-                sample = sample_process(pid)
-                workers[str(pid)] = (
-                    {"alive": False} if sample is None
-                    else {"alive": True, **sample}
-                )
-            resources["workers"] = workers
-            resources["workers_alive"] = sum(
-                1 for w in workers.values() if w["alive"]
-            )
-        self.journal.emit("telemetry.resources", **resources)
+        self.journal.emit(
+            "telemetry.resources", window=self._window,
+            process=sample_process(),
+        )
         perf.incr("obs.pump.ticks")
         return snapshot_record
 

@@ -41,19 +41,10 @@ def summarize_journal(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
       over per-synthesis wall milliseconds;
     * ``stalls`` / ``recoveries`` / ``transport_failures`` /
       ``degradation_crossings`` — event counts;
-    * ``solves`` — where synthesis actually ran: ``{"router", "worker",
-      "worker_pids"}`` (worker-side solves are the ``worker.synthesis``
-      events merged back from pool workers, stamped with their origin
-      pid);
     * ``telemetry`` — streaming-telemetry activity from the
       :class:`~repro.obs.pump.TelemetryPump`: ``{"snapshots",
-      "resource_samples", "peak_rss_kb", "workers_alive",
-      "last_metrics"}`` (zeros/None without a pump);
-    * ``engine`` — fault-tolerance activity of the synthesis engine:
-      ``{"faults": {kind: count}, "rebuilds", "deadline_reaps",
-      "degraded", "batch"}`` (all zero/False for a run without a worker
-      pool); ``batch`` counts the batched presynthesis waves
-      (``{"waves", "jobs", "sync_waves"}``).
+      "resource_samples", "peak_rss_kb", "last_metrics"}`` (zeros/None
+      without a pump).
     """
     records = list(records)
 
@@ -99,15 +90,9 @@ def summarize_journal(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
         for rec in iter_events(records, "resynthesis")
     ]
 
-    # Synthesis latencies regardless of where the solve ran: router-side
-    # "synthesis" events plus worker-side "worker.synthesis" events merged
-    # back from the pool (batch members carry per-wave batch_ms, not a
-    # per-member ms, and are excluded from the wall distribution).
-    router_events = iter_events(records, "synthesis")
-    worker_events = iter_events(records, "worker.synthesis")
     latencies = sorted(
         float(rec["ms"])
-        for rec in router_events + worker_events
+        for rec in iter_events(records, "synthesis")
         if rec.get("ms") is not None
     )
     synthesis_ms = {
@@ -119,38 +104,6 @@ def summarize_journal(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
         "max": latencies[-1] if latencies else math.nan,
     }
 
-    fault_kinds: dict[str, int] = {}
-    for rec in iter_events(records, "engine.fault"):
-        kind = str(rec.get("kind", "unknown"))
-        fault_kinds[kind] = fault_kinds.get(kind, 0) + 1
-    batch_events = iter_events(records, "engine.batch.submit")
-    engine = {
-        "faults": fault_kinds,
-        "rebuilds": len(iter_events(records, "engine.rebuild")),
-        "deadline_reaps": len(iter_events(records, "engine.deadline")),
-        "degraded": bool(iter_events(records, "engine.degraded")),
-        # Batched presynthesis waves: one event per
-        # SynthesisEngine.presynthesize_batch call that accepted jobs;
-        # ``pooled: false`` marks the in-process (no-pool) fallback.
-        "batch": {
-            "waves": len(batch_events),
-            "jobs": sum(int(rec.get("jobs", 0)) for rec in batch_events),
-            "sync_waves": sum(
-                1 for rec in batch_events if not rec.get("pooled", True)
-            ),
-        },
-    }
-
-    solves = {
-        "router": len(router_events),
-        "worker": len(worker_events),
-        "worker_pids": sorted({
-            rec["worker_pid"]
-            for rec in worker_events
-            if rec.get("worker_pid") is not None
-        }),
-    }
-
     snapshots = iter_events(records, "telemetry.snapshot")
     resource_samples = iter_events(records, "telemetry.resources")
     rss_values = [
@@ -159,16 +112,10 @@ def summarize_journal(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
         if isinstance(rec.get("process"), dict)
         and rec["process"].get("rss_kb") is not None
     ]
-    alive_values = [
-        rec["workers_alive"]
-        for rec in resource_samples
-        if rec.get("workers_alive") is not None
-    ]
     telemetry = {
         "snapshots": len(snapshots),
         "resource_samples": len(resource_samples),
         "peak_rss_kb": max(rss_values) if rss_values else None,
-        "workers_alive": alive_values[-1] if alive_values else None,
         "last_metrics": snapshots[-1].get("metrics") if snapshots else None,
     }
 
@@ -178,7 +125,6 @@ def summarize_journal(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
         "mos": mos,
         "resyntheses": resyntheses,
         "synthesis_ms": synthesis_ms,
-        "solves": solves,
         "telemetry": telemetry,
         "stalls": len(iter_events(records, "droplet.stall")),
         "recoveries": len(iter_events(records, "mo.recovered")),
@@ -187,7 +133,6 @@ def summarize_journal(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
             int(rec.get("cells", 1))
             for rec in iter_events(records, "degradation.crossing")
         ),
-        "engine": engine,
     }
 
 
@@ -270,14 +215,6 @@ def format_report(summary: dict[str, Any]) -> str:
         f"p90={_fmt_ms(s['p90'])}ms p99={_fmt_ms(s['p99'])}ms "
         f"mean={_fmt_ms(s['mean'])}ms max={_fmt_ms(s['max'])}ms"
     )
-    solves = summary.get("solves") or {}
-    if solves.get("worker"):
-        pids = solves.get("worker_pids") or []
-        lines.append(
-            f"solves: router={solves.get('router', 0)} "
-            f"worker={solves['worker']} "
-            f"across {len(pids)} worker process(es)"
-        )
     lines.append(
         f"stalls={summary['stalls']} recoveries={summary['recoveries']} "
         f"transport failures={summary['transport_failures']} "
@@ -286,38 +223,9 @@ def format_report(summary: dict[str, Any]) -> str:
     telemetry = summary.get("telemetry") or {}
     if telemetry.get("snapshots") or telemetry.get("resource_samples"):
         peak = telemetry.get("peak_rss_kb")
-        alive = telemetry.get("workers_alive")
         lines.append(
             f"telemetry: {telemetry.get('snapshots', 0)} snapshot(s), "
             f"{telemetry.get('resource_samples', 0)} resource sample(s)"
             + (f", peak rss {peak / 1024:.1f} MiB" if peak else "")
-            + (f", workers alive {alive}" if alive is not None else "")
-        )
-    engine = summary.get("engine") or {}
-    batch = engine.get("batch") or {}
-    if batch.get("waves"):
-        lines.append(
-            f"batched presynthesis: {batch['waves']} wave(s), "
-            f"{batch['jobs']} jobs"
-            + (
-                f" ({batch['sync_waves']} in-process)"
-                if batch.get("sync_waves")
-                else ""
-            )
-        )
-    if (
-        engine.get("faults")
-        or engine.get("rebuilds")
-        or engine.get("deadline_reaps")
-        or engine.get("degraded")
-    ):
-        faults = ", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(engine["faults"].items())
-        ) or "none"
-        lines.append(
-            f"engine faults: {faults}  rebuilds={engine['rebuilds']} "
-            f"deadline reaps={engine['deadline_reaps']} "
-            f"degraded={'yes' if engine['degraded'] else 'no'}"
         )
     return "\n".join(lines)

@@ -5,7 +5,7 @@ An SLO here is one comparison over the flat metric snapshot the registry
 
     p99(synthesis.total_ms) < 50       # histogram statistic
     completion_probability == 1.0      # derived scalar
-    engine.prefetch.hits >= 1          # plain counter
+    store.hits >= 1                    # plain counter
     p99(synthesis.total_ms) < 50 @ 0.95  # budgeted: 95% of windows comply
 
 The function-call form ``stat(metric)`` resolves against the

@@ -39,8 +39,8 @@ from __future__ import annotations
 import json
 import threading
 from contextlib import contextmanager
-from time import perf_counter, time_ns
-from typing import Any, Iterable, Iterator
+from time import perf_counter
+from typing import Any, Iterator
 
 
 def jsonable(value: Any) -> Any:
@@ -60,7 +60,7 @@ class Span:
     """One named interval in the trace tree."""
 
     __slots__ = ("name", "span_id", "parent_id", "start_us", "end_us",
-                 "attrs", "kind", "pid")
+                 "attrs", "kind")
 
     def __init__(
         self,
@@ -78,9 +78,6 @@ class Span:
         self.end_us: float | None = None
         self.attrs = attrs
         self.kind = kind  # "sync" | "async"
-        #: Origin process for spans adopted from a worker (None = this
-        #: process); drives the Perfetto track the span renders on.
-        self.pid: int | None = None
 
     def set(self, **attrs: Any) -> None:
         """Attach attributes after the span was opened (e.g. a cache verdict
@@ -94,7 +91,7 @@ class Span:
         return self.end_us - self.start_us
 
     def to_record(self) -> dict[str, Any]:
-        record = {
+        return {
             "name": self.name,
             "id": self.span_id,
             "parent": self.parent_id,
@@ -104,9 +101,6 @@ class Span:
             else round(self.end_us - self.start_us, 3),
             "attrs": {k: jsonable(v) for k, v in self.attrs.items()},
         }
-        if self.pid is not None:
-            record["pid"] = self.pid
-        return record
 
 
 class NullSpan:
@@ -132,11 +126,6 @@ class Tracer:
 
     def __init__(self) -> None:
         self._epoch = perf_counter()
-        #: Wall-clock time (ns) at tracer-relative t=0.  Two tracers on the
-        #: same machine (parent + pool worker) align their timelines by
-        #: comparing epochs; ``perf_counter`` offsets are process-local and
-        #: cannot be compared directly.
-        self.wall_epoch_ns = time_ns()
         self._lock = threading.Lock()
         self._spans: list[Span] = []
         self._next_id = 1
@@ -217,56 +206,6 @@ class Tracer:
             span.attrs.update(attrs)
         span.end_us = self._now_us()
 
-    # -- cross-process adoption ----------------------------------------------
-
-    def adopt(
-        self,
-        records: Iterable[dict[str, Any]],
-        parent_id: int | None = None,
-        pid: int | None = None,
-        wall_epoch_ns: int | None = None,
-    ) -> int:
-        """Graft span records exported by another process's tracer.
-
-        ``records`` are :meth:`Span.to_record` dicts (the wire format pool
-        workers piggyback on result payloads).  Span ids are re-allocated in
-        this tracer's id space with the internal parent/child structure
-        preserved; spans whose parent is not in the batch (the worker-side
-        roots) are reparented under ``parent_id`` — typically the
-        ``engine.submit`` span that launched the work.  ``wall_epoch_ns``
-        (the worker tracer's :attr:`wall_epoch_ns`) shifts the worker
-        timeline onto this tracer's, so the merged Perfetto export shows
-        the worker solve at the wall-clock moment it actually ran.
-        Returns the number of spans adopted.
-        """
-        records = list(records)
-        if not records:
-            return 0
-        offset_us = (
-            0.0 if wall_epoch_ns is None
-            else (wall_epoch_ns - self.wall_epoch_ns) / 1e3
-        )
-        with self._lock:
-            id_map: dict[int, int] = {}
-            for record in records:
-                id_map[record["id"]] = self._next_id
-                self._next_id += 1
-            for record in records:
-                old_parent = record.get("parent")
-                span = Span(
-                    record["name"],
-                    id_map[record["id"]],
-                    id_map.get(old_parent, parent_id),
-                    float(record["start_us"]) + offset_us,
-                    record.get("kind", "sync"),
-                    dict(record.get("attrs") or {}),
-                )
-                if record.get("dur_us") is not None:
-                    span.end_us = span.start_us + float(record["dur_us"])
-                span.pid = pid if pid is not None else record.get("pid")
-                self._spans.append(span)
-        return len(records)
-
     # -- introspection / export ----------------------------------------------
 
     @property
@@ -287,45 +226,32 @@ class Tracer:
                 fh.write(json.dumps(span.to_record()) + "\n")
 
     def chrome_events(self) -> list[dict[str, Any]]:
-        """The spans as Chrome ``trace_event`` dicts.
-
-        Spans adopted from pool workers carry their origin pid and render
-        on their own Perfetto process track (named ``repro worker <pid>``)
-        next to the parent process's track, giving the end-to-end
-        ``engine.submit -> worker.solve -> take`` picture.
-        """
+        """The spans as Chrome ``trace_event`` dicts."""
         now = self._now_us()
-        spans = self.spans
         events: list[dict[str, Any]] = [{
             "name": "process_name", "ph": "M", "pid": 1, "tid": 1,
             "args": {"name": "repro"},
         }]
-        for pid in sorted({s.pid for s in spans if s.pid is not None}):
-            events.append({
-                "name": "process_name", "ph": "M", "pid": pid, "tid": pid,
-                "args": {"name": f"repro worker {pid}"},
-            })
-        for span in spans:
+        for span in self.spans:
             end = span.end_us if span.end_us is not None else now
             args = {k: jsonable(v) for k, v in span.attrs.items()}
-            pid = span.pid if span.pid is not None else 1
             if span.kind == "sync":
                 events.append({
                     "name": span.name, "cat": "repro", "ph": "X",
                     "ts": round(span.start_us, 3),
                     "dur": round(max(end - span.start_us, 0.0), 3),
-                    "pid": pid, "tid": pid, "args": args,
+                    "pid": 1, "tid": 1, "args": args,
                 })
             else:
                 ident = f"0x{span.span_id:x}"
                 events.append({
                     "name": span.name, "cat": "repro.async", "ph": "b",
-                    "ts": round(span.start_us, 3), "pid": pid, "tid": pid,
+                    "ts": round(span.start_us, 3), "pid": 1, "tid": 1,
                     "id": ident, "args": args,
                 })
                 events.append({
                     "name": span.name, "cat": "repro.async", "ph": "e",
-                    "ts": round(end, 3), "pid": pid, "tid": pid, "id": ident,
+                    "ts": round(end, 3), "pid": 1, "tid": 1, "id": ident,
                 })
         return events
 

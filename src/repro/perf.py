@@ -42,7 +42,7 @@ from repro.obs.metrics import (
 __all__ = [
     "incr", "add_time", "timer", "get", "snapshot", "reset", "report",
     "observe", "set_gauge", "percentiles", "histogram", "histogram_summaries",
-    "registry", "swap_registry", "merge",
+    "registry",
     "DEFAULT_LATENCY_BUCKETS_MS", "DEFAULT_COUNT_BUCKETS",
 ]
 
@@ -52,25 +52,6 @@ _registry = MetricsRegistry()
 def registry() -> MetricsRegistry:
     """The process-global registry (exposed for tests and benches)."""
     return _registry
-
-
-def swap_registry(new: MetricsRegistry) -> MetricsRegistry:
-    """Install ``new`` as the process-global registry; returns the old one.
-
-    The cross-process capture (:mod:`repro.obs.propagate`) swaps a fresh
-    registry in for the duration of one worker task so the task's metrics
-    are an exact, mergeable delta — min/max and bucket counts included —
-    then swaps back and folds the delta into the worker's own totals.
-    """
-    global _registry
-    old = _registry
-    _registry = new
-    return old
-
-
-def merge(state: dict) -> None:
-    """Fold an exported metric state (a worker-side delta) into the registry."""
-    _registry.merge(state)
 
 
 # -- original flat-counter API (shims over typed instruments) ---------------

@@ -1,7 +1,7 @@
 """``repro.serve`` — the multi-assay serving core.
 
-A resident process hosting one shared synthesis engine + strategy store
-and multiplexing N concurrent assay jobs onto them over a stdlib
+A resident process hosting one shared strategy store and multiplexing N
+concurrent assay jobs onto it over a stdlib
 HTTP/JSONL API.  See :mod:`repro.serve.service` for the API surface and
 the drain semantics, :mod:`repro.serve.scheduler` for the worker model,
 and :mod:`repro.serve.runner` for the trace-identity contract with solo

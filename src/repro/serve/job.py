@@ -44,8 +44,8 @@ class AssaySpec:
     Field-for-field this is the deterministic core of the ``repro run``
     options: the same spec always samples the same chip and simulator
     RNG streams, so the execution trace is a pure function of the spec
-    (plus strategy content, which the engine/store keep bit-identical to
-    the synchronous path).
+    (plus strategy content, which the store keeps bit-identical to the
+    synchronous path).
     """
 
     bioassay: str = "covid-rat"

@@ -4,10 +4,10 @@ The serving layer's correctness contract is that a job's
 :class:`~repro.biochip.trace.ExecutionTrace` is bit-identical to the solo
 run of the same spec: same sampled chip (``default_rng(seed)``), same
 simulator stream (``default_rng(seed + 1)``), same scheduler/router
-construction, presynthesis only when the engine is pooled.  Everything
-the shared engine adds (speculation, the cross-assay strategy store) is
-latency-only by the engine's own invariants, so sharing cannot change a
-trace — this module just has to not deviate from the solo code path.
+construction.  The one thing serving adds, the cross-assay strategy
+store, only ever returns what synthesis would compute for the same
+(job, health), so sharing it cannot change a trace — this module just
+has to not deviate from the solo code path.
 """
 
 from __future__ import annotations
@@ -46,11 +46,13 @@ class AssayOutcome:
 
 
 def execute_assay(spec: AssaySpec, engine: Any = None) -> AssayOutcome:
-    """Run one assay spec; ``engine`` is a TenantView, engine, or None.
+    """Run one assay spec; ``engine`` is the shared
+    :class:`~repro.engine.store.StrategyStore`, or ``None``.
 
-    Mirrors ``repro.cli._cmd_run``'s single-run body — chip sampling,
-    RNG streams, presynthesis gating — so served and solo traces match
-    frame for frame.
+    Mirrors ``repro.cli._cmd_run``'s single-run body — chip sampling and
+    RNG streams — so served and solo traces match frame for frame.  The
+    keyword keeps its historical name because benchmark harnesses pass
+    it by that name.
     """
     from repro.bioassay.library import ALL_BIOASSAYS
     from repro.bioassay.planner import plan
@@ -67,12 +69,10 @@ def execute_assay(spec: AssaySpec, engine: Any = None) -> AssayOutcome:
         tau_range=(spec.tau_min, spec.tau_max),
         c_range=(spec.c_min, spec.c_max),
     )
-    router = AdaptiveRouter(engine=engine)
+    router = AdaptiveRouter(store=engine)
     scheduler = HybridScheduler(graph, router, spec.width, spec.height)
     trace = ExecutionTrace()
     sim = MedaSimulator(chip, np.random.default_rng(spec.seed + 1), trace=trace)
-    if engine is not None and engine.pooled:
-        scheduler.presynthesize(chip.health())
     result = sim.run(scheduler, max_cycles=spec.max_cycles)
     duration_ms = (time.perf_counter() - started) * 1e3
     perf.observe("serve.assay_ms", duration_ms)

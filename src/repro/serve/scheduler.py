@@ -1,15 +1,12 @@
 """The assay scheduler: N worker threads draining the job queue.
 
-Each worker claims one job at a time, opens a per-job tenant view on the
-shared :class:`~repro.engine.pool.SynthesisEngine` (so fair-share
-admission arbitrates speculative submits between concurrently running
-assays), wraps the run in a :func:`~repro.obs.journal.journal_scope`
-stamping ``job_id`` into every journal record the run emits, and moves
-the job through its lifecycle states.  Worker threads — not processes —
-because the heavy lifting (value iteration) already happens either in
-the engine's process pool or in numpy kernels that release the GIL, and
-threads let every assay share one store memo and one strategy library
-warm set for free.
+Each worker claims one job at a time, runs it against the shared
+:class:`~repro.engine.store.StrategyStore`, wraps the run in a
+:func:`~repro.obs.journal.journal_scope` stamping ``job_id`` into every
+journal record the run emits, and moves the job through its lifecycle
+states.  Worker threads — not processes — because the heavy lifting
+(value iteration) happens in numpy kernels that release the GIL, and
+threads let every assay share one store memo for free.
 """
 
 from __future__ import annotations
@@ -28,8 +25,9 @@ from repro.serve.runner import AssayOutcome, execute_assay
 class AssayScheduler:
     """Fan a :class:`JobQueue` out over ``workers`` assay threads.
 
-    ``engine`` is the shared :class:`SynthesisEngine` (or ``None`` for
-    engine-less serving); ``on_finish`` is called with
+    ``store`` is the shared
+    :class:`~repro.engine.store.StrategyStore` (or ``None`` for storeless
+    serving); ``on_finish`` is called with
     ``(job, outcome | None)`` after every job settles, letting the
     service retain traces and update indexes without the scheduler
     knowing about HTTP.
@@ -39,13 +37,13 @@ class AssayScheduler:
         self,
         queue: JobQueue,
         workers: int = 2,
-        engine: Any = None,
+        store: Any = None,
         on_finish: "Callable[[AssayJob, AssayOutcome | None], None] | None" = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"serve workers must be >= 1, got {workers}")
         self.queue = queue
-        self.engine = engine
+        self.store = store
         self.on_finish = on_finish
         self._threads = [
             threading.Thread(
@@ -125,7 +123,6 @@ class AssayScheduler:
             perf.set_gauge("serve.jobs.inflight", float(self._inflight))
         job.state = RUNNING
         job.mark_started()
-        view = self.engine.tenant(job.id) if self.engine is not None else None
         outcome: AssayOutcome | None = None
         try:
             with obs.journal_scope(job_id=job.id):
@@ -135,7 +132,7 @@ class AssayScheduler:
                     priority=job.spec.priority,
                 )
                 try:
-                    outcome = execute_assay(job.spec, engine=view)
+                    outcome = execute_assay(job.spec, engine=self.store)
                 except Exception as exc:  # noqa: BLE001 - job isolation
                     job.state = FAILED
                     job.error = (
@@ -156,8 +153,6 @@ class AssayScheduler:
                         **job.result,
                     )
         finally:
-            if view is not None:
-                view.close()
             job.mark_finished()
             job.mark_done()
             if self.on_finish is not None:

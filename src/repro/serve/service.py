@@ -1,9 +1,8 @@
-"""The serving core: queue + scheduler + shared engine + HTTP surface.
+"""The serving core: queue + scheduler + shared store + HTTP surface.
 
 :class:`ServeService` is the resident process that ``repro serve``
-runs: one shared :class:`~repro.engine.pool.SynthesisEngine` and one
-shared :class:`~repro.engine.store.StrategyStore` multiplexed across N
-concurrent assays, with a stdlib HTTP/JSONL API grafted onto the
+runs: one shared :class:`~repro.engine.store.StrategyStore` multiplexed
+across N concurrent assays, with a stdlib HTTP/JSONL API grafted onto the
 existing :class:`~repro.obs.monitor.MonitorServer` (one listener serves
 ``/metrics``, ``/healthz`` *and* the job API):
 
@@ -25,9 +24,9 @@ file for post-mortem ``repro report``).
 
 Graceful shutdown (:meth:`drain`): new submissions 503, queued jobs get
 their chance within the drain deadline, still-queued jobs past the
-deadline are rejected, the engine and store close (salvaging worker
-telemetry), and ``serve.drain`` begin/end events bracket the whole
-sequence in the journal.
+deadline are rejected, the store closes (flushing its pending LRU
+touches), and ``serve.drain`` begin/end events bracket the whole sequence
+in the journal.
 """
 
 from __future__ import annotations
@@ -88,13 +87,13 @@ class _JournalFan:
 class ServeService:
     """A resident multi-assay serving process (see module docstring).
 
-    ``engine_workers`` follows the ``repro run --workers`` convention
-    (1 = synchronous engine, 0 = one process per core, N>1 = pool of N);
-    the engine is created with ``admission_floor=True`` so a lone tenant
-    on a single-core host never pays for speculation it cannot overlap.
-    ``store_path`` of ``None`` serves without a persistent store (memo
-    and library warmth only); ``keep_traces=True`` retains each job's
-    ``ExecutionTrace`` in memory for bit-identity checks (tests, bench).
+    Every job synthesizes on its own serve worker thread.
+    ``engine_workers`` must be 1: it is the keyword benchmark harnesses
+    pass from when synthesis could run on a process pool, and it is
+    accepted only so they keep working.  ``store_path`` of ``None``
+    serves without a persistent store; ``"auto"`` uses the default cache
+    location.  ``keep_traces=True`` retains each job's ``ExecutionTrace``
+    in memory for bit-identity checks (tests, bench).
     """
 
     def __init__(
@@ -104,15 +103,18 @@ class ServeService:
         serve_workers: int = 2,
         engine_workers: int = 1,
         store_path: Any = None,
-        prefetch: bool = True,
         drain_deadline_s: float = 30.0,
         keep_traces: bool = False,
         journal_path: Any = None,
-        engine_retries: int = 2,
-        engine_deadline_ms: float | None = None,
     ) -> None:
-        from repro.engine import StrategyStore, SynthesisEngine
+        from repro.engine import StrategyStore
         from repro.obs.monitor import MonitorServer
+
+        if engine_workers != 1:
+            raise ValueError(
+                f"engine_workers must be 1 (synthesis runs on the serve "
+                f"worker threads), got {engine_workers}"
+            )
 
         self.drain_deadline_s = drain_deadline_s
         self.keep_traces = keep_traces
@@ -128,19 +130,14 @@ class ServeService:
         # store_path: None = no persistent store; "auto" = the default
         # cache location (StrategyStore(None)); anything else = that path.
         if store_path is None:
-            store = None
-        elif store_path == "auto":
-            store = StrategyStore(None)
+            self.store = None
         else:
-            store = StrategyStore(store_path)
-        self.engine = SynthesisEngine(
-            workers=engine_workers, store=store, prefetch=prefetch,
-            retries=engine_retries, deadline_ms=engine_deadline_ms,
-            admission_floor=True,
-        )
+            self.store = StrategyStore(
+                None if store_path == "auto" else store_path
+            )
         self.queue = JobQueue()
         self.scheduler = AssayScheduler(
-            self.queue, workers=serve_workers, engine=self.engine,
+            self.queue, workers=serve_workers, store=self.store,
             on_finish=self._job_finished,
         )
         self._fan = _JournalFan(self, journal_path)
@@ -151,17 +148,29 @@ class ServeService:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> int:
-        """Configure telemetry, bind the HTTP listener, start workers."""
-        obs.configure(journal=self._fan, metrics=True)
-        port = self.monitor.start()
+        """Configure telemetry, bind the HTTP listener, start workers.
+
+        When the listener cannot bind, the store is closed before the
+        error propagates: no drain will follow a service that never
+        started.
+        """
+        obs.configure(journal=self._fan)
+        try:
+            port = self.monitor.start()
+        except OSError:
+            self._close_store()
+            raise
         self.scheduler.start()
         obs.journal_event(
             "serve.start", port=port,
             serve_workers=self.scheduler.workers,
-            engine_workers=self.engine.workers,
-            pooled=self.engine.pooled,
+            store=self.store is not None,
         )
         return port
+
+    def _close_store(self) -> None:
+        if self.store is not None:
+            self.store.close()
 
     @property
     def url(self) -> str:
@@ -213,7 +222,7 @@ class ServeService:
                     "serve.job.rejected", job_id=job.id, reason="drain"
                 )
         self.scheduler.stop(timeout=max(deadline_s, 1.0))
-        self.engine.close()
+        self._close_store()
         with self._lock:
             states: dict[str, int] = {}
             for job in self._jobs.values():
@@ -297,7 +306,6 @@ class ServeService:
             "queue_depth": len(self.queue),
             "inflight": self.scheduler.inflight,
             "jobs": states,
-            "engine_degraded": self.engine.degraded,
         }
 
     def _routes(

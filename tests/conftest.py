@@ -53,3 +53,19 @@ def healthy_chip(rng: np.random.Generator) -> MedaChip:
     return MedaChip.sample(
         30, 20, rng, tau_range=(0.95, 0.99), c_range=(5000.0, 9000.0)
     )
+
+
+@pytest.fixture
+def store_closes(monkeypatch) -> list:
+    """Every ``StrategyStore.close`` call, by store (the store still closes)."""
+    from repro.engine.store import StrategyStore
+
+    closed = []
+    real_close = StrategyStore.close
+
+    def close(store):
+        closed.append(store)
+        real_close(store)
+
+    monkeypatch.setattr(StrategyStore, "close", close)
+    return closed

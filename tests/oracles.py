@@ -26,6 +26,10 @@ They are slow and simple on purpose; no production path calls them.
   strategies stayed columns: one ``{pattern: value}`` lookup per state of
   the new model.  ``tests/test_warm_seed_columns.py`` checks the column
   reuse and the corner join against it.
+* :func:`window_token` — the bytes of the force window a retained job
+  geometry reads.  ``tests/test_batch.py`` checks that equal windows give
+  equal models; the template-cache tests use it to see whether a
+  geometry is still retained.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from repro.core.actions import (
     frontier,
 )
 from repro.core.droplet import actuation_matrix
+from repro.core import fastmdp
 from repro.core.fastmdp import (
     HAZARD_INDEX,
     CompiledRoutingModel,
@@ -378,4 +383,23 @@ def warm_seed_reference(
     where the map has none."""
     return np.fromiter(
         (values.get(s, fill) for s in states), dtype=float, count=len(states)
+    )
+
+
+def window_token(
+    job: RoutingJob,
+    forces: np.ndarray,
+    max_aspect: float = DEFAULT_MAX_ASPECT,
+    families: tuple[ActionClass, ...] | None = None,
+) -> bytes | None:
+    """The bytes of the force window a build of ``(job, forces)`` reads,
+    or ``None`` when no geometry is retained for the job (the window is
+    discovered by the first build).  Two builds of the same job with equal
+    tokens give bit-identical models."""
+    with fastmdp._TEMPLATE_LOCK:
+        entry = fastmdp._GEOMETRIES.get(
+            fastmdp._geometry_key(job, forces, max_aspect, families)
+        )
+    return None if entry is None else fastmdp._window_bytes(
+        entry.geometry, forces
     )

@@ -175,3 +175,48 @@ class TestTelemetryCli:
         out = capsys.readouterr().out
         assert code == 4
         assert "VIOLATED" in out
+
+
+def _run_line(out: str) -> str:
+    """The per-run outcome line (``ok``, cycles, replans)."""
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("run 1:")]
+    return line
+
+
+def _store_counters(out: str) -> dict[str, int]:
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("store: ")]
+    pairs = (pair.split("=") for pair in line[len("store: "):].split(", "))
+    return {key: int(value) for key, value in pairs}
+
+
+class TestStrategyCache:
+    RUN = ["run", "--bioassay", "master-mix", "--width", "40",
+           "--height", "24", "--seed", "3", "--max-cycles", "400",
+           "--runs", "1", "--perf"]
+
+    def test_second_run_reads_the_store(self, tmp_path, capsys):
+        """A pre-filled store serves the second run's plans, and the run
+        routes exactly as the first one did."""
+        cache = ["--strategy-cache", str(tmp_path / "s.sqlite")]
+        assert main(self.RUN + cache) == 0
+        first = capsys.readouterr().out
+        assert main(self.RUN + cache) == 0
+        second = capsys.readouterr().out
+        assert "run 1: ok" in _run_line(first)
+        assert _run_line(second) == _run_line(first)
+        assert _store_counters(first)["hits"] == 0
+        assert _store_counters(second)["hits"] > 0
+        assert _store_counters(second)["misses"] == 0
+
+    def test_store_closed_once_after_a_run(self, tmp_path, store_closes,
+                                           capsys):
+        cache = ["--strategy-cache", str(tmp_path / "s.sqlite")]
+        assert main(self.RUN + cache) == 0
+        assert len(store_closes) == 1
+
+    def test_store_closed_once_on_early_exit(self, tmp_path, store_closes,
+                                             capsys):
+        cache = ["--strategy-cache", str(tmp_path / "s.sqlite")]
+        # Snapshots need a journal: the run exits 2 before routing.
+        assert main(self.RUN + cache + ["--snapshot-interval-ms", "100"]) == 2
+        assert len(store_closes) == 1

@@ -1,9 +1,8 @@
-"""Round-trip tests for the engine's wire formats (payloads and pickle).
+"""Round-trip tests for the strategy store's row format (payloads and pickle).
 
-The synthesis engine ships jobs to worker processes and strategies back as
-columnar payload dicts; the persistent store writes the same payloads as
-binary rows.  Everything the scheduler consumes must survive those trips
-exactly.
+The persistent store writes strategies as columnar payload dicts encoded
+into binary rows.  Everything the scheduler consumes must survive that
+trip exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.fastmdp import clear_build_template_cache
 from repro.core.routing_job import RoutingJob, zone
 from repro.core.strategy import (
     RoutingStrategy,
@@ -22,7 +20,6 @@ from repro.core.strategy import (
     strategy_from_synthesis,
 )
 from repro.core.synthesis import SynthesisResult, synthesize
-from repro.engine.payload import warm_values_from_payload, warm_values_to_payload
 from repro.engine.store import decode_payload, encode_payload
 from repro.geometry.rect import Rect
 from repro.modelcheck.strategy import MemorylessStrategy
@@ -95,42 +92,3 @@ class TestRoutingStrategyPayload:
         strategy = strategy_from_synthesis(job(), synthesized())
         rebuilt = pickle.loads(pickle.dumps(strategy))
         assert rebuilt == strategy
-
-
-class TestSynthesisResultPayload:
-    def test_round_trip_drops_model(self):
-        clear_build_template_cache()
-        result = synthesized()
-        assert result.model is not None
-        rebuilt = SynthesisResult.from_payload(result.to_payload())
-        assert rebuilt.model is None
-        assert rebuilt.strategy == result.strategy
-        assert rebuilt.expected_cycles == result.expected_cycles
-        assert rebuilt.success_probability == result.success_probability
-        assert rebuilt.construction_time == result.construction_time
-        assert rebuilt.solve_time == result.solve_time
-
-    def test_round_trip_without_strategy(self):
-        health = full_health()
-        health[12, :] = 0  # impassable wall
-        result = synthesize(job(), health)
-        assert result.strategy is None
-        rebuilt = SynthesisResult.from_payload(result.to_payload())
-        assert rebuilt.strategy is None
-        assert rebuilt.expected_cycles == float("inf")
-
-    def test_pickle_round_trip(self):
-        result = synthesized()
-        rebuilt = pickle.loads(pickle.dumps(result.to_payload()))
-        assert SynthesisResult.from_payload(rebuilt).strategy == result.strategy
-
-
-class TestWarmValuesPayload:
-    def test_round_trip(self):
-        values = synthesized().strategy.values
-        rebuilt = warm_values_from_payload(warm_values_to_payload(values))
-        assert rebuilt == values
-
-    def test_none_passes_through(self):
-        assert warm_values_to_payload(None) is None
-        assert warm_values_from_payload(None) is None

@@ -9,6 +9,8 @@ import types
 import numpy as np
 import pytest
 
+from repro import perf
+from repro.core.baseline import AdaptiveRouter
 from repro.core.routing_job import RoutingJob, zone
 from repro.core.strategy import strategy_from_synthesis
 from repro.core.synthesis import synthesize
@@ -254,6 +256,49 @@ class TestDeferredTouches:
                 "SELECT last_used FROM strategies"
             ).fetchone()
             assert row[0] == 1002.0
+
+
+class TestRouterReadsStore:
+    def test_store_loaded_values_seed_resynthesis(self, tmp_path):
+        """A strategy the router loads from the store must install its
+        values as the job's warm-start seed, so the next resynthesis of the
+        same job (changed health) is warm-seeded — and still converges to
+        the synchronous answer."""
+        path = tmp_path / "s.sqlite"
+        with StrategyStore(path) as store:
+            store.put(job(), full_health(), solved_strategy())
+
+        with StrategyStore(path) as store:
+            router = AdaptiveRouter(store=store)
+            loaded = router.plan(job(), full_health())
+            assert loaded is not None
+            assert router.syntheses == 0  # came from the store
+            assert router.library.warm_start(job()) is loaded.policy
+
+            degraded = full_health()
+            degraded[10, 8] = 1  # inside the zone: forces a resynthesis
+            seeded_before = perf.get("synthesis.warm_seeded")
+            warmed = router.plan(job(), degraded)
+            assert perf.get("synthesis.warm_seeded") == seeded_before + 1
+            assert warmed is not None
+            direct = synthesize(job(), degraded)
+            assert warmed.expected_cycles == pytest.approx(
+                direct.expected_cycles, rel=1e-4
+            )
+            # The resynthesized strategy was written back.
+            assert store.get(job(), degraded) == warmed
+
+
+class TestClose:
+    def test_use_after_close_is_counted_noop(self, tmp_path):
+        store = StrategyStore(tmp_path / "s.sqlite")
+        strategy = solved_strategy()
+        store.put(job(), full_health(), strategy)
+        store.close()
+        assert store.get(job(), full_health()) is None
+        store.put(job(), full_health(), strategy)  # must not raise
+        assert store.use_after_close == 2
+        assert store.counters()["use_after_close"] == 2
 
 
 class TestDefaultPath:

@@ -208,23 +208,6 @@ class TestTelemetryPump:
         quiet = pump.tick()
         assert quiet["delta_counters"] == {}
 
-    def test_worker_liveness(self):
-        journal = RunJournal()
-        dead_pid = 2 ** 22 + 54321
-        pump = TelemetryPump(
-            journal, registry=MetricsRegistry(),
-            worker_pids=lambda: [os.getpid(), dead_pid],
-        )
-        pump.tick()
-        resources = journal.records[1]
-        workers = resources["workers"]
-        if HAVE_PROC:
-            assert workers[str(os.getpid())]["alive"] is True
-            assert workers[str(dead_pid)]["alive"] is False
-            assert resources["workers_alive"] == 1
-        else:  # pragma: no cover - non-Linux fallback
-            assert resources["workers_alive"] == 0
-
     def test_start_stop_flushes_final_window(self):
         journal = RunJournal()
         pump = TelemetryPump(journal, interval_s=30.0,

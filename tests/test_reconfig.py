@@ -288,41 +288,6 @@ class TestSchedulerRemap:
         assert _digest(t0) == _digest(t1)
 
 
-class TestEngineInvalidate:
-    def test_invalidate_discards_speculation(self):
-        from repro.core.routing_job import RoutingJob
-        from repro.engine import SynthesisEngine
-
-        engine = SynthesisEngine(workers=2)
-        try:
-            if not engine.pooled:
-                pytest.skip("no worker pool on this runner")
-            health = np.full((W, H), 3)
-            job = RoutingJob(
-                Rect(1, 1, 4, 4), Rect(10, 10, 13, 13),
-                Rect(1, 1, 16, 16),
-            )
-            if not engine.submit(job, health):
-                pytest.skip("speculation rejected (constrained runner)")
-            assert engine.invalidate(job) is True
-            assert engine.invalidate(job) is False  # already gone
-        finally:
-            engine.close()
-
-    def test_invalidate_unknown_job_is_false(self):
-        from repro.core.routing_job import RoutingJob
-        from repro.engine import SynthesisEngine
-
-        engine = SynthesisEngine(workers=1)
-        try:
-            job = RoutingJob(
-                Rect(1, 1, 4, 4), Rect(5, 5, 8, 8), Rect(1, 1, 10, 10)
-            )
-            assert engine.invalidate(job) is False
-        finally:
-            engine.close()
-
-
 class TestFaultScenarioBuilders:
     def test_dead_column_rejects_bad_args(self):
         with pytest.raises(ValueError):

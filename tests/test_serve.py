@@ -1,25 +1,22 @@
 """Tests for the multi-assay serving core (``repro.serve``).
 
-Covers the job queue, spec validation, engine fair-share admission and
-the single-core admission floor, the HTTP round-trip against a live
-server fixture, graceful drain, and the load-bearing correctness gate:
-traces of concurrently served assays on one shared engine + store are
-bit-identical to their solo runs.
+Covers the job queue, spec validation, the HTTP round-trip against a
+live server fixture, graceful drain and the store's lifecycle, and the
+load-bearing correctness gate: traces of concurrently served assays on
+one shared store are bit-identical to their solo runs.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import socket
 import threading
 import time
 
 import pytest
 
 from repro import obs
-from repro.core.routing_job import RoutingJob, zone
-from repro.engine import SynthesisEngine
-from repro.geometry.rect import Rect
+from repro.engine import StrategyStore
 from repro.serve import (
     AssayJob,
     AssaySpec,
@@ -30,23 +27,6 @@ from repro.serve import (
     ServeService,
     execute_assay,
 )
-
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
-
-W, H = 30, 20
-
-
-def make_job(goal_x: int) -> RoutingJob:
-    start = Rect(2, 2, 5, 5)
-    goal = Rect(goal_x, 10, goal_x + 3, 13)
-    return RoutingJob(start, goal, zone(start, goal, W, H))
-
-
-def full_health():
-    import numpy as np
-
-    return np.full((W, H), 3)
-
 
 class TestJobQueue:
     def test_priority_then_fifo(self):
@@ -139,73 +119,6 @@ class TestJobTimestamps:
         assert "started_at" not in document
         assert "finished_at" not in document
         assert document["submitted_at"] > 0
-
-
-@pytest.mark.skipif(WORKERS < 2, reason="needs a worker pool")
-class TestFairShare:
-    def test_second_tenant_shrinks_the_share(self):
-        engine = SynthesisEngine(workers=WORKERS, max_inflight=4)
-        try:
-            view_a = engine.tenant("a")
-            view_b = engine.tenant("b")
-            health = full_health()
-            # Two active tenants split max_inflight=4 into 2 each.
-            assert view_a.submit(make_job(18), health)
-            assert view_a.submit(make_job(20), health)
-            assert not view_a.submit(make_job(22), health)  # over a's share
-            assert engine.fair_rejected == 1
-            assert view_b.submit(make_job(18), health)  # b unaffected
-            view_b.close()
-            # a is the lone tenant again: the full budget is its share.
-            assert view_a.submit(make_job(22), health)
-        finally:
-            engine.close()
-
-    def test_released_tenant_speculations_are_discarded(self):
-        engine = SynthesisEngine(workers=WORKERS)
-        try:
-            view = engine.tenant("ephemeral")
-            assert view.submit(make_job(18), full_health())
-            assert len(engine._pending) == 1
-            view.close()
-            assert len(engine._pending) == 0
-            assert engine.wasted == 1
-        finally:
-            engine.close()
-
-
-class TestAdmissionFloor:
-    def test_single_tenant_single_core_skips_speculation(self, monkeypatch):
-        import repro.engine.pool as pool_mod
-
-        monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: 1)
-        engine = SynthesisEngine(workers=WORKERS, admission_floor=True)
-        try:
-            if not engine.pooled:
-                pytest.skip("pool unavailable")
-            assert not engine.submit(make_job(18), full_health())
-            assert engine.floor_skips == 1
-            # Two registered tenants are concurrent demand: floor lifts.
-            view_a = engine.tenant("a")
-            view_b = engine.tenant("b")
-            assert view_a.submit(make_job(18), full_health())
-            view_a.close()
-            view_b.close()
-        finally:
-            engine.close()
-
-    def test_multicore_never_floors(self, monkeypatch):
-        import repro.engine.pool as pool_mod
-
-        monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: 4)
-        engine = SynthesisEngine(workers=WORKERS, admission_floor=True)
-        try:
-            if not engine.pooled:
-                pytest.skip("pool unavailable")
-            assert engine.submit(make_job(18), full_health())
-            assert engine.floor_skips == 0
-        finally:
-            engine.close()
 
 
 def quick_specs() -> list[AssaySpec]:
@@ -311,6 +224,37 @@ class TestDrain:
         assert any(r["event"] == "serve.job.done" for r in records)
 
 
+class TestStoreLifecycle:
+    def test_engine_workers_other_than_one_rejected(self, tmp_path):
+        for workers in (0, 2):
+            with pytest.raises(ValueError, match="engine_workers"):
+                ServeService(port=0, engine_workers=workers,
+                             store_path=tmp_path / "s.sqlite")
+
+    def test_drain_closes_the_store_once(self, tmp_path, store_closes):
+        svc = ServeService(port=0, serve_workers=1,
+                           store_path=tmp_path / "s.sqlite")
+        svc.start()
+        job = svc.submit(quick_specs()[0])
+        svc.drain(deadline_s=60.0)
+        svc.drain(deadline_s=60.0)  # idempotent: no second close
+        assert job.state == "done", job.error
+        assert store_closes == [svc.store]
+        with StrategyStore(tmp_path / "s.sqlite") as reopened:
+            assert len(reopened) > 0  # the served job's strategies persist
+
+    def test_failed_start_closes_the_store(self, tmp_path, store_closes):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            svc = ServeService(port=port, store_path=tmp_path / "s.sqlite")
+            with pytest.raises(OSError):
+                svc.start()
+        assert store_closes == [svc.store]
+        obs.shutdown()
+
+
 class TestJournalScope:
     def test_scope_stamps_thread_local_fields(self):
         journal = obs.RunJournal()
@@ -342,8 +286,8 @@ class TestJournalScope:
 
 class TestTraceIdentity:
     def test_concurrent_served_traces_match_solo(self, tmp_path):
-        """The serving gate: assays multiplexed onto one shared engine +
-        store produce traces bit-identical to their solo runs."""
+        """The serving gate: assays multiplexed onto one shared store
+        produce traces bit-identical to their solo runs."""
         specs = quick_specs() * 2  # repeats exercise the shared store
         solo = {}
         for spec in quick_specs():
@@ -352,7 +296,6 @@ class TestTraceIdentity:
 
         svc = ServeService(
             port=0, serve_workers=2,
-            engine_workers=WORKERS if WORKERS > 1 else 1,
             store_path=tmp_path / "shared.sqlite", keep_traces=True,
         )
         svc.start()
@@ -377,7 +320,7 @@ class TestTraceIdentity:
                     assert srv_frame.moving == ref_frame.moving
             # The repeats must have amortized: the shared store served at
             # least one strategy that a solo run would have synthesized.
-            store = svc.engine.store
+            store = svc.store
             assert store.hits + store.memo_hits > 0
         finally:
             if not svc._stopped:

@@ -24,7 +24,6 @@ from scipy import sparse
 from repro import perf
 from repro.core import fastmdp
 from repro.core.fastmdp import (
-    build_dedup_token,
     build_routing_model_fast,
     clear_build_template_cache,
 )
@@ -42,6 +41,7 @@ from repro.modelcheck.reachability import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITERATIONS,
 )
+from tests.oracles import window_token
 
 W, H = 24, 18
 FULL = Rect(1, 1, W, H)
@@ -362,9 +362,9 @@ class TestTemplateLru:
         build_routing_model_fast(oldest, forces)  # re-hit refreshes it
         assert perf.get("fastmdp.template.hits") == hits + 1
         build_routing_model_fast(newest, forces)  # cap + 1 distinct keys
-        assert build_dedup_token(oldest, forces) is not None
-        assert build_dedup_token(middle, forces) is None
-        assert build_dedup_token(newest, forces) is not None
+        assert window_token(oldest, forces) is not None
+        assert window_token(middle, forces) is None
+        assert window_token(newest, forces) is not None
 
 
 class TestRawCsr:

@@ -30,7 +30,6 @@ import pytest
 from repro import perf
 from repro.core import fastmdp
 from repro.core.fastmdp import (
-    build_dedup_token,
     build_routing_model_fast,
     clear_build_template_cache,
 )
@@ -42,6 +41,7 @@ from repro.modelcheck.compiled import (
     solve_reach_avoid_probability,
     solve_reach_avoid_reward,
 )
+from tests.oracles import window_token
 from tests.test_build_template import _entry, _fresh, assert_same_model
 
 W, H = 24, 18
@@ -258,10 +258,10 @@ class TestBound:
         assert len(_entry(JOB, a, {}).supports) == 2
         build_routing_model_fast(OTHER, b)  # evicts JOB's older support
         assert len(_entry(JOB, a, {}).supports) == 1
-        assert build_dedup_token(JOB, a) is not None
+        assert window_token(JOB, a) is not None
         build_routing_model_fast(OTHER, np.ones((W, H)))  # and its last
         assert _entry(JOB, a, {}) is None
-        assert build_dedup_token(JOB, a) is None
+        assert window_token(JOB, a) is None
         assert len(_entry(OTHER, a, {}).supports) == 3
         _assert_invariants()
         perf.reset()

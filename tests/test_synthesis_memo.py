@@ -16,15 +16,9 @@ import numpy as np
 
 from repro import obs, perf
 from repro.core import fastmdp
-from repro.core.fastmdp import clear_build_template_cache
+from repro.core.fastmdp import clear_build_template_cache, clear_cold_results
 from repro.core.routing_job import RoutingJob
-from repro.core.synthesis import (
-    BatchRequest,
-    clear_batch_value_memo,
-    force_field_from_health,
-    synthesize_batch,
-    synthesize_with_field,
-)
+from repro.core.synthesis import force_field_from_health, synthesize_with_field
 from repro.core.transitions import MatrixForceField
 from repro.geometry.rect import Rect
 from repro.modelcheck.properties import probability_query
@@ -186,7 +180,7 @@ class TestSlot:
         field = _field(13)
         clear_build_template_cache()
         synthesize_with_field(JOB, field)
-        clear_batch_value_memo()
+        clear_cold_results()
         assert _slot() is None
         perf.reset()
         synthesize_with_field(JOB, field)
@@ -202,22 +196,6 @@ class TestSlot:
         synthesize_with_field(JOB, field)
         assert perf.get("synthesis.memo.misses") == 1
         assert perf.get("fastmdp.template.misses") == 1
-
-    def test_batch_and_solo_share_the_slot(self):
-        field = _field(15)
-        clear_build_template_cache()
-        solo = synthesize_with_field(JOB, field)
-        perf.reset()
-        (batched,) = synthesize_batch([BatchRequest(JOB, field)])
-        assert perf.get("vi.batch.memo.hits") == 1
-        assert perf.get("synthesis.memo.hits") == 1
-        assert perf.get("synthesis.count") == 0
-        _assert_same_answer(batched, solo)
-        other = _field(16)
-        synthesize_batch([BatchRequest(JOB, other)])
-        perf.reset()
-        synthesize_with_field(JOB, other)
-        assert perf.get("synthesis.memo.hits") == 1
 
 
 class TestThreads:

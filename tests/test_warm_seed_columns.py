@@ -24,14 +24,17 @@ from repro.bioassay.planner import plan
 from repro.biochip.chip import MedaChip
 from repro.biochip.simulator import MedaSimulator
 from repro.core.baseline import AdaptiveRouter
-from repro.core.fastmdp import build_routing_model_fast, clear_build_template_cache
+from repro.core.fastmdp import (
+    build_routing_model_fast,
+    clear_build_template_cache,
+    clear_cold_results,
+)
 from repro.core.mdp import HAZARD_STATE
 from repro.core.routing_job import RoutingJob, zone
 from repro.core.scheduler import HybridScheduler
 from repro.core.synthesis import (
     SYNTHESIS_EPSILON,
     _warm_seed,
-    clear_batch_value_memo,
     force_field_from_health,
     synthesize,
 )
@@ -79,7 +82,7 @@ def assert_seed_is_reference(model, policy: MemorylessStrategy, query=RMIN):
 @pytest.fixture(autouse=True)
 def fresh_templates():
     clear_build_template_cache()
-    clear_batch_value_memo()
+    clear_cold_results()
     yield
     clear_build_template_cache()
 
