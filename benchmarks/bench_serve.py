@@ -56,6 +56,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from common import SCALE, emit, scaled  # noqa: E402
 
+from repro.core import fastmdp  # noqa: E402
 from repro.serve import AssaySpec, ServeClient, ServeService  # noqa: E402
 from repro.serve.runner import execute_assay  # noqa: E402
 
@@ -95,10 +96,16 @@ def percentile(samples: list[float], q: float) -> float:
 
 
 def run_sequential(workload: list[AssaySpec]) -> dict:
-    """One job at a time, no shared store (solo runs)."""
+    """One job at a time, no shared store (solo runs).
+
+    Each job starts from empty process caches — build templates, solver
+    contexts and cold-result slots — as a fresh ``repro run`` would, so
+    repeats of a spec are not served from the previous run's memo.
+    """
     latencies_ms: list[float] = []
     t0 = time.perf_counter()
     for spec in workload:
+        fastmdp.clear_build_template_cache()
         t_job = time.perf_counter()
         outcome = execute_assay(spec, engine=None)
         if not outcome.result.success:
@@ -230,9 +237,10 @@ def run_bench() -> dict:
     repeats = scaled(12, 24)
     workload = build_workload(repeats)
 
-    # Warm the in-process template/kernel caches once so the sequential
-    # baseline is not penalized by first-call effects the served runs
-    # would then dodge.
+    # Warm the process once (imports, shape tables, kernels) so the
+    # sequential baseline is not penalized by first-call effects the
+    # served runs would then dodge; it still empties the template caches
+    # before each job.
     for spec in UNIQUE_SPECS:
         execute_assay(spec, engine=None)
 

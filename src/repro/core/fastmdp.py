@@ -20,7 +20,7 @@ built for the synthesis hot loop.  No build expands states one at a time:
   model objects.
 
 Builds are cached in three parts (DESIGN.md §9): per job geometry, the
-force-independent *geometry* (gathers, successor targets, choice owners);
+force-independent *geometry* (gathers, successor targets, shape blocks);
 under it, per *support* (which outcomes have positive probability), the
 CSR skeleton and solver contexts derived from it; and the *values*, which
 every build recomputes through one kernel, :func:`_values`.  When the
@@ -312,9 +312,12 @@ def _read_window(
 class _ShapeGeometry:
     """One droplet shape's block of a build's flat entry layout.
 
-    The shape's ``k`` non-goal patterns each own one choice per spec; its
-    entries are the ``(rows, k)`` outcome grid (rows as in
-    :class:`_ShapeActions`), stored row-major from ``offset``.
+    The shape's ``k`` non-goal patterns (provisional ids ``pids``) each
+    own one choice per spec: spec ``j``'s choice of pattern ``i`` is
+    provisional choice ``choice0 + j * k + i``.  Its entries are the
+    ``(rows, k)`` outcome grid (rows as in :class:`_ShapeActions`),
+    stored row-major from ``offset``; entry ``(r, i)`` belongs to the
+    choice of spec ``spec_of_row[r]`` and pattern ``i``.
     ``gather[:, l, i]`` holds the four flat int32 indices into the
     window-local force prefix whose signed sum is leg ``l``'s force total
     at position ``i``, corners clamped to the chip as the scalar
@@ -326,6 +329,8 @@ class _ShapeGeometry:
     actions: _ShapeActions
     gather: np.ndarray
     offset: int
+    pids: np.ndarray
+    choice0: int
 
 
 @dataclass(frozen=True)
@@ -335,9 +340,10 @@ class _Geometry:
     Recorded once per template key by :func:`_record_geometry`.  Per
     entry (see :class:`_ShapeGeometry`): ``target``, the provisional
     pattern id the outcome moves to (the hazard sink when unsafe, the
-    owner itself on stay rows), and ``choice``, its provisional choice.
-    Per provisional choice: ``owner`` pattern and action ``code``, an
-    int16 index into ``labels``, the geometry's action label table.
+    owner itself on stay rows).  Per provisional choice: the action
+    ``code``, an int16 index into ``labels``, the geometry's action label
+    table.  Each entry's choice and each choice's owner pattern are
+    arithmetic inside the shape blocks (:func:`_choices`).
     ``pattern`` holds ``(xa, ya, w, h)`` per provisional pattern id
     (0 = the hazard sink, then one block per shape).
     """
@@ -346,8 +352,6 @@ class _Geometry:
     shapes: tuple[_ShapeGeometry, ...]
     size: int
     target: np.ndarray
-    choice: np.ndarray
-    owner: np.ndarray
     code: np.ndarray
     labels: np.ndarray
     pattern: np.ndarray
@@ -404,8 +408,6 @@ def _record_geometry(
 
     shape_geos: list[_ShapeGeometry] = []
     targets: list[np.ndarray] = []
-    choices: list[np.ndarray] = []
-    owners: list[np.ndarray] = []
     codes: list[np.ndarray] = []
     label_code: dict[str, int] = {}
     goal_pids: list[np.ndarray] = []
@@ -447,7 +449,9 @@ def _record_geometry(
             [ixb * ph + iyb, ixa * ph + iyb, ixb * ph + iya, ixa * ph + iya]
         ).astype(np.int32)
         gather[:, (cxb < cxa) | (cyb < cya)] = 0
-        shape_geos.append(_ShapeGeometry(tab, gather, size))
+        shape_geos.append(_ShapeGeometry(
+            tab, gather, size, pids.astype(np.int32), num_choices
+        ))
 
         # Successor targets: the hazard sink when the successor leaves the
         # hazard bounds or comes near an obstacle (except back at the
@@ -481,10 +485,6 @@ def _record_geometry(
         )
         target[~tab.moving] = pids
         targets.append(target.astype(np.int32).ravel())
-        choices.append((
-            num_choices + tab.spec_of_row[:, None] * k + np.arange(k)
-        ).astype(np.int32).ravel())
-        owners.append(np.tile(pids, len(tab.specs)).astype(np.int32))
         codes.append(np.repeat(
             np.array(
                 [label_code.setdefault(spec.name, len(label_code))
@@ -504,8 +504,6 @@ def _record_geometry(
         shapes=tuple(shape_geos),
         size=size,
         target=flat(targets, np.int32),
-        choice=flat(choices, np.int32),
-        owner=flat(owners, np.int32),
         code=flat(codes, np.int16),
         labels=np.array(list(label_code), dtype=object),
         pattern=pattern,
@@ -832,6 +830,27 @@ def _model(
     )
 
 
+def _choices(
+    geo: _Geometry, entries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The provisional choice of each of the ascending ``entries`` and
+    the owner pattern of every provisional choice, from the shape blocks
+    (:class:`_ShapeGeometry`)."""
+    rows, owners = [], []
+    for sh in geo.shapes:
+        k = sh.pids.size
+        tab = sh.actions
+        lo, hi = np.searchsorted(
+            entries, (sh.offset, sh.offset + tab.spec_of_row.size * k)
+        )
+        r, i = np.divmod(entries[lo:hi] - sh.offset, k)
+        rows.append(sh.choice0 + tab.spec_of_row[r] * k + i)
+        owners.append(np.tile(sh.pids.astype(np.int64), len(tab.specs)))
+    if not rows:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(rows), np.concatenate(owners)
+
+
 def _support(
     geo: _Geometry,
     job: RoutingJob,
@@ -851,10 +870,9 @@ def _support(
     perf.incr("fastmdp.builds")
     tpl = _BuildTemplate()
     entries = np.flatnonzero(mask)
-    row_arr = geo.choice[entries].astype(np.int64)
+    row_arr, owner_arr = _choices(geo, entries)
     col_arr = geo.target[entries].astype(np.int64)
     val_arr = values[entries]
-    owner_arr = geo.owner
     total = geo.pattern.shape[0] - 1
     start_pid = geo.start_pid
 

@@ -5,13 +5,15 @@ with different health fingerprints: the sparsity pattern (which cells can
 reach which) is fixed by the chip geometry while the transition
 *probabilities* move with degradation.  Everything the solver derives
 from the transition *support* alone — qualitative prob0/prob1 sets, the
-total-reward region, the SCC condensation, the per-level row/column
-gathers, the per-owner choice segments that every per-state reduction
-and the strategy extraction run on (:class:`interval._Segments`) and
-the settling prelude's slot-major row layout
-(:class:`interval._SlotLayout`) — is therefore shared by every model of
-that support (:class:`SharedContext`, kept on the context slot of the
-fastmdp build template the model came from).
+total-reward region, the SCC condensation, the per-owner choice segments
+strategy extraction runs on (:class:`interval._Segments`) and, per
+condensation level, one slot-major padded matrix of the level's choice
+rows (:class:`interval._SlotLayout`: one int32 gather into ``T.data``,
+its own ``indices``/``indptr`` and one global choice per padded row) —
+is therefore shared by every model of that support
+(:class:`SharedContext`, kept on the context slot of the fastmdp build
+template the model came from).  Every Bellman application, the settling
+prelude and policy iteration of a level read that one matrix.
 
 A solo solve (:func:`~repro.modelcheck.compiled.solve_reach_avoid_reward`
 and ``solve_reach_avoid_probability``) is a family of one, so every
@@ -34,7 +36,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from repro import perf
 from repro.modelcheck import compiled, interval, precompute
@@ -109,49 +110,6 @@ def _admit(cm) -> "tuple[object, bool]":
 
 
 @dataclass(frozen=True)
-class _Level:
-    """Shared per-condensation-level structure (support-derived).
-
-    The gather arrays are int32: they index one model's nonzeros, far
-    below ``2**31``, and they are most of a cached context's bytes.
-    ``np.take`` reads them as they are; fancy indexing would convert each
-    index array to intp on every call.  ``idx`` and ``own`` are int32 too:
-    only gathers, the exit-policy fallback and the layout build read them.
-    """
-
-    block: np.ndarray  # bool state mask of the level
-    idx: np.ndarray  # global choice indices of the level
-    own: np.ndarray  # owner state per level choice
-    states: np.ndarray  # sorted state indices of the level
-    rowpos: np.ndarray  # gather: T.data[rowpos] -> Tl.data
-    tl_indices: np.ndarray
-    tl_indptr: np.ndarray
-    blockpos: np.ndarray  # gather: Tl.data[blockpos] -> Tblock.data
-    tb_indices: np.ndarray
-    tb_indptr: np.ndarray
-    seg: interval._Segments  # per-owner segments of ``own``
-    #: Whether the level takes the direct (policy-iteration) solve, and
-    #: its settling prelude's row layout (``None`` when not direct or when
-    #: some state owns no usable choice).
-    direct: bool
-    layout: "interval._SlotLayout | None"
-
-    def make_tl(self, T: sparse.csr_matrix, n: int) -> sparse.csr_matrix:
-        """This model's level rows — bit-identical to ``T[idx]``."""
-        return interval._raw_csr(
-            np.take(T.data, self.rowpos), self.tl_indices, self.tl_indptr,
-            (self.idx.size, n),
-        )
-
-    def make_tblock(self, Tl: sparse.csr_matrix) -> sparse.csr_matrix:
-        """The in-block columns — bit-identical to ``Tl[:, states]``."""
-        return interval._raw_csr(
-            np.take(Tl.data, self.blockpos), self.tb_indices, self.tb_indptr,
-            (self.idx.size, self.states.size),
-        )
-
-
-@dataclass(frozen=True)
 class SharedContext:
     """Support-derived precompute shared by a same-shape model family."""
 
@@ -159,66 +117,12 @@ class SharedContext:
     active: np.ndarray
     usable: np.ndarray
     extract: interval._Segments  # per-owner segments of the usable choices
-    levels: tuple[_Level, ...]
+    levels: tuple[interval._SlotLayout, ...]  # successors first
 
 
-def _build_level(
-    T: sparse.csr_matrix,
-    owners: np.ndarray,
-    block: np.ndarray,
-    usable: np.ndarray,
-    minimize: bool,
-) -> _Level:
-    idx = np.flatnonzero(usable & block[owners])
-    own = owners[idx].astype(np.int32)
-    states = np.flatnonzero(block)
-
-    counts = np.diff(T.indptr)[idx]
-    total = int(counts.sum())
-    seg0 = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
-    rowpos = np.repeat(T.indptr[idx], counts) + (
-        np.arange(total, dtype=np.int64) - np.repeat(seg0, counts)
-    )
-    tl_indices = T.indices[rowpos]
-    tl_indptr = np.concatenate(([0], np.cumsum(counts))).astype(
-        T.indptr.dtype
-    )
-
-    # Column-slice skeleton: slicing an index-valued matrix with the same
-    # structure records, in the exact data order scipy's slicing produces,
-    # which Tl entry lands where — so per-model Tblocks are one gather.
-    marker = sparse.csr_matrix(
-        (np.arange(1, total + 1, dtype=np.int32), tl_indices, tl_indptr),
-        shape=(idx.size, T.shape[1]),
-    )
-    msub = marker[:, states]
-    blockpos = msub.data - 1
-    tb_indices = msub.indices
-    tb_indptr = msub.indptr
-
-    direct = minimize and states.size <= interval._SPARSE_DIRECT_MAX
-    return _Level(
-        block=block,
-        idx=idx.astype(np.int32),
-        own=own,
-        states=states,
-        rowpos=rowpos.astype(np.int32),
-        tl_indices=tl_indices,
-        tl_indptr=tl_indptr,
-        blockpos=blockpos,
-        tb_indices=tb_indices,
-        tb_indptr=tb_indptr,
-        seg=interval._Segments.of(own, T.shape[1]),
-        direct=direct,
-        layout=(
-            interval._slot_layout(states, own, tb_indices, tb_indptr)
-            if direct else None
-        ),
-    )
-
-
-def build_context(cm, goal: str, avoid: str, minimize: bool) -> SharedContext:
-    """Compute the shared precompute from one representative model."""
+def build_context(cm, goal: str, avoid: str) -> SharedContext:
+    """Compute the shared precompute from one representative model (the
+    same for ``Rmin`` and ``Rmax``)."""
     goal_mask = cm.label_mask(goal)
     avoid_mask = cm.label_mask(avoid)
     goal_zero, active, usable = compiled._reward_region(
@@ -230,16 +134,17 @@ def build_context(cm, goal: str, avoid: str, minimize: bool) -> SharedContext:
     level_of_state, num_levels = interval._scc_levels(
         cm.num_states, rows, cols, owners, active, usable
     )
-    levels = tuple(
-        _build_level(
-            T, owners, active & (level_of_state == level), usable, minimize
-        )
-        for level in range(num_levels)
-    )
+    levels = []
+    for level in range(num_levels):
+        block = active & (level_of_state == level)
+        idx = np.flatnonzero(usable & block[owners])
+        levels.append(interval._SlotLayout.of(
+            T, idx, owners[idx], np.flatnonzero(block)
+        ))
     return SharedContext(
         goal_zero=goal_zero, active=active, usable=usable,
         extract=interval._Segments.of(owners[usable], cm.num_states),
-        levels=levels,
+        levels=tuple(levels),
     )
 
 
@@ -261,11 +166,10 @@ def _context(cm, key: tuple, build):
     return value if slot is None else slot.setdefault(key, value)
 
 
-def reward_context(cm, goal: str, avoid: str, minimize: bool) -> SharedContext:
+def reward_context(cm, goal: str, avoid: str) -> SharedContext:
     """:func:`build_context`, kept on the model's context slot."""
     return _context(
-        cm, ("reward", goal, avoid, minimize),
-        lambda: build_context(cm, goal, avoid, minimize),
+        cm, ("reward", goal, avoid), lambda: build_context(cm, goal, avoid)
     )
 
 
@@ -306,14 +210,11 @@ def _solve_model(
     )
     targets = interval._level_targets(epsilon, len(ctx.levels))
     for lvl, target in zip(ctx.levels, targets):
-        Tl = lvl.make_tl(T, n)
         interval._solve_reward_level(
-            lower, upper, lvl.block, Tl, cm.choice_reward[lvl.idx], lvl.own,
-            budget, target=float(target), epsilon=epsilon,
-            minimize=minimize, seed=seed,
-            prepared=(lvl.make_tblock(Tl), lvl.layout) if lvl.direct
-            else None,
-            seg=lvl.seg,
+            lower, upper, lvl, lvl.matrix(T),
+            lvl.padded(cm.choice_reward, not minimize), budget,
+            target=float(target), epsilon=epsilon, minimize=minimize,
+            seed=seed,
         )
     solution = interval.IntervalSolution(
         lower, upper, budget.iterations, len(ctx.levels)
@@ -398,11 +299,11 @@ def solve_reach_avoid_reward_batch(
             shared.append(i)
         else:
             families.append(
-                ([i], build_context(models[i], goal, avoid, minimize))
+                ([i], build_context(models[i], goal, avoid))
             )
     if shared:
         families.append(
-            (shared, reward_context(models[shared[0]], goal, avoid, minimize))
+            (shared, reward_context(models[shared[0]], goal, avoid))
         )
     results: "list[ValueResult | None]" = [None] * len(models)
     for idxs, ctx in families:

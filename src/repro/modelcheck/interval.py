@@ -48,10 +48,17 @@ while passing it).  This module replaces that with *certified* solving:
   which keeps termination guaranteed: a level's achievable gap is bounded
   by its successors' (smaller) certified gap.
 
+* **One padded matrix per level** (:class:`_SlotLayout`): a level's
+  choice rows laid out slot-major and padded to a ``(slots, states)``
+  grid, over the level's states and its exit states.  Every Bellman
+  application of a reward level, the settling prelude and policy
+  iteration (improvement, the policy block, the exit policy) read it;
+  per-state optima and greedy choices are axis-0 reductions of the grid.
+
 The module is deliberately free of model/label handling — callers hand in
 masks (probability) or one condensation level at a time (rewards:
-:func:`_solve_reward_level`, driven by :mod:`.batch`); :mod:`.compiled`
-owns the public query API.
+:func:`_solve_reward_level`, driven by :mod:`.batch`, which keeps each
+reward level's layout); :mod:`.compiled` owns the public query API.
 """
 
 from __future__ import annotations
@@ -174,15 +181,15 @@ def _entries(cm) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Segments:
-    """Per-owner segments of a block of choices (support-derived).
+    """Per-owner segments of a set of choices (support-derived).
 
     Compiled models group choices by owner state in ascending order, so
     the owners ``own`` of any ascending choice subset split into
-    contiguous per-owner segments.  Every per-state reduction over the
-    block is then one ``reduceat`` over the segment starts.  The
-    structure depends on the owners only, so the solver memo
-    (:mod:`.batch`) keeps it per level and per extraction mask; it holds
-    nothing per choice.
+    contiguous per-owner segments.  A per-state reduction over the set
+    is then one ``reduceat`` over the segment starts: strategy
+    extraction's, and the probability path's sweeps.  The structure
+    depends on the owners only, so the solver memo (:mod:`.batch`) keeps
+    the extraction mask's; it holds nothing per choice.
     """
 
     n: int  # length of per-state outputs (the model's state count)
@@ -215,16 +222,6 @@ class _Segments:
         block size)."""
         return np.minimum.reduceat(
             np.where(hit, np.arange(hit.size), hit.size), self.starts
-        )
-
-    def argopt(self, q: np.ndarray, maximize: bool) -> np.ndarray:
-        """Index of each segment's best choice, ties toward the lowest.
-
-        One entry per segment — for a block whose every state owns a
-        choice, aligned with the block's sorted states.
-        """
-        return self._first(
-            q == np.repeat(self._best(q, maximize), self.counts)
         )
 
     def canonical(self, q: np.ndarray, maximize: bool,
@@ -423,36 +420,33 @@ def _aitken(
     return values + jump if toward_upper else values - jump
 
 
-def _exit_policy(
-    states: np.ndarray,
-    Tsub: sparse.csr_matrix,
-    own: np.ndarray,
-    block: np.ndarray,
-) -> np.ndarray | None:
-    """A proper policy: each state steps toward the block's exits.
+def _exit_policy(level: "_SlotLayout",
+                 P: sparse.csr_matrix) -> np.ndarray | None:
+    """A proper policy: each state steps toward the level's exits.
 
-    Backward BFS from the complement of ``block``: a state is assigned the
-    first choice whose support hits the already-reached set, so every
-    state's chosen action has positive probability of moving strictly
-    closer to leaving the block.  Returns choice indices (into the block's
-    choice arrays) aligned with sorted ``states``, or ``None`` if some
-    state cannot reach an exit (an absorbing block — its values diverge
-    and no proper policy exists).
+    Backward BFS from the exit columns: a state is assigned its first
+    choice whose support hits the already-reached set, so every state's
+    chosen action has positive probability of moving strictly closer to
+    leaving the level.  Returns padded rows of ``P`` (``level``'s matrix)
+    aligned with the sorted states, or ``None`` if some state cannot
+    reach an exit (an absorbing block — its values diverge and no proper
+    policy exists).
     """
-    support = Tsub > 0
-    joined = ~block
-    chosen = np.full(states.size, -1, dtype=np.int64)
-    pos = np.searchsorted(states, own)
+    n = level.states.size
+    support = P > 0
+    joined = np.ones(level.cols.size, dtype=bool)
+    joined[level.inner] = False
+    owner = np.arange(level.choice.size) % n  # state of each padded row
+    chosen = np.full(n, -1, dtype=np.int64)
     while True:
         hits = (support @ joined.astype(np.int8)) > 0
-        ready = np.flatnonzero(hits & (chosen[pos] == -1))
+        ready = np.flatnonzero(hits & (chosen[owner] == -1))
         if ready.size == 0:
             break
-        _, first = np.unique(own[ready], return_index=True)
+        _, first = np.unique(owner[ready], return_index=True)
         sel = ready[first]
-        chosen[pos[sel]] = sel
-        joined = joined.copy()
-        joined[own[sel]] = True
+        chosen[owner[sel]] = sel
+        joined[level.inner[owner[sel]]] = True
     return chosen if bool(np.all(chosen >= 0)) else None
 
 
@@ -480,117 +474,168 @@ def _raw_csr(data, indices, indptr, shape) -> sparse.csr_matrix:
     return out
 
 
+def _rows_of(indptr: np.ndarray, rows: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entry positions of the CSR rows ``rows``, in that order:
+    ``(pos, lens, ends)``, row ``k`` holding the ``lens[k]`` positions
+    ``pos[ends[k] - lens[k]:ends[k]]``."""
+    start = indptr[rows].astype(np.int64)
+    lens = indptr[rows + 1] - start
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(start - (ends - lens), lens) + np.arange(total), \
+        lens, ends
+
+
 @dataclass(frozen=True)
 class _SlotLayout:
-    """A block's choice rows, slot-major and padded to a rectangle.
+    """One condensation level's choice rows as a slot-major padded matrix.
 
-    Row ``j * n + s`` of the padded matrix is the ``j``-th choice (in
-    choice-index order) of the block's ``s``-th state, or an empty row
-    where that state has fewer than ``j + 1`` choices.  A sweep's
-    per-state optimum is then one axis-0 reduction of a ``(slots, n)``
-    array, and ``argmin``/``argmax``'s first-occurrence rule picks the
-    lowest choice index among ties.  The layout depends on the block's
-    support only, so the solver memo (:mod:`.batch`) caches it per level.
+    Row ``j * n + s`` is the ``j``-th choice (in choice-index order) of
+    the level's ``s``-th state, or an empty *pad* row where that state
+    has fewer than ``j + 1`` choices; a state that owns no choice is an
+    all-pad column of the ``(slots, n)`` grid.  The columns are the
+    level's states and its exit states (successors outside the level),
+    renumbered in ascending global order (``cols``), and every row keeps
+    its entries in the model's order.  So a matvec against ``vec[cols]``
+    sums each choice's terms exactly as the model's own rows do; with the
+    exit columns zeroed, the exit terms enter as exact ``+0.0``.  A
+    per-state optimum is one axis-0 reduction of the grid (pad rows read
+    ``±inf``, the choiceless state's value), and ``argmin``/``argmax``'s
+    first-occurrence rule picks the lowest choice index among ties.
+
+    The layout depends on the support only: a model's matrix is one
+    gather of its ``T.data`` (:meth:`matrix`).  The solver memo
+    (:mod:`.batch`) keeps one per level of a reward context; the
+    probability path builds its own per solve.
     """
 
-    n: int
+    states: np.ndarray  # the level's states, ascending
+    cols: np.ndarray  # global state of each column, ascending
+    inner: np.ndarray  # column of each of ``states``
     slots: int
-    choice: np.ndarray  # block choice index per padded row (-1: padding)
-    pad: np.ndarray  # padded row positions
-    gather: np.ndarray  # Tblock.data positions, in padded-row order
+    choice: np.ndarray  # global choice per padded row (-1: pad)
+    # int32 and read with ``np.take``: ``gather`` (``T.data`` positions
+    # in padded-row order) and ``indices`` are the layout's largest arrays.
+    gather: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
 
+    @classmethod
+    def of(cls, T: sparse.csr_matrix, idx: np.ndarray, own: np.ndarray,
+           states: np.ndarray) -> "_SlotLayout":
+        """The layout of the choices ``idx`` (owners ``own``, each one of
+        the sorted ``states``) of the rows ``T``."""
+        n = states.size
+        pos = np.searchsorted(states, own)
+        counts = np.bincount(pos, minlength=n)
+        slots = max(int(counts.max(initial=0)), 1)
+        order = np.argsort(pos, kind="stable")
+        rank = np.empty(own.size, dtype=np.int64)
+        rank[order] = (np.arange(own.size)
+                       - (np.cumsum(counts) - counts)[pos[order]])
+        choice = np.full(slots * n, -1, dtype=np.int32)
+        choice[rank * n + pos] = idx
+        used = choice >= 0
+        gather, lens, _ = _rows_of(T.indptr, choice[used])
+        succ = T.indices[gather]
+        cols = np.union1d(states, succ)
+        row_len = np.zeros(slots * n, dtype=np.int64)
+        row_len[used] = lens
+        return cls(
+            states=states,
+            cols=cols,
+            inner=np.searchsorted(cols, states),
+            slots=slots,
+            choice=choice,
+            gather=gather.astype(np.int32),
+            indices=np.searchsorted(cols, succ).astype(np.int32),
+            indptr=np.r_[0, np.cumsum(row_len)].astype(np.int32),
+        )
 
-def _slot_layout(
-    states: np.ndarray,
-    own: np.ndarray,
-    tb_indices: np.ndarray,
-    tb_indptr: np.ndarray,
-) -> _SlotLayout | None:
-    """The padded layout of a block's ``Tblock`` (CSR ``indices``/``indptr``).
+    def matrix(self, T: sparse.csr_matrix) -> sparse.csr_matrix:
+        """The padded matrix of the model whose rows are ``T``."""
+        return _raw_csr(np.take(T.data, self.gather), self.indices,
+                        self.indptr, (self.choice.size, self.cols.size))
 
-    Returns ``None`` when some state of the block owns no choice: no
-    policy covers the block, so settling has nothing to hold.
-    """
-    n = states.size
-    pos = np.searchsorted(states, own)
-    counts = np.bincount(pos, minlength=n)
-    if n == 0 or counts.min() == 0:
-        return None
-    slots = int(counts.max())
-    order = np.argsort(pos, kind="stable")
-    rank = np.empty(own.size, dtype=np.int64)
-    rank[order] = np.arange(own.size) - (np.cumsum(counts) - counts)[pos[order]]
-    choice = np.full(slots * n, -1, dtype=np.int32)
-    choice[rank * n + pos] = np.arange(own.size)
-    used = choice >= 0
-    real = choice[used]
-    row_len = np.diff(tb_indptr)[real].astype(np.int64)
-    lens = np.zeros(slots * n, dtype=np.int64)
-    lens[used] = row_len
-    total = int(row_len.sum())
-    # int32, read with ``np.take``: it is the layout's largest array.
-    gather = (
-        np.repeat(tb_indptr[real] - (np.cumsum(row_len) - row_len), row_len)
-        + np.arange(total)
-    ).astype(np.int32)
-    return _SlotLayout(
-        n=n,
-        slots=slots,
-        choice=choice,
-        pad=np.flatnonzero(~used),
-        gather=gather,
-        indices=tb_indices[gather],
-        indptr=np.concatenate(([0], np.cumsum(lens))).astype(
-            tb_indices.dtype
-        ),
-    )
+    def padded(self, values: np.ndarray, maximize: bool) -> np.ndarray:
+        """Per-choice ``values`` per padded row; a pad row reads the
+        objective's worst value (``-inf`` maximizing, else ``inf``)."""
+        used = self.choice >= 0
+        out = np.full(self.choice.size, -np.inf if maximize else np.inf)
+        out[used] = values[self.choice[used]]
+        return out
+
+    def opt(self, q: np.ndarray, maximize: bool) -> np.ndarray:
+        """Per-state optimum of padded-row values."""
+        grid = q.reshape(self.slots, self.states.size)
+        return grid.max(axis=0) if maximize else grid.min(axis=0)
+
+    def argopt(self, q: np.ndarray, maximize: bool) -> np.ndarray:
+        """Each state's optimal padded row, ties toward the lowest
+        choice."""
+        n = self.states.size
+        grid = q.reshape(self.slots, n)
+        best = grid.argmax(axis=0) if maximize else grid.argmin(axis=0)
+        return best * n + np.arange(n)
+
+    def spread(self, x: np.ndarray) -> np.ndarray:
+        """A column vector holding ``x`` at the level's states and exact
+        zeros at its exits."""
+        out = np.zeros(self.cols.size)
+        out[self.inner] = x
+        return out
+
+    def policy_block(self, P: sparse.csr_matrix,
+                     chosen: np.ndarray) -> sparse.csr_matrix:
+        """``P_pi``: the in-level part of the rows ``chosen`` (one per
+        state), square over the states, each row in its model order."""
+        n = chosen.size
+        pos, lens, _ = _rows_of(P.indptr, chosen)
+        at = np.full(self.cols.size, -1, dtype=np.intc)
+        at[self.inner] = np.arange(n, dtype=np.intc)
+        col = at[P.indices[pos]]
+        keep = col >= 0
+        counts = np.bincount(np.repeat(np.arange(n), lens)[keep],
+                             minlength=n)
+        return _raw_csr(P.data[pos[keep]], col[keep],
+                        np.r_[0, np.cumsum(counts)].astype(np.intc), (n, n))
 
 
 def _settle(
-    layout: _SlotLayout | None,
-    Tblock: sparse.csr_matrix,
+    level: _SlotLayout,
+    P: sparse.csr_matrix,
     base: np.ndarray,
     x: np.ndarray,
     budget: "_Budget",
     *,
     maximize: bool,
 ) -> np.ndarray | None:
-    """The value-iteration settling prelude: the block's held policy.
+    """The value-iteration settling prelude: the level's held policy.
 
-    Sweeps ``x <- opt(base + Tblock @ x)`` from ``x``.  Every
+    Sweeps ``x <- opt(base + P @ spread(x))`` from ``x``, ``base`` holding
+    each padded row's reward and exit terms.  Every
     ``_PI_PRELUDE_CHECK``-th sweep takes the greedy policy and updates
     the held one by policy iteration's rule (switch a state only on
     strict improvement beyond the check margin); ``_PI_PRELUDE_STABLE``
     consecutive improvement-free checks, or ``_PI_PRELUDE_MAX`` sweeps,
-    end it.  Each sweep ticks ``budget`` once.  Returns block choice
-    indices aligned with the sorted states, or ``None`` (after one tick)
-    when ``layout`` is ``None``.
+    end it.  Each sweep ticks ``budget`` once.  Returns padded rows
+    aligned with the sorted states, or ``None`` (after one tick) when
+    some state owns no choice: no policy covers the level.
     """
-    if layout is None:
+    n = level.states.size
+    if not bool(np.all(level.choice[:n] >= 0)):
         budget.tick()
         return None
-    n, slots = layout.n, layout.slots
-    B = _raw_csr(
-        np.take(Tblock.data, layout.gather), layout.indices, layout.indptr,
-        (slots * n, n),
-    )
-    padded = base[layout.choice]
-    padded[layout.pad] = -np.inf if maximize else np.inf
-    cols = np.arange(n)
     held = None
     stable = 0
     for k in range(_PI_PRELUDE_MAX):
         budget.tick()
-        q = padded + B @ x
-        grid = q.reshape(slots, n)
+        q = base + P @ level.spread(x)
         if (k + 1) % _PI_PRELUDE_CHECK:
-            x = grid.max(axis=0) if maximize else grid.min(axis=0)
+            x = level.opt(q, maximize)
             continue
-        greedy = (
-            grid.argmax(axis=0) if maximize else grid.argmin(axis=0)
-        ) * n + cols
+        greedy = level.argopt(q, maximize)
         best = q[greedy]
         x = best
         if held is None:
@@ -606,92 +651,68 @@ def _settle(
             stable += 1
             if stable >= _PI_PRELUDE_STABLE:
                 break
-    return None if held is None else layout.choice[held].astype(np.int64)
+    return held
 
 
 def _policy_fixpoint(
-    states: np.ndarray,
-    Tsub: sparse.csr_matrix,
-    rsub: np.ndarray,
-    own: np.ndarray,
+    level: _SlotLayout,
+    P: sparse.csr_matrix,
+    reward: np.ndarray,
     outside: np.ndarray,
-    block: np.ndarray,
     budget: "_Budget",
     *,
     maximize: bool,
-    seg: _Segments,
-    prepared: "tuple[sparse.csr_matrix, _SlotLayout | None] | None" = None,
 ) -> np.ndarray | None:
-    """Exact block values by policy iteration with direct linear solves.
+    """Exact level values by policy iteration with direct linear solves.
 
-    ``Tsub``/``rsub``/``own`` describe the block's choices; ``outside``
-    supplies certified values for successors outside the block (its
-    entries at ``states`` are overwritten).  Each round solves
-    ``(I - P_pi) x = r_pi + P_pi->outside`` for the current policy
-    (:func:`_evaluate`) and improves it; improvement switches a state's
-    action only on *strict* q-value improvement, so starting from the
-    proper exit policy the iteration can never drift into an improper
-    (forever-looping) policy through ties, and a stable policy's value is
-    the Bellman fixpoint to machine precision.  Returns the last solvable
-    iterate (``None`` when no proper start exists or the first system is
-    singular/non-finite); the caller certifies the result before trusting
-    it, so a stale or garbage iterate merely fails verification.
+    ``P`` is the level's padded matrix and ``reward`` its padded rewards
+    (:meth:`_SlotLayout.padded`); ``outside`` supplies certified values
+    for the exit states (its entries at the level's states are ignored).
+    Each round solves ``(I - P_pi) x = r_pi + P_pi->outside`` for the
+    current policy (:func:`_evaluate`) and improves it; improvement
+    switches a state's action only on *strict* q-value improvement, so
+    starting from the proper exit policy the iteration can never drift
+    into an improper (forever-looping) policy through ties, and a stable
+    policy's value is the Bellman fixpoint to machine precision.  Returns
+    the last solvable iterate (``None`` when no proper start exists or
+    the first system is singular/non-finite); the caller certifies the
+    result before trusting it, so a stale or garbage iterate merely fails
+    verification.
 
     The starting policy comes from the value-iteration prelude
     (:func:`_settle`): greedy policies settle long before values
     converge, and a sweep costs a sparse matvec while a policy
-    evaluation costs a factorization.  ``seg`` holds the segments of
-    ``own``; ``prepared`` is the block's ``(Tblock, layout)`` when the
-    caller has them from a support-keyed memo, otherwise they are derived
-    here.  A prelude policy is not guaranteed proper (it can loop inside
-    the block), so a singular or non-finite evaluation restarts once from
-    the backward-BFS exit policy, which is.
+    evaluation costs a factorization.  A prelude policy is not
+    guaranteed proper (it can loop inside the level), so a singular or
+    non-finite evaluation restarts once from the backward-BFS exit
+    policy, which is.
     """
-    if prepared is None:
-        Tblock = Tsub[:, states]
-        layout = _slot_layout(states, own, Tblock.indices, Tblock.indptr)
-    else:
-        Tblock, layout = prepared
-    vals = outside.copy()
-    x0 = vals[states].copy()
+    x0 = outside[level.states]
     x0[~np.isfinite(x0)] = 0.0
-    vals[states] = 0.0
-    base = rsub + Tsub @ vals
-    held = _settle(layout, Tblock, base, x0, budget, maximize=maximize)
+    exits = outside[level.cols]
+    exits[level.inner] = 0.0
+    base = reward + P @ exits
+    held = _settle(level, P, base, x0, budget, maximize=maximize)
     fellback = held is None
     if fellback:
-        held = _exit_policy(states, Tsub, own, block)
+        held = _exit_policy(level, P)
         if held is None:
             return None
-    return _pi_rounds(
-        states, Tsub, Tblock, base, own, block, held, budget,
-        maximize=maximize, fellback=fellback, seg=seg,
-    )
-
-
-def _policy_rows(
-    Tblock: sparse.csr_matrix, chosen: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``Tblock.data`` positions of the rows ``chosen``, in that order:
-    ``(pos, lens, ends)``, row ``k`` holding the ``lens[k]`` positions
-    ``pos[ends[k] - lens[k]:ends[k]]``."""
-    start = Tblock.indptr[chosen]
-    lens = Tblock.indptr[chosen + 1] - start
-    ends = np.cumsum(lens)
-    pos = np.repeat(start - (ends - lens), lens) + np.arange(ends[-1])
-    return pos, lens, ends
+    return _pi_rounds(level, P, base, held, budget, maximize=maximize,
+                      fellback=fellback)
 
 
 def _policy_matrix(
-    Tblock: sparse.csr_matrix, chosen: np.ndarray
+    Ppi: sparse.csr_matrix,
 ) -> tuple[sparse.csc_matrix, np.ndarray]:
-    """``I - P_pi`` of the policy ``chosen``, in its condensation order.
+    """``I - P_pi`` of the policy block ``Ppi``, in its condensation order.
 
-    Returns ``(M, order)``: position ``k`` is block state ``order[k]``, and
-    the CSC matrix ``M`` is the *transpose* of ``I - P_pi`` — its arrays
-    are the CSR arrays of ``I - P_pi``, row ``k`` being state
-    ``order[k]``'s chosen row of ``Tblock`` negated plus a diagonal 1 (a
-    self-loop's ``-p`` and that 1 are summed to ``1 - p``).
+    ``Ppi`` is square (:meth:`_SlotLayout.policy_block`): row ``s`` is
+    state ``s``'s chosen row inside the level.  Returns ``(M, order)``:
+    position ``k`` is state ``order[k]``, and the CSC matrix ``M`` is the
+    *transpose* of ``I - P_pi`` — its arrays are the CSR arrays of
+    ``I - P_pi``, row ``k`` being state ``order[k]``'s row negated plus a
+    diagonal 1 (a self-loop's ``-p`` and that 1 are summed to ``1 - p``).
 
     States are sorted by their strong component stably, so each
     component is contiguous, with the component order reversed: scipy
@@ -702,27 +723,23 @@ def _policy_matrix(
     column-by-column factorization has nothing to update.  Counts
     ``vi.pi.cyclic`` when some component has more than one state.
     """
-    n = chosen.size
-    pos, _, ends = _policy_rows(Tblock, chosen)
-    cols = Tblock.indices[pos]
+    n = Ppi.shape[0]
     ncomp, label = csgraph.connected_components(
-        _raw_csr(Tblock.data[pos], cols, np.r_[0, ends].astype(cols.dtype),
-                 (n, n)),
-        directed=True, connection="strong",
+        Ppi, directed=True, connection="strong"
     )
     if ncomp < n:
         perf.incr("vi.pi.cyclic")
     order = np.argsort(label, kind="stable")[::-1]
     rank = np.empty(n, dtype=np.intc)
     rank[order] = np.arange(n, dtype=np.intc)
-    pos, lens, ends = _policy_rows(Tblock, chosen[order])
+    pos, lens, ends = _rows_of(Ppi.indptr, order)
     # Row k: the chosen row's entries negated, then the diagonal 1.
     diag = np.arange(n, dtype=np.intc)
-    at = np.arange(ends[-1]) + np.repeat(diag, lens)
-    data = np.ones(ends[-1] + n)
-    data[at] = -Tblock.data[pos]
-    indices = np.empty(ends[-1] + n, dtype=np.intc)
-    indices[at] = rank[Tblock.indices[pos]]
+    at = np.arange(pos.size) + np.repeat(diag, lens)
+    data = np.ones(pos.size + n)
+    data[at] = -Ppi.data[pos]
+    indices = np.empty(pos.size + n, dtype=np.intc)
+    indices[at] = rank[Ppi.indices[pos]]
     indices[ends + diag] = diag
     M = sparse.csc_matrix(
         (data, indices, np.r_[0, ends + diag + 1].astype(np.intc)),
@@ -732,10 +749,9 @@ def _policy_matrix(
     return M, order
 
 
-def _evaluate(
-    Tblock: sparse.csr_matrix, chosen: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """The value of policy ``chosen``: solves ``(I - P_pi) x = b``.
+def _evaluate(Ppi: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
+    """The value of the policy whose block is ``Ppi``: solves
+    ``(I - P_pi) x = b``.
 
     For a proper policy ``I - P_pi`` is a nonsingular M-matrix, so every
     symmetric permutation of it (and of its transpose) has an LU
@@ -750,51 +766,46 @@ def _evaluate(
     improper policy's trapped component leaves a zero pivot, and ``splu``
     raises ``RuntimeError``.
     """
-    M, order = _policy_matrix(Tblock, chosen)
+    M, order = _policy_matrix(Ppi)
     perf.incr("vi.pi.factorizations")
     lu = sparse_linalg.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                             panel_size=1, relax=1)
-    x = np.empty(chosen.size)
+    x = np.empty(b.size)
     x[order] = lu.solve(b[order], trans="T")
     return x
 
 
 def _pi_rounds(
-    states: np.ndarray,
-    Tsub: sparse.csr_matrix,
-    Tblock: sparse.csr_matrix,
+    level: _SlotLayout,
+    P: sparse.csr_matrix,
     base: np.ndarray,
-    own: np.ndarray,
-    block: np.ndarray,
     chosen: np.ndarray,
     budget: "_Budget",
     *,
     maximize: bool,
     fellback: bool,
-    seg: _Segments,
 ) -> np.ndarray | None:
-    """Policy-improvement rounds from a held starting policy (the
-    exact-solve half of :func:`_policy_fixpoint`); ``seg`` holds the
-    segments of ``own``."""
+    """Policy-improvement rounds from a held starting policy (padded rows
+    of ``P``; the exact-solve half of :func:`_policy_fixpoint`)."""
     x = None
     for _ in range(_PI_MAX_ROUNDS):
         budget.tick()
         perf.incr("vi.pi.rounds")
         try:
-            xn = _evaluate(Tblock, chosen, base[chosen])
+            xn = _evaluate(level.policy_block(P, chosen), base[chosen])
         except RuntimeError:
             xn = None
         if xn is None or not np.all(np.isfinite(xn)):
             if fellback:
                 return x
             fellback = True
-            chosen = _exit_policy(states, Tsub, own, block)
+            chosen = _exit_policy(level, P)
             if chosen is None:
                 return x
             continue
         x = xn
-        q = base + Tblock @ x
-        greedy = seg.argopt(q, maximize)
+        q = base + P @ level.spread(x)
+        greedy = level.argopt(q, maximize)
         best = q[greedy]
         cur = q[chosen]
         margin = _CHECK_RTOL * (1.0 + np.abs(cur))
@@ -849,8 +860,10 @@ def _tighten(
 ) -> None:
     """Joint monotone tightening of ``lower``/``upper`` over ``block``.
 
-    ``phi_plain`` drives the sweeps; ``phi_check`` is the operator used for
-    certification (the deflated one under ``Pmax``, otherwise the same).
+    ``block`` indexes the level's states; ``phi_plain`` drives the sweeps
+    and ``phi_check`` is the operator used for certification (the
+    deflated one under ``Pmax``, otherwise the same), each returning its
+    values at ``block`` only.
     Every :data:`_EXTRAP_EVERY` sweeps the slower side's Aitken estimate is
     smoothed and turned into verified bound candidates ``est -/+ delta``;
     accepted candidates jump the bracket, rejected ones cost one check
@@ -867,10 +880,8 @@ def _tighten(
             return
         budget.tick()
         sweeps += 1
-        pl = phi_plain(lower)
-        pu = phi_check(upper)
-        new_l = np.maximum(lower[block], pl[block])
-        new_u = np.minimum(upper[block], pu[block])
+        new_l = np.maximum(lower[block], phi_plain(lower))
+        new_u = np.minimum(upper[block], phi_check(upper))
         prev_d_l, prev_d_u = d_l, d_u
         d_l = new_l - lower[block]
         d_u = upper[block] - new_u
@@ -900,7 +911,7 @@ def _tighten(
             budget.tick()
             vec = base.copy()
             vec[block] = est
-            new_est = np.clip(phi_check(vec)[block], 0.0, hi)
+            new_est = np.clip(phi_check(vec), 0.0, hi)
             resid = float(np.max(np.abs(new_est - est)))
             est = new_est
         err = _window_error(resid, norm_now, norm_then, window)
@@ -915,7 +926,7 @@ def _tighten(
                     vec[block] = cand
                     budget.tick()
                     tol = 2.0 * _CHECK_RTOL * (1.0 + float(np.max(np.abs(cand))))
-                    if bool(np.all(phi_check(vec)[block] >= cand - tol)):
+                    if bool(np.all(phi_check(vec) >= cand - tol)):
                         lower[block] = cand
                         got_l = True
             if not got_u:
@@ -925,7 +936,7 @@ def _tighten(
                     vec[block] = cand
                     budget.tick()
                     tol = 2.0 * _CHECK_RTOL * (1.0 + float(np.max(np.abs(cand))))
-                    if bool(np.all(phi_check(vec)[block] <= cand + tol)):
+                    if bool(np.all(phi_check(vec) <= cand + tol)):
                         upper[block] = cand
                         got_u = True
             delta *= _SLACK_GROWTH
@@ -975,25 +986,27 @@ def solve_probability_interval(
         mec_of_state = exit_mask = None
         mec_count = 0
 
-    def make_ops(block_T, block_idx, seg):
+    def make_ops(idx, at):
+        """The level's plain and checking operators over the choices
+        ``idx``, each returning its values at the states ``at``."""
+        block_T = T[idx]
+        seg = _Segments.of(owners[idx], n)
+
         def plain(vec: np.ndarray) -> np.ndarray:
-            return seg.opt(block_T @ vec, maximize)
+            return seg.opt(block_T @ vec, maximize)[at]
 
         def check(vec: np.ndarray) -> np.ndarray:
             q = block_T @ vec
             phi = seg.opt(q, maximize)
             if maximize and mec_count:
-                _deflate(phi, q, block_idx, owners, mec_of_state,
+                _deflate(phi, q, idx, owners, mec_of_state,
                          exit_mask, mec_count)
-            return phi
+            return phi[at]
 
         return plain, check
 
     if seed is not None:
-        all_idx = np.flatnonzero(choice_mask)
-        _, check_all = make_ops(
-            T[all_idx], all_idx, _Segments.of(owners[all_idx], n)
-        )
+        _, check_all = make_ops(np.flatnonzero(choice_mask), unknown)
         v = np.clip(seed - epsilon if maximize else seed + epsilon, 0.0, 1.0)
         v[one] = 1.0
         v[zero] = 0.0
@@ -1001,9 +1014,9 @@ def solve_probability_interval(
         budget.tick()
         tol = 2.0 * _CHECK_RTOL
         if maximize:
-            ok = bool(np.all(phi[unknown] >= v[unknown] - tol))
+            ok = bool(np.all(phi >= v[unknown] - tol))
         else:
-            ok = bool(np.all(phi[unknown] <= v[unknown] + tol))
+            ok = bool(np.all(phi <= v[unknown] + tol))
         if ok:
             if maximize:
                 lower[unknown] = v[unknown]
@@ -1018,34 +1031,34 @@ def solve_probability_interval(
     targets = _level_targets(epsilon, num_levels)
     for level in range(num_levels):
         block = unknown & (level_of_state == level)
-        idx = np.flatnonzero(choice_mask & block[owners])
-        seg = _Segments.of(owners[idx], n)
-        plain, check = make_ops(T[idx], idx, seg)
-        target = float(targets[level])
         states = np.flatnonzero(block)
+        idx = np.flatnonzero(choice_mask & block[owners])
+        plain, check = make_ops(idx, states)
+        target = float(targets[level])
         if states.size <= _SPARSE_DIRECT_MAX:
+            lvl = _SlotLayout.of(T, idx, owners[idx], states)
             x = _policy_fixpoint(
-                states, T[idx], np.zeros(idx.size), owners[idx],
-                0.5 * (lower + upper), block, budget, maximize=maximize,
-                seg=seg,
+                lvl, lvl.matrix(T), lvl.padded(np.zeros(T.shape[0]),
+                                               maximize),
+                0.5 * (lower + upper), budget, maximize=maximize,
             )
             if x is not None:
                 delta = target / 4.0
                 tol = 2.0 * _CHECK_RTOL
-                cl = np.maximum(np.clip(x - delta, 0.0, 1.0), lower[block])
+                cl = np.maximum(np.clip(x - delta, 0.0, 1.0), lower[states])
                 vec = lower.copy()
-                vec[block] = cl
+                vec[states] = cl
                 budget.tick()
-                if bool(np.all(check(vec)[block] >= cl - tol)):
-                    lower[block] = cl
-                cu = np.minimum(np.clip(x + delta, 0.0, 1.0), upper[block])
-                cu = np.maximum(cu, lower[block])
+                if bool(np.all(check(vec) >= cl - tol)):
+                    lower[states] = cl
+                cu = np.minimum(np.clip(x + delta, 0.0, 1.0), upper[states])
+                cu = np.maximum(cu, lower[states])
                 vec = upper.copy()
-                vec[block] = cu
+                vec[states] = cu
                 budget.tick()
-                if bool(np.all(check(vec)[block] <= cu + tol)):
-                    upper[block] = cu
-        _tighten(lower, upper, block, plain, check, budget,
+                if bool(np.all(check(vec) <= cu + tol)):
+                    upper[states] = cu
+        _tighten(lower, upper, states, plain, check, budget,
                  target=target, hi=1.0)
     # Rounding can cross the bounds by strictly less than one ulp of the
     # sweep arithmetic; restore the invariant without moving either side
@@ -1057,26 +1070,23 @@ def solve_probability_interval(
 def _solve_reward_level(
     lower: np.ndarray,
     upper: np.ndarray,
-    block: np.ndarray,
-    Tl: sparse.csr_matrix,
-    rl: np.ndarray,
-    own: np.ndarray,
+    level: _SlotLayout,
+    P: sparse.csr_matrix,
+    reward: np.ndarray,
     budget: _Budget,
     *,
     target: float,
     epsilon: float,
     minimize: bool,
     seed: np.ndarray | None,
-    prepared: "tuple[sparse.csr_matrix, _SlotLayout | None] | None" = None,
-    seg: _Segments | None = None,
 ) -> None:
     """Solve one condensation level of a total-reward objective in place.
 
     The solver (:mod:`.batch`) runs it for every level, successors first,
-    on the level's rows ``Tl``/``rl``/``own`` of one model.  ``prepared``
-    optionally supplies the level's support-derived ``(Tblock, layout)``
-    for the direct solve's settling prelude (see :func:`_policy_fixpoint`),
-    and ``seg`` the segments of ``own``; both are derived when absent.
+    on one model's padded level matrix ``P`` (:meth:`_SlotLayout.matrix`)
+    and padded choice rewards ``reward`` (:meth:`_SlotLayout.padded`).
+    Every Bellman application, the direct solve's settling prelude and
+    its policy iteration read that one matrix.
 
     A warm ``seed`` (relaxed down by ``epsilon``, floored at 0) replaces
     the level's lower iterate only when one Bellman application confirms
@@ -1091,18 +1101,17 @@ def _solve_reward_level(
     makes the supremum infinite; there the guesses never verify and the
     iteration budget surfaces the divergence as :class:`NonConvergence`.
     """
-    n = lower.size
     maximize = not minimize
-    if seg is None:
-        seg = _Segments.of(own, n)
+    block = level.states
+    cols = level.cols
 
     def phi_of(vec: np.ndarray) -> np.ndarray:
-        return seg.opt(rl + Tl @ vec, maximize)
+        """One Bellman application, valued at the level's states."""
+        return level.opt(reward + P @ vec[cols], maximize)
 
     def sweep_lower() -> np.ndarray:
         """One monotone lower sweep; returns the per-state change."""
-        pl = phi_of(lower)
-        new = np.maximum(lower[block], pl[block])
+        new = np.maximum(lower[block], phi_of(lower))
         d = new - lower[block]
         lower[block] = new
         return d
@@ -1113,7 +1122,7 @@ def _solve_reward_level(
         phi = phi_of(v)
         budget.tick()
         tol = _CHECK_RTOL * (1.0 + float(np.max(v[block])))
-        if bool(np.all(phi[block] >= v[block] - tol)):
+        if bool(np.all(phi >= v[block] - tol)):
             lower[block] = v[block]
         else:
             perf.incr("vi.warm.rejected")
@@ -1123,13 +1132,11 @@ def _solve_reward_level(
     # minimization, where every policy of the usable restriction
     # that PI stabilizes on is proper; the verification gate below
     # keeps an improper intermediate from ever leaking out.
-    states = np.flatnonzero(block)
-    if minimize and states.size <= _SPARSE_DIRECT_MAX:
+    if minimize and block.size <= _SPARSE_DIRECT_MAX:
         vals = lower.copy()
         certified = np.isfinite(upper)
         vals[certified] = 0.5 * (lower[certified] + upper[certified])
-        x = _policy_fixpoint(states, Tl, rl, own, vals, block, budget,
-                             maximize=False, prepared=prepared, seg=seg)
+        x = _policy_fixpoint(level, P, reward, vals, budget, maximize=False)
         if x is not None:
             delta = target / 4.0
             cl = np.maximum(lower[block], x - delta)
@@ -1137,14 +1144,14 @@ def _solve_reward_level(
             vec[block] = cl
             budget.tick()
             tol = _CHECK_RTOL * (1.0 + float(np.max(cl)))
-            if bool(np.all(phi_of(vec)[block] >= cl - tol)):
+            if bool(np.all(phi_of(vec) >= cl - tol)):
                 lower[block] = cl
                 cu = np.maximum(cl, x + delta)
                 vec = upper.copy()
                 vec[block] = cu
                 budget.tick()
                 tol = _CHECK_RTOL * (1.0 + float(np.max(cu)))
-                if bool(np.all(phi_of(vec)[block] <= cu + tol)):
+                if bool(np.all(phi_of(vec) <= cu + tol)):
                     upper[block] = cu
                     np.maximum(upper, lower, out=upper)
                     return
@@ -1197,7 +1204,7 @@ def _solve_reward_level(
             budget.tick()
             vec = lower.copy()
             vec[block] = est
-            new_est = np.maximum(phi_of(vec)[block], lower[block])
+            new_est = np.maximum(phi_of(vec), lower[block])
             resid = float(np.max(np.abs(new_est - est)))
             est = new_est
         err = _window_error(resid, delta, delta_then, window)
@@ -1212,7 +1219,7 @@ def _solve_reward_level(
             phi = phi_of(vec)
             budget.tick()
             tol = _CHECK_RTOL * (1.0 + float(np.max(cand)))
-            if bool(np.all(phi[block] >= cand - tol)):
+            if bool(np.all(phi >= cand - tol)):
                 lower[block] = cand
                 break
             slack *= _SLACK_GROWTH
@@ -1239,11 +1246,11 @@ def _solve_reward_level(
             budget.tick()
             pu = phi_of(upper)
             tol = _CHECK_RTOL * (1.0 + float(np.max(upper[block])))
-            if bool(np.all(pu[block] <= upper[block] + tol)):
+            if bool(np.all(pu <= upper[block] + tol)):
                 accepted = True
-                upper[block] = np.minimum(upper[block], pu[block])
+                upper[block] = np.minimum(upper[block], pu)
                 break
-            upper[block] = np.minimum(upper[block], pu[block])
+            upper[block] = np.minimum(upper[block], pu)
             sweep_lower()
             if bool(np.any(upper[block] < lower[block] - tol)):
                 break  # guess collapsed below the lower bound

@@ -22,6 +22,16 @@ They are slow and simple on purpose; no production path calls them.
   the first tied choice, and segment starts re-derived on every call.
   ``tests/test_policy_evaluation.py`` checks extraction and argopt
   against them, ``tests/test_settle_kernel.py`` settles with the last.
+* :func:`solve_reward_reference` and :func:`solve_reward_level_reference`
+  — the reward solver's per-level path before each level became one
+  padded matrix (:class:`repro.modelcheck.interval._SlotLayout`): level
+  rows ``Tl = T[idx]``, in-block columns ``Tblock = Tl[:, states]``,
+  per-owner segments for every per-state reduction and a second padded
+  copy of ``Tblock`` for the settling prelude
+  (:func:`settle_reference`, :func:`exit_policy_reference`,
+  :func:`evaluate_reference`, :func:`policy_fixpoint_reference`).
+  ``tests/test_padded_level.py`` checks the padded level against it bit
+  for bit.
 * :func:`warm_seed_reference` — the warm seed as it was mapped before
   strategies stayed columns: one ``{pattern: value}`` lookup per state of
   the new model.  ``tests/test_warm_seed_columns.py`` checks the column
@@ -36,6 +46,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
+from scipy.sparse import linalg as sparse_linalg
 
 from repro.biochip.chip import MedaChip
 from repro.core.actions import (
@@ -58,7 +70,12 @@ from repro.core.mdp import CYCLE_REWARD, HAZARD_STATE
 from repro.core.routing_job import RoutingJob
 from repro.core.transitions import MatrixForceField, Outcome
 from repro.geometry.rect import Rect
+from repro.modelcheck import compiled, interval
 from repro.modelcheck.compiled import CompiledMDP
+from repro.modelcheck.reachability import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_ITERATIONS,
+)
 from repro.modelcheck.strategy import StateColumns
 
 IntRect = tuple[int, int, int, int]
@@ -403,3 +420,372 @@ def window_token(
     return None if entry is None else fastmdp._window_bytes(
         entry.geometry, forces
     )
+
+
+# --- the segment level path ------------------------------------------------
+#
+# The reward solver's per-level path as it ran before each level became one
+# slot-major padded matrix (``interval._SlotLayout``): the level's rows
+# ``Tl = T[idx]`` over all columns, its in-block columns ``Tblock =
+# Tl[:, states]``, per-owner segments (``interval._Segments``) for every
+# per-state reduction, and a separate padded layout of ``Tblock`` for the
+# settling prelude.  Policies are level choice indices (into ``idx``).
+# Matrices derived inside keep the class of the matrix handed in, so a
+# recording subclass sees every product.
+
+
+def level_rows_reference(T, idx, own, states):
+    """``(Tl, Tblock, seg)`` of the level choices ``idx`` (owners
+    ``own``) over the sorted ``states``."""
+    Tl = T[idx]
+    return Tl, Tl[:, states], interval._Segments.of(own, T.shape[1])
+
+
+def slot_layout_reference(states, own, Tblock):
+    """The settling prelude's padded layout of ``Tblock``: ``(n, slots,
+    choice, pad, B)``, or ``None`` when some state owns no choice."""
+    n = states.size
+    pos = np.searchsorted(states, own)
+    counts = np.bincount(pos, minlength=n)
+    if n == 0 or counts.min() == 0:
+        return None
+    slots = int(counts.max())
+    order = np.argsort(pos, kind="stable")
+    rank = np.empty(own.size, dtype=np.int64)
+    rank[order] = np.arange(own.size) - (np.cumsum(counts) - counts)[pos[order]]
+    choice = np.full(slots * n, -1, dtype=np.int64)
+    choice[rank * n + pos] = np.arange(own.size)
+    used = choice >= 0
+    real = choice[used]
+    row_len = np.diff(Tblock.indptr)[real]
+    lens = np.zeros(slots * n, dtype=np.int64)
+    lens[used] = row_len
+    gather = np.repeat(Tblock.indptr[real] - (np.cumsum(row_len) - row_len),
+                       row_len) + np.arange(int(row_len.sum()))
+    B = type(Tblock)(
+        (Tblock.data[gather], Tblock.indices[gather],
+         np.concatenate(([0], np.cumsum(lens)))),
+        shape=(slots * n, n),
+    )
+    B.slot_major = True  # its rows are padded, not in choice order
+    return n, slots, choice, np.flatnonzero(~used), B
+
+
+def settle_reference(layout, base, x, budget, maximize):
+    """The settling prelude over ``slot_layout_reference``'s layout; the
+    held policy as level choice indices, or ``None`` after one tick."""
+    if layout is None:
+        budget.tick()
+        return None
+    n, slots, choice, pad, B = layout
+    padded = base[choice]
+    padded[pad] = -np.inf if maximize else np.inf
+    cols = np.arange(n)
+    held = None
+    stable = 0
+    for k in range(interval._PI_PRELUDE_MAX):
+        budget.tick()
+        q = padded + B @ x
+        grid = q.reshape(slots, n)
+        if (k + 1) % interval._PI_PRELUDE_CHECK:
+            x = grid.max(axis=0) if maximize else grid.min(axis=0)
+            continue
+        greedy = (grid.argmax(axis=0) if maximize
+                  else grid.argmin(axis=0)) * n + cols
+        best = q[greedy]
+        x = best
+        if held is None:
+            held = greedy
+            continue
+        cur = q[held]
+        margin = interval._CHECK_RTOL * (1.0 + np.abs(cur))
+        improve = (best > cur + margin) if maximize else (best < cur - margin)
+        if improve.any():
+            held = np.where(improve, greedy, held)
+            stable = 0
+        else:
+            stable += 1
+            if stable >= interval._PI_PRELUDE_STABLE:
+                break
+    return None if held is None else choice[held]
+
+
+def exit_policy_reference(states, Tl, own, block):
+    """The backward-BFS exit policy over the level rows ``Tl``."""
+    support = Tl > 0
+    joined = ~block
+    chosen = np.full(states.size, -1, dtype=np.int64)
+    pos = np.searchsorted(states, own)
+    while True:
+        hits = (support @ joined.astype(np.int8)) > 0
+        ready = np.flatnonzero(hits & (chosen[pos] == -1))
+        if ready.size == 0:
+            break
+        _, first = np.unique(own[ready], return_index=True)
+        sel = ready[first]
+        chosen[pos[sel]] = sel
+        joined = joined.copy()
+        joined[own[sel]] = True
+    return chosen if bool(np.all(chosen >= 0)) else None
+
+
+def evaluate_reference(Tblock, chosen, b):
+    """The policy value from ``Tblock``'s chosen rows: the same
+    condensation-order factorization, gathered from the block's CSR."""
+    n = chosen.size
+    Ppi = Tblock[chosen]
+    _, label = csgraph.connected_components(
+        Ppi, directed=True, connection="strong"
+    )
+    order = np.argsort(label, kind="stable")[::-1]
+    rank = np.empty(n, dtype=np.intc)
+    rank[order] = np.arange(n, dtype=np.intc)
+    P = Tblock[chosen[order]]
+    lens = np.diff(P.indptr)
+    ends = np.cumsum(lens)
+    diag = np.arange(n, dtype=np.intc)
+    at = np.arange(P.nnz) + np.repeat(diag, lens)
+    data = np.ones(P.nnz + n)
+    data[at] = -P.data
+    indices = np.empty(P.nnz + n, dtype=np.intc)
+    indices[at] = rank[P.indices]
+    indices[ends + diag] = diag
+    M = sparse.csc_matrix(
+        (data, indices, np.r_[0, ends + diag + 1].astype(np.intc)),
+        shape=(n, n),
+    )
+    M.sum_duplicates()
+    lu = sparse_linalg.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                            panel_size=1, relax=1)
+    x = np.empty(n)
+    x[order] = lu.solve(b[order], trans="T")
+    return x
+
+
+def policy_fixpoint_reference(states, Tl, Tblock, rl, own, outside, block,
+                              budget, maximize):
+    """Policy iteration over the level rows: settle, then improve with
+    ``segment_argopt_reference`` until no state strictly improves."""
+    vals = outside.copy()
+    x0 = vals[states].copy()
+    x0[~np.isfinite(x0)] = 0.0
+    vals[states] = 0.0
+    base = rl + Tl @ vals
+    chosen = settle_reference(slot_layout_reference(states, own, Tblock),
+                              base, x0, budget, maximize)
+    fellback = chosen is None
+    if fellback:
+        chosen = exit_policy_reference(states, Tl, own, block)
+        if chosen is None:
+            return None
+    x = None
+    for _ in range(interval._PI_MAX_ROUNDS):
+        budget.tick()
+        try:
+            xn = evaluate_reference(Tblock, chosen, base[chosen])
+        except RuntimeError:
+            xn = None
+        if xn is None or not np.all(np.isfinite(xn)):
+            if fellback:
+                return x
+            fellback = True
+            chosen = exit_policy_reference(states, Tl, own, block)
+            if chosen is None:
+                return x
+            continue
+        x = xn
+        q = base + Tblock @ x
+        greedy = segment_argopt_reference(own, q, maximize)
+        best = q[greedy]
+        cur = q[chosen]
+        margin = interval._CHECK_RTOL * (1.0 + np.abs(cur))
+        improve = (best > cur + margin) if maximize else (best < cur - margin)
+        if not improve.any():
+            return x
+        chosen = np.where(improve, greedy, chosen)
+    return x
+
+
+def solve_reward_level_reference(lower, upper, T, idx, own, states, reward,
+                                 budget, *, target, epsilon, minimize, seed):
+    """One condensation level of a total-reward solve, in place, over
+    ``Tl``/``Tblock``/segments (the ``interval._solve_reward_level`` body
+    before the padded level; the joint tightening is shared)."""
+    R = interval._CHECK_RTOL
+    maximize = not minimize
+    block = np.zeros(lower.size, dtype=bool)
+    block[states] = True
+    Tl, Tblock, seg = level_rows_reference(T, idx, own, states)
+    rl = reward[idx]
+
+    def phi_of(vec):
+        return seg.opt(rl + Tl @ vec, maximize)
+
+    def sweep_lower():
+        new = np.maximum(lower[block], phi_of(lower)[block])
+        d = new - lower[block]
+        lower[block] = new
+        return d
+
+    if seed is not None:
+        v = lower.copy()
+        v[block] = np.maximum(seed[block] - epsilon, 0.0)
+        phi = phi_of(v)
+        budget.tick()
+        if bool(np.all(phi[block] >= v[block]
+                       - R * (1.0 + float(np.max(v[block]))))):
+            lower[block] = v[block]
+    if minimize and states.size <= interval._SPARSE_DIRECT_MAX:
+        vals = lower.copy()
+        certified = np.isfinite(upper)
+        vals[certified] = 0.5 * (lower[certified] + upper[certified])
+        x = policy_fixpoint_reference(states, Tl, Tblock, rl, own, vals,
+                                      block, budget, False)
+        if x is not None:
+            delta = target / 4.0
+            cl = np.maximum(lower[block], x - delta)
+            vec = lower.copy()
+            vec[block] = cl
+            budget.tick()
+            if bool(np.all(phi_of(vec)[block]
+                           >= cl - R * (1.0 + float(np.max(cl))))):
+                lower[block] = cl
+                cu = np.maximum(cl, x + delta)
+                vec = upper.copy()
+                vec[block] = cu
+                budget.tick()
+                if bool(np.all(phi_of(vec)[block]
+                               <= cu + R * (1.0 + float(np.max(cu))))):
+                    upper[block] = cu
+                    np.maximum(upper, lower, out=upper)
+                    return
+    delta = prev_delta = np.inf
+    d = prev_d = None
+    sweeps = mark = stalled = 0
+    delta_mark = np.inf
+    hist: list[float] = []
+    resid_floor = max(target / 4.0, 1e-300)
+    while True:
+        budget.tick()
+        sweeps += 1
+        prev_delta, prev_d = delta, d
+        d = sweep_lower()
+        delta = float(np.max(d))
+        if delta == 0.0:
+            break
+        hist.append(delta)
+        if delta <= resid_floor:
+            w = min(len(hist) - 1, 8)
+            err = interval._window_error(delta, delta, hist[-1 - w], w) \
+                if w else 0.0
+            stalled += 1
+            if err <= target / 2.0 or stalled > 4 * interval._EXTRAP_EVERY:
+                break
+        if sweeps - mark < interval._EXTRAP_EVERY or prev_d is None:
+            continue
+        window = sweeps - mark
+        mark = sweeps
+        delta_then, delta_mark = delta_mark, delta
+        guess = interval._aitken(lower[block], d, prev_d, toward_upper=True)
+        if guess is None:
+            continue
+        est = np.maximum(guess, lower[block])
+        resid = np.inf
+        for _ in range(interval._SMOOTH_SWEEPS):
+            budget.tick()
+            vec = lower.copy()
+            vec[block] = est
+            new_est = np.maximum(phi_of(vec)[block], lower[block])
+            resid = float(np.max(np.abs(new_est - est)))
+            est = new_est
+        err = interval._window_error(resid, delta, delta_then, window)
+        reach = float(np.max(est - lower[block]))
+        slack = max(target / 4.0, min(err, reach / 4.0))
+        for _ in range(2):
+            cand = np.maximum(lower[block], est - slack)
+            if float(np.max(cand - lower[block])) <= 0.0:
+                break
+            vec = lower.copy()
+            vec[block] = cand
+            phi = phi_of(vec)
+            budget.tick()
+            if bool(np.all(phi[block]
+                           >= cand - R * (1.0 + float(np.max(cand))))):
+                lower[block] = cand
+                break
+            slack *= interval._SLACK_GROWTH
+    if delta > 0.0:
+        w = min(len(hist) - 1, 8)
+        error_estimate = (interval._window_error(delta, delta, hist[-1 - w], w)
+                          if w else 0.0)
+        if not np.isfinite(error_estimate):
+            rho = min(max(delta / prev_delta if prev_delta > 0 else 0.0, 0.0),
+                      0.999999)
+            error_estimate = delta * rho / (1.0 - rho)
+    else:
+        error_estimate = 0.0
+    offset = max(min(error_estimate, 1e12), target / 2.0)
+    accepted = False
+    while not accepted:
+        upper[block] = lower[block] + offset
+        for _ in range(interval._OVI_VERIFY_SWEEPS):
+            budget.tick()
+            pu = phi_of(upper)[block]
+            tol = R * (1.0 + float(np.max(upper[block])))
+            if bool(np.all(pu <= upper[block] + tol)):
+                accepted = True
+                upper[block] = np.minimum(upper[block], pu)
+                break
+            upper[block] = np.minimum(upper[block], pu)
+            sweep_lower()
+            if bool(np.any(upper[block] < lower[block] - tol)):
+                break
+        if not accepted:
+            offset *= interval._OVI_GROWTH
+
+    def phi_block(vec):
+        return phi_of(vec)[block]
+
+    interval._tighten(lower, upper, states, phi_block, phi_block, budget,
+                      target=target, hi=np.inf)
+    np.maximum(upper, lower, out=upper)
+
+
+def solve_reward_reference(cm, *, minimize=True, seed=None,
+                           epsilon=DEFAULT_EPSILON,
+                           max_iterations=DEFAULT_MAX_ITERATIONS,
+                           solve_level=solve_reward_level_reference):
+    """A certified reward solve with no memo, each level run by
+    ``solve_level``: ``ValueResult``-shaped ``(values, choice, lower,
+    upper, iterations)``."""
+    n = cm.num_states
+    goal_zero, active, usable = compiled._reward_region(
+        cm, cm.label_mask("goal"), cm.label_mask("hazard")
+    )
+    if seed is not None:
+        seed = compiled._sanitize_reward_seed(seed, n)
+    lower = np.full(n, np.inf)
+    upper = np.full(n, np.inf)
+    lower[goal_zero] = upper[goal_zero] = 0.0
+    lower[active] = 0.0
+    budget = interval._Budget(max_iterations,
+                              "reward iteration did not converge")
+    T = interval._rows(cm)
+    owners = cm.choice_state
+    rows, cols = interval._entries(cm)
+    level_of_state, num_levels = interval._scc_levels(
+        n, rows, cols, owners, active, usable
+    )
+    targets = interval._level_targets(epsilon, num_levels)
+    for level in range(num_levels):
+        block = active & (level_of_state == level)
+        idx = np.flatnonzero(usable & block[owners])
+        solve_level(lower, upper, T, idx, owners[idx], np.flatnonzero(block),
+                    cm.choice_reward, budget, target=float(targets[level]),
+                    epsilon=epsilon, minimize=minimize, seed=seed)
+    finite = np.isfinite(lower) & np.isfinite(upper)
+    values = np.where(finite, 0.5 * (lower + upper), lower)
+    remapped = compiled._extract(cm, values, usable, cm.choice_reward,
+                                 not minimize, epsilon)
+    return (values, compiled._to_local(cm, remapped), lower, upper,
+            budget.iterations + 1)

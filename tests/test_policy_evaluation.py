@@ -9,11 +9,12 @@ of two and more states — and an improper policy (a component it never
 leaves) must fail the factorization so the solve falls back to the exit
 policy and still certifies.
 
-Strategy extraction and policy improvement reduce per owner over the
-support's segments (``interval._Segments``).  They must choose exactly
-what the scatter (``np.minimum.at``) and ``np.unique`` reductions they
-replaced choose (``tests/oracles.py``), NaN, ±inf, exact ties and empty
-masks included.
+Strategy extraction reduces per owner over the support's segments
+(``interval._Segments``), policy improvement over the padded level's
+``(slots, states)`` grid (``interval._SlotLayout``).  They must choose
+exactly what the scatter (``np.minimum.at``) and ``np.unique``
+reductions they replaced choose (``tests/oracles.py``), ±inf, exact ties
+and empty masks included, and NaN for extraction.
 """
 
 from __future__ import annotations
@@ -40,17 +41,16 @@ from tests.oracles import (
 from tests.test_modelcheck import assert_certified
 
 
-def dense_values(Tblock, chosen, b) -> np.ndarray:
-    n = chosen.size
-    return np.linalg.solve(np.eye(n) - Tblock[chosen].toarray(), b)
+def dense_values(Ppi, b) -> np.ndarray:
+    n = Ppi.shape[0]
+    return np.linalg.solve(np.eye(n) - Ppi.toarray(), b)
 
 
-def proper(Tblock, chosen) -> bool:
+def proper(Ppi) -> bool:
     """Every state reaches exit mass (a row summing below 1) under the
     policy — the graph test for a nonsingular ``I - P_pi``."""
-    P = Tblock[chosen]
-    reached = np.asarray(P.sum(axis=1)).ravel() < 1.0 - 1e-9
-    support = (P > 0).astype(np.int8)
+    reached = np.asarray(Ppi.sum(axis=1)).ravel() < 1.0 - 1e-9
+    support = (Ppi > 0).astype(np.int8)
     while True:
         more = reached | ((support @ reached.astype(np.int8)) > 0)
         if np.array_equal(more, reached):
@@ -58,9 +58,9 @@ def proper(Tblock, chosen) -> bool:
         reached = more
 
 
-def component_sizes(Tblock, chosen) -> np.ndarray:
+def component_sizes(Ppi) -> np.ndarray:
     _, label = sparse.csgraph.connected_components(
-        Tblock[chosen], directed=True, connection="strong"
+        Ppi, directed=True, connection="strong"
     )
     return np.bincount(label)
 
@@ -68,12 +68,12 @@ def component_sizes(Tblock, chosen) -> np.ndarray:
 def _routing_levels():
     """Direct levels of seeded routing models, each with proper policies.
 
-    Yields ``(Tblock, reward, policies)``: the level's in-block rows and
-    choice rewards, and policies as level choice indices per state — the
-    solve's optimal policy, the backward-BFS exit policy, and exit
-    policies with random states switched to random choices that stay
-    proper.  (Arbitrary routing policies are mostly improper: a droplet
-    moved back and forth never leaves.)
+    Yields ``(states, reward, blocks)``: the level's states, its padded
+    choice rewards, and the policy blocks ``P_pi`` with their padded rows
+    — of the solve's optimal policy, the backward-BFS exit policy, and
+    exit policies with random states switched to random choices that
+    stay proper.  (Arbitrary routing policies are mostly improper: a
+    droplet moved back and forth never leaves.)
     """
     W, H = 24, 16
     rng = np.random.default_rng(5)
@@ -90,30 +90,30 @@ def _routing_levels():
         forces = force_field_from_health(health).forces
         cm = build_routing_model_fast(job, forces).compiled
         optimal = cm.first_choice() + solve_reach_avoid_reward(cm).choice
-        ctx = batch.build_context(cm, "goal", "hazard", minimize=True)
+        ctx = batch.build_context(cm, "goal", "hazard")
         T = interval._rows(cm)
         for lvl in ctx.levels:
-            if not (lvl.direct and lvl.layout is not None
-                    and lvl.states.size > 4):
+            m = lvl.states.size
+            if not (m > 4 and np.all(lvl.choice[:m] >= 0)):
                 continue
-            Tl = lvl.make_tl(T, cm.num_states)
-            Tblock = lvl.make_tblock(Tl)
-            exit_policy = interval._exit_policy(lvl.states, Tl, lvl.own,
-                                                lvl.block)
-            policies = [np.searchsorted(lvl.idx, optimal[lvl.states]),
-                        exit_policy]
-            counts = np.diff(np.r_[lvl.seg.starts, lvl.own.size])
+            P = lvl.matrix(T)
+            row_of = np.full(cm.num_choices, -1)
+            real = np.flatnonzero(lvl.choice >= 0)
+            row_of[lvl.choice[real]] = real
+            exit_policy = interval._exit_policy(lvl, P)
+            policies = [row_of[optimal[lvl.states]], exit_policy]
+            counts = (lvl.choice.reshape(lvl.slots, m) >= 0).sum(axis=0)
             while len(policies) < 8:
-                switch = rng.random(lvl.states.size) < 0.2
+                switch = rng.random(m) < 0.2
                 chosen = np.where(
                     switch,
-                    lvl.seg.starts
-                    + (rng.random(lvl.states.size) * counts).astype(int),
+                    (rng.random(m) * counts).astype(int) * m + np.arange(m),
                     exit_policy,
                 )
-                if proper(Tblock, chosen):
+                if proper(lvl.policy_block(P, chosen)):
                     policies.append(chosen)
-            out.append((Tblock, cm.choice_reward[lvl.idx], policies))
+            out.append((lvl.states, lvl.padded(cm.choice_reward, False),
+                        [(lvl.policy_block(P, c), c) for c in policies]))
     return out
 
 
@@ -123,34 +123,32 @@ ROUTING = _routing_levels()
 class TestRoutingBlocks:
     def test_levels_were_found(self):
         assert len(ROUTING) >= 3
-        assert max(t.shape[1] for t, *_ in ROUTING) > 50
+        assert max(states.size for states, *_ in ROUTING) > 50
 
     @pytest.mark.parametrize("k", range(3))
     def test_matches_dense_solve(self, k):
-        Tblock, reward, policies = ROUTING[k]
+        _, reward, blocks = ROUTING[k]
         rng = np.random.default_rng(k)
-        for chosen in policies:
-            assert proper(Tblock, chosen)
+        for Ppi, chosen in blocks:
+            assert proper(Ppi)
             b = reward[chosen] + rng.random(chosen.size)
-            x = interval._evaluate(Tblock, chosen, b)
-            np.testing.assert_allclose(
-                x, dense_values(Tblock, chosen, b), rtol=1e-9
-            )
+            x = interval._evaluate(Ppi, b)
+            np.testing.assert_allclose(x, dense_values(Ppi, b), rtol=1e-9)
 
     def test_some_policies_are_cyclic(self):
-        sizes = [component_sizes(Tblock, chosen).max()
-                 for Tblock, _, policies in ROUTING for chosen in policies]
+        sizes = [component_sizes(Ppi).max()
+                 for _, _, blocks in ROUTING for Ppi, _ in blocks]
         assert max(sizes) >= 2
         assert min(sizes) == 1
 
     def test_acyclic_policy_factors_without_fill(self):
         factored = 0
-        for Tblock, _, policies in ROUTING:
-            for chosen in policies:
-                if component_sizes(Tblock, chosen).max() > 1:
+        for _, _, blocks in ROUTING:
+            for Ppi, _ in blocks:
+                if component_sizes(Ppi).max() > 1:
                     continue
                 # M is the transpose of I - P_pi in condensation order.
-                M, _ = interval._policy_matrix(Tblock, chosen)
+                M, _ = interval._policy_matrix(Ppi)
                 assert sparse.triu(M, 1).nnz == 0  # lower triangular
                 lu = sparse_linalg.splu(M, permc_spec="NATURAL",
                                         diag_pivot_thresh=0.0)
@@ -227,17 +225,18 @@ class TestCyclicPolicies:
     @given(block=cyclic_blocks())
     def test_matches_dense_solve(self, block):
         Tblock, chosen, b, sizes = block
+        Ppi = Tblock[chosen]
         # Extra mass may have merged the drawn cycles; the components are
         # at least as large as drawn.
-        assert component_sizes(Tblock, chosen).max() >= max(sizes)
-        if not proper(Tblock, chosen):
+        assert component_sizes(Ppi).max() >= max(sizes)
+        if not proper(Ppi):
             return
         perf.reset()
-        x = interval._evaluate(Tblock, chosen, b)
+        x = interval._evaluate(Ppi, b)
         np.testing.assert_allclose(
-            x, dense_values(Tblock, chosen, b), rtol=1e-10, atol=1e-12
+            x, dense_values(Ppi, b), rtol=1e-10, atol=1e-12
         )
-        cyclic = component_sizes(Tblock, chosen).max() > 1
+        cyclic = component_sizes(Ppi).max() > 1
         assert perf.get("vi.pi.cyclic") == int(cyclic)
         assert perf.get("vi.pi.factorizations") == 1
 
@@ -247,12 +246,10 @@ class TestCyclicPolicies:
         Tblock = sparse.csr_matrix(
             0.5 * np.roll(np.eye(size), 1, axis=1) + 0.25 * np.eye(size)
         )
-        chosen = np.arange(size)
         b = np.arange(1.0, size + 1.0)
         perf.reset()
-        x = interval._evaluate(Tblock, chosen, b)
-        np.testing.assert_allclose(x, dense_values(Tblock, chosen, b),
-                                   rtol=1e-12)
+        x = interval._evaluate(Tblock, b)
+        np.testing.assert_allclose(x, dense_values(Tblock, b), rtol=1e-12)
         assert perf.get("vi.pi.cyclic") == 1
 
     @pytest.mark.parametrize("matrix", [
@@ -261,10 +258,9 @@ class TestCyclicPolicies:
         [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
     ])
     def test_improper_policy_fails_the_factorization(self, matrix):
-        Tblock = sparse.csr_matrix(np.asarray(matrix))
-        chosen = np.arange(Tblock.shape[0])
+        Ppi = sparse.csr_matrix(np.asarray(matrix))
         with pytest.raises(RuntimeError):
-            interval._evaluate(Tblock, chosen, np.ones(chosen.size))
+            interval._evaluate(Ppi, np.ones(Ppi.shape[0]))
 
 
 def _trap_mdp() -> CompiledMDP:
@@ -289,8 +285,9 @@ def _trap_mdp() -> CompiledMDP:
 
 def test_improper_start_certifies_through_the_exit_policy(monkeypatch):
     # The settling prelude is made to hand over the improper policy
-    # (0 -> 1, 1 -> 0); its evaluation fails, the exit policy takes over
-    # and the solve certifies the true values.
+    # (0 -> 1, 1 -> 0: choices 0 and 2, padded rows 0 and 1); its
+    # evaluation fails, the exit policy takes over and the solve
+    # certifies the true values.
     calls = []
     exit_policy = interval._exit_policy
 
@@ -299,7 +296,7 @@ def test_improper_start_certifies_through_the_exit_policy(monkeypatch):
         return exit_policy(*args)
 
     monkeypatch.setattr(interval, "_settle",
-                        lambda *a, **k: np.array([0, 2]))
+                        lambda *a, **k: np.array([0, 1]))
     monkeypatch.setattr(interval, "_exit_policy", spy)
     batch.clear_context_cache()
     try:
@@ -368,9 +365,19 @@ class TestSegments:
     def test_argopt_matches_reference(self, block, maximize):
         n, owners, q, mask = block
         own, qm = owners[mask], q[mask]
-        got = interval._Segments.of(own, n).argopt(qm, maximize)
-        assert np.array_equal(got, segment_argopt_reference(own, qm,
-                                                            maximize))
+        lvl = interval._SlotLayout.of(
+            sparse.csr_matrix((own.size, n)), np.arange(own.size), own,
+            np.arange(n),
+        )
+        rows = lvl.argopt(lvl.padded(qm, maximize), maximize)
+        want = segment_argopt_reference(own, qm, maximize)
+        got = lvl.choice[rows[np.unique(own)]]
+        # A NaN optimum has no equal choice: the reference gives the block
+        # size, the grid reduction the first NaN (policy improvement never
+        # sees NaN: its q-values are finite or +inf).
+        nan = want == own.size
+        assert np.array_equal(got[~nan], want[~nan])
+        assert np.all(np.isnan(qm[got[nan]]))
 
     @settings(max_examples=200, deadline=None)
     @given(block=owner_blocks(), maximize=st.booleans(),

@@ -1,11 +1,13 @@
 """Differential test of the slot-major settling kernel.
 
-``interval._settle`` sweeps a block's choices laid out slot-major and
-padded to a ``(slots, states)`` rectangle.  The reference below is the
-segment-reduction prelude it replaced (``np.minimum.reduceat`` over each
-state's contiguous choices, greedy ties broken toward the lowest choice
-index).  Over random blocks — minimization and maximization, exact ties,
-single-choice states and states that own no choice — both must hold the
+``interval._settle`` sweeps a level's padded matrix
+(``interval._SlotLayout``): its choices laid out slot-major and padded to
+a ``(slots, states)`` rectangle, with the level's exit columns read as
+exact zeros.  The reference below is the segment-reduction prelude over
+the in-level rows (``np.minimum.reduceat`` over each state's contiguous
+choices, greedy ties broken toward the lowest choice index).  Over random
+levels — minimization and maximization, exact ties, single-choice states,
+states that own no choice and rows with exit mass — both must hold the
 same policy, feed the same iterate into every sweep and tick the budget
 the same number of times.
 """
@@ -13,7 +15,6 @@ the same number of times.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -75,7 +76,13 @@ def _recording(data, indices, indptr, shape, seen):
 
 @st.composite
 def blocks(draw):
-    """A random block: sorted owners, in-block rows with exit mass left."""
+    """A random level: sorted owners, in-level rows with exit mass left.
+
+    Returns the level's states (spread out over global ids), the owner of
+    each choice, the in-level rows ``Tblock``, the full rows ``T`` (the
+    same rows plus entries to exit states between the level's states),
+    per-choice bases and a starting iterate.
+    """
     n = draw(st.integers(1, 7))
     counts = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     if draw(st.booleans()) and draw(st.booleans()):
@@ -95,27 +102,46 @@ def blocks(draw):
             rows.append({s: draw(st.sampled_from((0.125, 0.25, 0.5 / 3)))
                          for s in succ})
             bases.append(draw(st.sampled_from((1.0, 2.0, 2.5, 7.0 / 3))))
+    exits = [draw(st.lists(st.integers(0, n), max_size=2, unique=True))
+             for _ in rows]
     own = np.repeat(np.arange(n), counts)
-    data, indices, indptr = [], [], [0]
-    for row in rows:
-        for col in sorted(row):
-            indices.append(col)
-            data.append(row[col])
-        indptr.append(len(indices))
-    Tblock = sparse.csr_matrix(
-        (np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int32),
-         np.asarray(indptr, dtype=np.int32)),
-        shape=(len(rows), n),
-    )
+    # Owners are global state ids: spread the level's states out, with an
+    # exit state between each two.
+    states = 3 * np.arange(n) + 2
+
+    def csr(entries, width):
+        data, indices, indptr = [], [], [0]
+        for row in entries:
+            for col in sorted(row):
+                indices.append(col)
+                data.append(row[col])
+            indptr.append(len(indices))
+        return sparse.csr_matrix(
+            (np.asarray(data, dtype=float),
+             np.asarray(indices, dtype=np.int32),
+             np.asarray(indptr, dtype=np.int32)),
+            shape=(len(entries), width),
+        )
+
+    Tblock = csr(rows, n)
+    full = []
+    for row, out in zip(rows, exits):
+        wide = {int(states[s]): p for s, p in row.items()}
+        wide.update({3 * e + 1: 0.0625 for e in out})
+        full.append(wide)
+    T = csr(full, 3 * n + 2)
     x0 = np.asarray(draw(st.lists(
         st.sampled_from((0.0, 1.0, 3.0, 0.5)), min_size=n, max_size=n)))
-    # Owners are global state ids: spread the block's states out.
-    states = 3 * np.arange(n) + 2
-    return states, states[own], Tblock, np.asarray(bases), x0
+    return states, states[own], Tblock, T, np.asarray(bases), x0
 
 
-def _run_both(block, maximize, monkeypatch):
-    states, own, Tblock, base, x0 = block
+def _level(states, own, T):
+    """The padded level of every row of ``T``."""
+    return interval._SlotLayout.of(T, np.arange(own.size), own, states)
+
+
+def _run_both(block, maximize):
+    states, own, Tblock, T, base, x0 = block
     n = states.size
     ref_seen: list = []
     ref_T = _recording(Tblock.data, Tblock.indices, Tblock.indptr,
@@ -125,15 +151,20 @@ def _run_both(block, maximize, monkeypatch):
                            maximize)
 
     new_seen: list = []
-    monkeypatch.setattr(
-        interval, "_raw_csr",
-        lambda d, i, p, shape: _recording(d, i, p, shape, new_seen),
-    )
-    layout = interval._slot_layout(states, own, Tblock.indices,
-                                   Tblock.indptr)
+    level = _level(states, own, T)
+    P = level.matrix(T)
     new_budget = interval._Budget(100_000, "new")
-    new = interval._settle(layout, Tblock, base, x0.copy(), new_budget,
-                           maximize=maximize)
+    held = interval._settle(
+        level, _recording(P.data, P.indices, P.indptr, P.shape, new_seen),
+        level.padded(base, maximize), x0.copy(), new_budget,
+        maximize=maximize,
+    )
+    # Every sweep reads the exits as exact zeros; compare the level part.
+    exits = np.ones(level.cols.size, dtype=bool)
+    exits[level.inner] = False
+    assert not any(np.any(u[exits]) for u in new_seen)
+    new_seen = [u[level.inner] for u in new_seen]
+    new = None if held is None else level.choice[held].astype(np.int64)
     return (ref, ref_seen, ref_budget.iterations), \
         (new, new_seen, new_budget.iterations)
 
@@ -142,9 +173,8 @@ class TestSettleKernel:
     @settings(max_examples=150, deadline=None)
     @given(block=blocks(), maximize=st.booleans())
     def test_matches_segment_reduction_reference(self, block, maximize):
-        with pytest.MonkeyPatch.context() as mp:
-            (ref, ref_seen, ref_ticks), (new, new_seen, new_ticks) = \
-                _run_both(block, maximize, mp)
+        (ref, ref_seen, ref_ticks), (new, new_seen, new_ticks) = \
+            _run_both(block, maximize)
         assert new_ticks == ref_ticks
         if ref is None:
             assert new is None
@@ -159,13 +189,14 @@ class TestSettleKernel:
     def test_state_without_choice_gives_none_after_one_tick(self):
         states = np.array([0, 1, 2])
         own = np.array([0, 0, 2])  # state 1 owns no choice
-        Tblock = sparse.csr_matrix(np.array([[0.0, 0.5, 0.0],
-                                             [0.0, 0.0, 0.25],
-                                             [0.5, 0.0, 0.0]]))
-        assert interval._slot_layout(states, own, Tblock.indices,
-                                     Tblock.indptr) is None
+        T = sparse.csr_matrix(np.array([[0.0, 0.5, 0.0],
+                                        [0.0, 0.0, 0.25],
+                                        [0.5, 0.0, 0.0]]))
+        level = _level(states, own, T)
+        assert level.choice.reshape(level.slots, 3)[:, 1].tolist() == [-1, -1]
         budget = interval._Budget(100, "t")
-        held = interval._settle(None, Tblock, np.ones(3), np.zeros(3),
+        held = interval._settle(level, level.matrix(T),
+                                level.padded(np.ones(3), False), np.zeros(3),
                                 budget, maximize=False)
         assert held is None
         assert budget.iterations == 1
@@ -175,31 +206,32 @@ class TestSettleKernel:
         states = np.array([0, 1])
         own = np.array([0, 0, 0, 1])
         row = [0.0, 0.5]
-        Tblock = sparse.csr_matrix(np.array([row, row, row, [0.25, 0.0]]))
-        layout = interval._slot_layout(states, own, Tblock.indices,
-                                       Tblock.indptr)
+        T = sparse.csr_matrix(np.array([row, row, row, [0.25, 0.0]]))
+        level = _level(states, own, T)
         for maximize in (False, True):
             held = interval._settle(
-                layout, Tblock, np.array([1.0, 1.0, 1.0, 2.0]), np.zeros(2),
-                interval._Budget(1000, "t"), maximize=maximize,
+                level, level.matrix(T),
+                level.padded(np.array([1.0, 1.0, 1.0, 2.0]), maximize),
+                np.zeros(2), interval._Budget(1000, "t"), maximize=maximize,
             )
-            assert held.tolist() == [0, 3]
+            assert level.choice[held].tolist() == [0, 3]
 
     def test_layout_rows_are_the_block_rows_slot_major(self):
         states = np.array([4, 9])
         own = np.array([4, 9, 9])
-        Tblock = sparse.csr_matrix(np.array([[0.25, 0.5],
-                                             [0.125, 0.0],
-                                             [0.0, 0.25]]))
-        layout = interval._slot_layout(states, own, Tblock.indices,
-                                       Tblock.indptr)
-        assert (layout.n, layout.slots) == (2, 2)
+        T = sparse.csr_matrix((
+            np.array([0.25, 0.5, 0.125, 0.25, 0.25]),
+            np.array([4, 9, 4, 6, 9]),
+            np.array([0, 2, 4, 5]),
+        ), shape=(3, 10))
+        level = _level(states, own, T)
+        assert (level.states.size, level.slots) == (2, 2)
         # row j * n + s holds state s's j-th choice; row 2 pads state 0
-        assert layout.choice.tolist() == [0, 1, -1, 2]
-        assert layout.pad.tolist() == [2]
-        padded = sparse.csr_matrix(
-            (Tblock.data[layout.gather], layout.indices, layout.indptr),
-            shape=(4, 2),
-        ).toarray()
-        assert np.array_equal(padded[[0, 1, 3]], Tblock.toarray())
+        assert level.choice.tolist() == [0, 1, -1, 2]
+        assert np.flatnonzero(level.choice < 0).tolist() == [2]
+        # columns: the level's states and the exit state 6, ascending
+        assert level.cols.tolist() == [4, 6, 9]
+        assert level.inner.tolist() == [0, 2]
+        padded = level.matrix(T).toarray()
+        assert np.array_equal(padded[[0, 1, 3]], T.toarray()[:, [4, 6, 9]])
         assert not padded[2].any()

@@ -1,13 +1,12 @@
 """Differential tests for the support-keyed solver contexts.
 
 Every certified solve runs the batch kernel, and the kernel takes its
-support-derived precompute (prob-1 region, SCC levels, per-level row and
-column gathers, qualitative sets) from the context slot of the build
-template the model came from.  The contract under test: a solve against
-a filled slot is bit-identical, in every ``ValueResult`` field, to the
-same solve right after ``clear_context_cache()`` — and both equal an
-uncached oracle that slices the transition matrix directly, as the
-solver did before the memo.  Also covered: threaded builds and solves
+support-derived precompute (prob-1 region, SCC levels, per-level padded
+matrices, qualitative sets) from the context slot of the build template
+the model came from.  The contract under test: a solve against a filled
+slot is bit-identical, in every ``ValueResult`` field, to the same solve
+right after ``clear_context_cache()`` — and both equal an uncached
+oracle that derives every level from the model on each call.  Also covered: threaded builds and solves
 against a small template bound, the slot and cache size figures, and
 the LRU order of the build-template cache.
 """
@@ -83,9 +82,8 @@ def _cold(solve, *args, **kwargs):
 def _uncached_reward(cm, initial_values=None, epsilon=DEFAULT_EPSILON):
     """Oracle: the certified ``Rmin`` solve with no memo and no gathers.
 
-    Recomputes the prob-1 region and the SCC levels for this one model,
-    slices ``T[idx]`` per level and lets the per-level body run its own
-    settling prelude (which slices ``Tl[:, states]``).
+    Recomputes the prob-1 region, the SCC levels and each level's padded
+    matrix for this one model, and runs the per-level body on them.
     """
     goal_zero, active, usable = compiled._reward_region(
         cm, cm.label_mask("goal"), cm.label_mask("hazard")
@@ -111,9 +109,12 @@ def _uncached_reward(cm, initial_values=None, epsilon=DEFAULT_EPSILON):
     for level in range(num_levels):
         block = active & (level_of_state == level)
         idx = np.flatnonzero(usable & block[owners])
+        lvl = interval._SlotLayout.of(T, idx, owners[idx],
+                                      np.flatnonzero(block))
         interval._solve_reward_level(
-            lower, upper, block, T[idx], cm.choice_reward[idx], owners[idx],
-            budget, target=float(targets[level]), epsilon=epsilon,
+            lower, upper, lvl, lvl.matrix(T),
+            lvl.padded(cm.choice_reward, False), budget,
+            target=float(targets[level]), epsilon=epsilon,
             minimize=True, seed=seed,
         )
     finite = np.isfinite(lower) & np.isfinite(upper)

@@ -187,10 +187,8 @@ class TestContexts:
             cm = build_routing_model_fast(JOB, forces).compiled
             solve_reach_avoid_reward(cm)
             solve_reach_avoid_probability(cm, maximize=True)
-            reward = cm.contexts[("reward", "goal", "hazard", True)]
-            _assert_same(reward, batch.build_context(
-                cm, "goal", "hazard", True
-            ))
+            reward = cm.contexts[("reward", "goal", "hazard")]
+            _assert_same(reward, batch.build_context(cm, "goal", "hazard"))
             qual = cm.contexts[("qualitative", "goal", "hazard", True)]
             _assert_same(qual, precompute.qualitative(
                 cm, cm.label_mask("goal"), cm.label_mask("hazard"), True
