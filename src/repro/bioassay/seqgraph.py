@@ -24,6 +24,7 @@ class SequencingGraph:
 
     def __post_init__(self) -> None:
         self._by_name = {mo.name: mo for mo in self.mos}
+        self._position = {mo.name: i for i, mo in enumerate(self.mos)}
         if len(self._by_name) != len(self.mos):
             raise ValueError(f"bioassay {self.name!r} has duplicate MO names")
         self._graph = nx.DiGraph()
@@ -67,15 +68,10 @@ class SequencingGraph:
 
     def topological(self) -> list[MO]:
         """MOs in a dependency-respecting order (stable by list position)."""
-        order = list(
-            nx.lexicographical_topological_sort(
-                self._graph, key=lambda n: self._index(n)
-            )
+        order = nx.lexicographical_topological_sort(
+            self._graph, key=self._position.__getitem__
         )
         return [self._by_name[n] for n in order]
-
-    def _index(self, name: str) -> int:
-        return next(i for i, mo in enumerate(self.mos) if mo.name == name)
 
     def successors(self, name: str) -> list[MO]:
         return [self._by_name[n] for n in self._graph.successors(name)]

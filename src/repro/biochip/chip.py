@@ -12,12 +12,20 @@ Derived quantities follow Sec. IV-B:
 
 The chip keeps ``D``, ``H`` and ``F`` up to date instead of deriving them
 on every read.  Since ``D = tau^(N/c)`` is elementwise, an actuation or a
-masked sensing scan recomputes only the cells it touched; a full-array
-scan or an assignment to :attr:`MedaChip.actuations` recomputes every
-cell.  Either way each cell's value is bit-identical to a from-scratch
-evaluation.  :meth:`MedaChip.health` returns a read-only array whose
-identity changes exactly when some quantized value changes, so callers
-can detect "nothing changed" with ``is``.
+masked sensing scan recomputes ``D`` and ``F`` only on the cells it
+touched, and a full-array scan on every cell.  ``H`` is re-quantized on
+fewer still: each cell keeps a *guard count*, a lower bound on the stress
+at which its code can next drop (``floor(c ln(h/2^b) / ln tau) - 1``,
+capped by the cell's failure count; infinite for code 0 or ``tau = 1``
+without a failure).  Only touched cells whose count reached their guard
+are quantized and compared, and then get new guards.  The bound keeps at
+least one count of margin, far wider than the rounding of
+``tau^(N/c)`` while ``c / |ln tau| < 1e15``.  An assignment to
+:attr:`MedaChip.actuations` resets every guard, so every cell is
+re-quantized.  Either way each cell's value is bit-identical to a
+from-scratch evaluation.  :meth:`MedaChip.health` returns a read-only
+array whose identity changes exactly when some quantized value changes,
+so callers can detect "nothing changed" with ``is``.
 """
 
 from __future__ import annotations
@@ -78,13 +86,24 @@ class MedaChip:
         self._d = self._degradation.reshape(-1)
         self._f = self._force.reshape(-1)
         self._health: np.ndarray | None = None
+        #: Per-cell guard counts (see the module docstring); ``-inf``
+        #: forces a cell's next refresh to re-quantize it.
+        self._guard = np.full(self._n.size, -np.inf)
+        #: ``c / ln tau`` per cell (``-inf`` where ``tau = 1``) and
+        #: ``ln(h / 2^b)`` per code (``-inf`` for code 0): their product is
+        #: the positive stress at which code ``h`` drops, or ``inf``.
+        self._span = np.divide(self._c, np.log(self._tau),
+                               out=np.full(self._c.size, -np.inf),
+                               where=self._tau < 1.0)
+        with np.errstate(divide="ignore"):
+            self._ln_code = np.log(np.arange(1 << bits) / (1 << bits))
         #: Flat offsets of a ``w x h`` pattern from its lower-left cell,
         #: per shape (bounded by the shapes that fit the chip).
         self._offsets: dict[tuple[int, int], np.ndarray] = {}
         #: Exact integer ``sum(N)`` while every count is a whole number
         #: (no fractional sensing stress yet); ``None`` otherwise.
         self._total: int | None = 0
-        self._refresh(None)
+        self._update(None)
         self._field = MatrixForceField(self._force)
 
     @classmethod
@@ -114,7 +133,8 @@ class MedaChip:
         """Per-MC actuation-equivalent stress ``N`` (a copy).
 
         Assign to change it (``chip.actuations += prewear`` works): the
-        assignment recomputes every cell's derived state.
+        assignment recomputes every cell's derived state and resets every
+        guard, since it may lower a count.
         """
         return self._actuations.copy()
 
@@ -129,7 +149,8 @@ class MedaChip:
         self._actuations[...] = value
         self._total = (int(value.sum()) if _whole(self._actuations)
                        else None)
-        self._refresh(None)
+        self._guard.fill(-np.inf)
+        self._update(None)
 
     def apply_actuation(self, actuation: np.ndarray) -> None:
         """Apply one cycle's actuation matrix ``U`` (0/1 per MC)."""
@@ -139,8 +160,10 @@ class MedaChip:
                 f"({self.width}, {self.height})"
             )
         cells = np.flatnonzero(actuation)
-        self._add(cells, np.ravel(actuation)[cells].astype(float),
-                  integral=actuation.dtype.kind in "biu")
+        stress = np.ravel(actuation)[cells].astype(float)
+        if np.any(stress < 0.0):
+            raise ValueError("actuation counts cannot be negative")
+        self._add(cells, stress, integral=actuation.dtype.kind in "biu")
 
     def actuate(self, patterns: Iterable[Rect]) -> None:
         """Apply one cycle's actuation straight from the droplet patterns.
@@ -200,7 +223,7 @@ class MedaChip:
                     self._total + int(weight) * self._actuations.size
                     if float(weight).is_integer() else None
                 )
-            self._refresh(None)
+            self._update(None)
             return
         if mask.shape != (self.width, self.height):
             raise ValueError(
@@ -212,8 +235,8 @@ class MedaChip:
 
     def _add(self, cells: np.ndarray, stress: "np.ndarray | float",
              integral: bool = False) -> None:
-        """Add ``stress`` (per cell, or one value for all) to the distinct
-        flat ``cells`` and refresh only those.
+        """Add non-negative ``stress`` (per cell, or one value for all) to
+        the distinct flat ``cells`` and refresh only those.
 
         ``integral`` says the stress is whole by construction (it came
         from an integer matrix or is one actuation), which spares the
@@ -225,34 +248,52 @@ class MedaChip:
         if self._total is not None:
             if not (integral or _whole(stress)):
                 self._total = None
-            elif np.ndim(stress):
+            elif isinstance(stress, np.ndarray):
                 self._total += int(stress.sum())
             else:
                 self._total += int(stress) * cells.size
-        self._refresh(cells)
+        self._update(cells)
 
-    def _refresh(self, cells: np.ndarray | None) -> None:
-        """Recompute ``D``, ``F`` and ``H`` on flat ``cells`` (None = all).
+    def _update(self, cells: np.ndarray | None) -> None:
+        """Recompute ``D`` and ``F`` on flat ``cells`` (None = all), and
+        re-quantize those of them whose count reached its guard.
 
         The same elementwise arithmetic as a whole-array evaluation, so
-        every value is bit-identical to one (``H = min(floor(2^b D),
-        2^b - 1)``, after checking ``D`` lies in ``[0, 1]``); ``H`` is
-        copied on change.
+        every value is bit-identical to one.
         """
         idx = slice(None) if cells is None else cells
         counts = self._n[idx]
         d = self._tau[idx] ** (counts / self._c[idx])
         if self._mortal:
             d[counts >= self._fail_at[idx]] = 0.0
-        h = health_codes(d, self.bits)
         self._d[idx] = d
         self._f[idx] = d ** 2
+        due = counts >= self._guard[idx]
+        if not due.any():
+            return
+        due_cells = np.flatnonzero(due) if cells is None else cells[due]
+        self._requantize(due_cells, d[due])
+
+    def _requantize(self, cells: np.ndarray, d: np.ndarray) -> None:
+        """Quantize ``D`` on flat ``cells`` (``H = min(floor(2^b D),
+        2^b - 1)``, after checking ``D`` lies in ``[0, 1]``), copy ``H``
+        on change and give the cells new guards."""
+        h = health_codes(d, self.bits)
+        guard = self._span[cells] * self._ln_code[h.astype(np.intp)]
+        np.floor(guard, out=guard)
+        guard -= 1.0
+        if self._mortal:
+            np.minimum(guard, self._fail_at[cells], out=guard)
+            guard[h == 0.0] = np.inf
+        self._guard[cells] = guard
         old = self._health
-        if old is not None and not np.count_nonzero(h != old.reshape(-1)[idx]):
+        if old is not None and not np.count_nonzero(
+            h != old.reshape(-1)[cells]
+        ):
             return
         new = (np.empty(self._actuations.shape, dtype=int) if old is None
                else old.copy())
-        new.reshape(-1)[idx] = h
+        new.reshape(-1)[cells] = h
         new.flags.writeable = False
         self._health = new
 

@@ -20,6 +20,7 @@ intended actuation pattern.  The simulator owns the dice
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -203,10 +204,15 @@ class HybridScheduler:
         # Retained: the reconfiguration layer re-decomposes remapped MOs
         # through the same helper so successor MOs see updated outputs.
         self._helper = RJHelper(width, height)
-        self._order = [mo.name for mo in graph.topological()]
-        self._states: dict[str, _MOState] = {}
-        for mo in graph.topological():
-            self._states[mo.name] = _MOState(decomposed=self._helper.decompose(mo))
+        topological = graph.topological()
+        self._order = [mo.name for mo in topological]
+        self._pos = {name: i for i, name in enumerate(self._order)}
+        self._states: dict[str, _MOState] = {
+            mo.name: _MOState(decomposed=self._helper.decompose(mo))
+            for mo in topological
+        }
+        #: Routing or operating MOs, in program order.
+        self._active: list[str] = []
         self.droplets: dict[int, Rect] = {}
         self._owner: dict[int, str] = {}
         self._parked: dict[tuple[str, int], int] = {}
@@ -226,6 +232,15 @@ class HybridScheduler:
         #: depends only on which MOs are done), in program order.
         self._ready: list[str] = []
         self._ready_at = -1
+        #: Bumped by every event that can change which ready MOs are still
+        #: in INIT or a fencing verdict: an MO phase change, a task's new
+        #: job, a remap, a change to the parked set or the droplet set.
+        self._epoch = 0
+        #: The ready MOs still in INIT, and the fencing verdicts, as of
+        #: epoch ``_checked_at``.
+        self._ready_init: list[str] = []
+        self._verdicts: dict[str, bool] = {}
+        self._checked_at = -1
         self.failure: str | None = None
         self.cycle = 0
         self.resyntheses = 0
@@ -262,7 +277,8 @@ class HybridScheduler:
         self._activate_ready(health)
         targets: dict[int, Rect] = {}
         moves: dict[int, str] = {}
-        for name in self._order:
+        # A snapshot: an MO that finishes leaves the list mid-loop.
+        for name in tuple(self._active):
             if self.failure:
                 break
             state = self._states[name]
@@ -296,9 +312,8 @@ class HybridScheduler:
         """
         zones = tuple(
             task.job.hazard
-            for state in self._states.values()
-            if state.phase in (MOPhase.ROUTING, MOPhase.OPERATING)
-            for task in state.tasks
+            for name in self._active
+            for task in self._states[name].tasks
         )
         key = (zones, tuple(self.droplets.values()))
         if key == self._sensing_key:
@@ -365,6 +380,7 @@ class HybridScheduler:
         self._next_droplet += 1
         self.droplets[did] = rect
         self._owner[did] = owner
+        self._epoch += 1
         self._chemistry[did] = (
             float(rect.area) if volume is None else volume,
             concentration,
@@ -379,9 +395,11 @@ class HybridScheduler:
         self.droplets.pop(did, None)
         self._owner.pop(did, None)
         self._chemistry.pop(did, None)
+        self._epoch += 1
 
     def _park(self, name: str, slot: int, did: int) -> None:
         self._parked[(name, slot)] = did
+        self._epoch += 1
 
     def _consume(self, name: str, mo_name: str, index: int) -> int:
         """Claim input ``index`` of MO ``mo_name`` from its producer."""
@@ -395,7 +413,18 @@ class HybridScheduler:
                 f"{pred}) is not parked"
             )
         self._owner[did] = name
+        self._epoch += 1
         return did
+
+    def _enter(self, name: str, state: _MOState, phase: MOPhase) -> None:
+        """Move an MO to ``phase``, keeping the active list in order."""
+        was_active = state.phase in (MOPhase.ROUTING, MOPhase.OPERATING)
+        state.phase = phase
+        self._epoch += 1
+        if phase is MOPhase.DONE:
+            self._active.remove(name)
+        elif not was_active:
+            bisect.insort(self._active, name, key=self._pos.__getitem__)
 
     # -- activation --------------------------------------------------------------
 
@@ -407,16 +436,32 @@ class HybridScheduler:
 
     def _active_zones(self) -> list[Rect]:
         zones: list[Rect] = []
-        for state in self._states.values():
-            if state.phase in (MOPhase.ROUTING, MOPhase.OPERATING):
-                zones.extend(t.job.hazard for t in state.tasks)
-                if not state.tasks:
-                    # Operating without routing tasks (e.g. dispensing):
-                    # fence the decomposed jobs' zones.
-                    zones.extend(j.hazard for j in state.decomposed.jobs)
+        for name in self._active:
+            state = self._states[name]
+            zones.extend(t.job.hazard for t in state.tasks)
+            if not state.tasks:
+                # Operating without routing tasks (e.g. dispensing):
+                # fence the decomposed jobs' zones.
+                zones.extend(j.hazard for j in state.decomposed.jobs)
         return zones
 
     def _conflicts(self, name: str) -> bool:
+        """:meth:`_fence_conflict`, reused until the next epoch."""
+        if self._checked_at != self._epoch:
+            self._refresh_checks()
+        verdict = self._verdicts.get(name)
+        if verdict is None:
+            verdict = self._verdicts[name] = self._fence_conflict(name)
+        return verdict
+
+    def _refresh_checks(self) -> None:
+        """Drop the verdicts and re-filter the ready list (new epoch)."""
+        self._checked_at = self._epoch
+        self._verdicts = {}
+        self._ready_init = [name for name in self._ready
+                            if self._states[name].phase is MOPhase.INIT]
+
+    def _fence_conflict(self, name: str) -> bool:
         """Whether activating ``name`` would violate spatial safety.
 
         Two rules:
@@ -486,7 +531,8 @@ class HybridScheduler:
         consumers' other inputs) are done.
 
         Only an MO finishing can make another ready, so the scan reruns
-        after a completion; in between, MOs activated since drop out.
+        after a completion; MOs activated since drop out at the next epoch.
+        The list is shared: do not change it.
         """
         if self._ready_at != self._done:
             self._ready_at = self._done
@@ -499,8 +545,10 @@ class HybridScheduler:
                 if mo.type is MOType.DIS and not self._dispense_ready(name):
                     continue
                 self._ready.append(name)
-        return [name for name in self._ready
-                if self._states[name].phase is MOPhase.INIT]
+            self._checked_at = -1  # re-filter the new list below
+        if self._checked_at != self._epoch:
+            self._refresh_checks()
+        return self._ready_init
 
     def _activation_key(self, name: str, health: np.ndarray):
         zones = [j.hazard for j in self._states[name].decomposed.jobs]
@@ -516,7 +564,8 @@ class HybridScheduler:
     def _activate_ready(self, health: np.ndarray) -> None:
         ready = self._ready_mos()
         if self.activation_order != "program":
-            ready.sort(key=lambda name: self._activation_key(name, health))
+            ready = sorted(ready,
+                           key=lambda name: self._activation_key(name, health))
         for name in ready:
             if self._reconfig is not None:
                 # Remap fires before the fencing check and before any
@@ -561,6 +610,7 @@ class HybridScheduler:
             )
             return
         state.decomposed = new
+        self._epoch += 1
         self.remaps += 1
         perf.incr("scheduler.remaps")
         self.events.append(MOEvent(self.cycle, name, "remapped"))
@@ -601,7 +651,7 @@ class HybridScheduler:
         self._event("activated", name, type=mo.type.name.lower())
         dec = state.decomposed
         if mo.type is MOType.DIS:
-            state.phase = MOPhase.OPERATING
+            self._enter(name, state, MOPhase.OPERATING)
             state.stage = "dispensing"
             state.dispense_remaining = self._dispense_latency(dec.jobs[0].goal)
             return
@@ -612,7 +662,7 @@ class HybridScheduler:
             )
             state.tasks = [self._new_task(did, job, state)]
             state.stage = "route_in"
-            state.phase = MOPhase.ROUTING
+            self._enter(name, state, MOPhase.ROUTING)
             return
         if mo.type in (MOType.MIX, MOType.DLT):
             did0 = self._consume(name, name, 0)
@@ -626,7 +676,7 @@ class HybridScheduler:
                     state),
             ]
             state.stage = "route_in"
-            state.phase = MOPhase.ROUTING
+            self._enter(name, state, MOPhase.ROUTING)
             return
         if mo.type is MOType.SPT:
             did = self._consume(name, name, 0)
@@ -634,7 +684,7 @@ class HybridScheduler:
                                        created_cycle=self.cycle)]
             state.tasks[0].arrived = True
             state.stage = "splitting"
-            state.phase = MOPhase.OPERATING
+            self._enter(name, state, MOPhase.OPERATING)
             state.hold_remaining = max(mo.hold_cycles, 1)
             return
         raise AssertionError(f"unhandled MO type {mo.type}")
@@ -734,6 +784,7 @@ class HybridScheduler:
             strategy = self.router.plan(retargeted, health)
             if strategy is not None:
                 task.job = retargeted
+                self._epoch += 1
         if strategy is None:
             if task.job.obstacles:
                 unblocked = self._fit_job(
@@ -794,6 +845,7 @@ class HybridScheduler:
                     recovered = recover(retargeted, health)
                     if recovered is not None and recovered.action(rect) is not None:
                         task.job = recovered.job  # the recovery may widen the zone
+                        self._epoch += 1
                         task.strategy = recovered
                         task.set_fingerprint(health, retargeted.hazard)
                         self.recoveries += 1
@@ -864,7 +916,7 @@ class HybridScheduler:
             return
         if mo.type is MOType.MAG and state.stage == "route_in":
             state.stage = "holding"
-            state.phase = MOPhase.OPERATING
+            self._enter(name, state, MOPhase.OPERATING)
             state.hold_remaining = max(mo.hold_cycles, 1)
             return
         if mo.type in (MOType.MIX, MOType.DLT):
@@ -875,7 +927,7 @@ class HybridScheduler:
                 return
             if state.stage == "route_merged":
                 state.stage = "holding"
-                state.phase = MOPhase.OPERATING
+                self._enter(name, state, MOPhase.OPERATING)
                 state.hold_remaining = max(mo.hold_cycles, 1)
                 return
             if state.stage == "route_out":
@@ -894,7 +946,7 @@ class HybridScheduler:
                 obs.end_span(task.span, end_cycle=self.cycle)
                 task.span = None
         state.tasks = []
-        state.phase = MOPhase.DONE
+        self._enter(name, state, MOPhase.DONE)
         state.done_cycle = self.cycle
         self._done += 1
         self._event("done", name,
@@ -964,13 +1016,13 @@ class HybridScheduler:
             ))
         state.tasks = tasks
         state.stage = "route_out"
-        state.phase = MOPhase.ROUTING
+        self._enter(name, state, MOPhase.ROUTING)
         self._event("split", name, droplets=[t.droplet_id for t in tasks])
 
     # -- merge resolution ------------------------------------------------------------
 
     def _resolve_intended_merges(self) -> None:
-        for name in self._order:
+        for name in tuple(self._active):
             state = self._states[name]
             if state.phase is not MOPhase.ROUTING or state.stage != "route_in":
                 continue

@@ -41,9 +41,6 @@ one Bellman application confirms it bounds the fixpoint from its side
 The pure-Python solvers in :mod:`repro.modelcheck.reachability` /
 :mod:`repro.modelcheck.rewards` remain as reference implementations; the
 unit tests check agreement between the two on randomized models.
-``certified=False`` switches to the legacy single-sided sweep loop — kept
-only as the ablation baseline for ``benchmarks/bench_interval.py``; its
-stopping criterion proves nothing about the true error.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from repro import perf
 from repro.modelcheck import interval, precompute
 from repro.modelcheck.model import MDP
 from repro.modelcheck.reachability import (
@@ -245,7 +241,6 @@ def solve_reach_avoid_probability(
     epsilon: float = DEFAULT_EPSILON,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     initial_values: np.ndarray | None = None,
-    certified: bool = True,
 ) -> ValueResult:
     """Vectorized ``Pmax``/``Pmin`` of ``[] !avoid && <> goal``.
 
@@ -265,87 +260,13 @@ def solve_reach_avoid_probability(
 
     The qualitative sets come from the support-keyed memo of
     :func:`repro.modelcheck.batch.qualitative_context` (a batch of one).
-
-    ``certified=False`` runs the legacy single-sided sweep loop (no
-    precomputation, no bounds) — ablation use only; it diverges on models
-    with goal-dodging end components (hypothesis seed 1186).
     """
-    if certified:
-        from repro.modelcheck.batch import solve_reach_avoid_probability_batch
+    from repro.modelcheck.batch import solve_reach_avoid_probability_batch
 
-        return solve_reach_avoid_probability_batch(
-            [cm], goal, avoid, maximize=maximize, epsilon=epsilon,
-            max_iterations=max_iterations, initial_values=[initial_values],
-        )[0]
-    goal_mask = cm.label_mask(goal)
-    avoid_mask = cm.label_mask(avoid)
-    if np.any(goal_mask & avoid_mask):
-        raise ValueError("goal and avoid labels overlap")
-    seed: np.ndarray | None = None
-    if initial_values is not None:
-        seed = _sanitize_probability_seed(
-            initial_values, cm.num_states, maximize
-        )
-        perf.incr("vi.probability.warm_solves")
-    else:
-        perf.incr("vi.probability.cold_solves")
-    return _solve_probability_plain(
-        cm, goal_mask, avoid_mask, maximize, epsilon, max_iterations, seed
-    )
-
-
-def _solve_probability_plain(
-    cm: CompiledMDP,
-    goal_mask: np.ndarray,
-    avoid_mask: np.ndarray,
-    maximize: bool,
-    epsilon: float,
-    max_iterations: int,
-    seed: np.ndarray | None,
-) -> ValueResult:
-    """Legacy one-sided sweep loop (uncertified; ablation baseline).
-
-    Keeps the satellite fixes — side-correct seed fill happens in
-    :func:`_sanitize_probability_seed` and trap states (no live choice) are
-    pinned to 0 instead of retaining stale seed values behind the
-    ``isfinite`` scatter mask — but its ``delta < epsilon`` stop is still
-    only a heuristic and it diverges on goal-dodging end components.
-    """
-    n = cm.num_states
-    frozen = goal_mask | avoid_mask
-    owners = cm.choice_state
-    live = ~frozen[owners]
-    seg = interval._Segments.of(owners[live], n)
-    has_live = np.zeros(n, dtype=bool)
-    has_live[seg.owners] = True
-    trap = ~has_live & ~frozen  # pinned to 0: the run can never reach goal
-
-    values = np.where(goal_mask, 1.0, 0.0)
-    if seed is not None:
-        values = np.where(frozen | trap, values, seed)
-
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        q = cm.transitions @ values
-        per_state = seg.opt(q[live], maximize)
-        updatable = np.isfinite(per_state) & ~frozen
-        delta = (
-            np.max(np.abs(per_state[updatable] - values[updatable]))
-            if updatable.any()
-            else 0.0
-        )
-        values[updatable] = per_state[updatable]
-        if delta < epsilon:
-            break
-    else:
-        raise interval.NonConvergence("value iteration did not converge")
-    perf.incr("vi.probability.iterations", iterations)
-
-    remapped = _extract(cm, values, live, None, maximize, epsilon, seg)
-    remapped[frozen] = -1
-    return ValueResult(
-        values=values, choice=_to_local(cm, remapped), iterations=iterations
-    )
+    return solve_reach_avoid_probability_batch(
+        [cm], goal, avoid, maximize=maximize, epsilon=epsilon,
+        max_iterations=max_iterations, initial_values=[initial_values],
+    )[0]
 
 
 def solve_prob1e(
@@ -390,7 +311,6 @@ def solve_reach_avoid_reward(
     epsilon: float = DEFAULT_EPSILON,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     initial_values: np.ndarray | None = None,
-    certified: bool = True,
 ) -> ValueResult:
     """Vectorized ``Rmin``/``Rmax`` of cumulated reward until ``goal``.
 
@@ -410,71 +330,14 @@ def solve_reach_avoid_reward(
 
     The certified solve is the batch kernel on one model
     (:func:`~repro.modelcheck.batch.solve_reach_avoid_reward_batch`),
-    sharing its support-keyed context memo.  ``certified=False`` runs the
-    legacy single-sided sweep loop — ablation use only.
+    sharing its support-keyed context memo.
     """
-    if certified:
-        from repro.modelcheck.batch import solve_reach_avoid_reward_batch
+    from repro.modelcheck.batch import solve_reach_avoid_reward_batch
 
-        return solve_reach_avoid_reward_batch(
-            [cm], goal, avoid, minimize=minimize, epsilon=epsilon,
-            max_iterations=max_iterations, initial_values=[initial_values],
-        )[0]
-    seed: np.ndarray | None = None
-    if initial_values is not None:
-        seed = _sanitize_reward_seed(initial_values, cm.num_states)
-        perf.incr("vi.reward.warm_solves")
-    else:
-        perf.incr("vi.reward.cold_solves")
-    goal_zero, active, usable = _reward_region(
-        cm, cm.label_mask(goal), cm.label_mask(avoid)
-    )
-    return _solve_reward_plain(
-        cm, goal_zero, active, usable, minimize, epsilon, max_iterations,
-        seed,
-    )
-
-
-def _solve_reward_plain(
-    cm: CompiledMDP,
-    goal_zero: np.ndarray,
-    active: np.ndarray,
-    usable: np.ndarray,
-    minimize: bool,
-    epsilon: float,
-    max_iterations: int,
-    seed: np.ndarray | None,
-) -> ValueResult:
-    """Legacy one-sided reward sweep loop (uncertified; ablation baseline)."""
-    n = cm.num_states
-    seg = interval._Segments.of(cm.choice_state[usable], n)
-    values = np.full(n, np.inf)
-    values[goal_zero] = 0.0
-    values[active] = 0.0
-    if seed is not None:
-        values[active] = seed[active]
-
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        q = cm.choice_reward + cm.transitions @ values
-        per_state = seg.opt(q[usable], not minimize)
-        delta = (
-            np.max(np.abs(per_state[active] - values[active]))
-            if active.any()
-            else 0.0
-        )
-        values[active] = per_state[active]
-        if delta < epsilon:
-            break
-    else:
-        raise interval.NonConvergence("reward iteration did not converge")
-    perf.incr("vi.reward.iterations", iterations)
-
-    remapped = _extract(cm, values, usable, cm.choice_reward, not minimize,
-                        epsilon, seg)
-    return ValueResult(
-        values=values, choice=_to_local(cm, remapped), iterations=iterations
-    )
+    return solve_reach_avoid_reward_batch(
+        [cm], goal, avoid, minimize=minimize, epsilon=epsilon,
+        max_iterations=max_iterations, initial_values=[initial_values],
+    )[0]
 
 
 #: Histogram buckets for certified-gap observations (``vi.interval.gap``).

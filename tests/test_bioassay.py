@@ -98,6 +98,16 @@ class TestSequencingGraph:
         assert order.index("mix1") < order.index("mix2")
         assert order.index("mix2") < order.index("collect")
 
+    @pytest.mark.parametrize("name", sorted(ALL_BIOASSAYS))
+    def test_topological_ties_break_by_list_position(self, name):
+        import networkx as nx
+
+        graph = ALL_BIOASSAYS[name]()
+        names = [mo.name for mo in graph.mos]
+        want = list(nx.lexicographical_topological_sort(
+            graph._graph, key=names.index))
+        assert [mo.name for mo in graph.topological()] == want
+
     def test_depth(self):
         assert master_mix().depth == 4  # dis -> mix1 -> mix2 -> out
 

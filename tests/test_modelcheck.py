@@ -369,18 +369,6 @@ class TestRegressionSeeds:
         assert perf.get("vi.pi.cyclic") >= 1
         assert perf.get("vi.pi.factorizations") >= 2
 
-    def test_seed_1186_plain_solver_still_diverges(self):
-        """The uncertified legacy path keeps the original failure mode —
-        documenting exactly what the certified pipeline fixes."""
-        from repro.modelcheck.interval import NonConvergence
-
-        cm = compile_mdp(random_mdp(1186))
-        with pytest.raises(NonConvergence):
-            solve_reach_avoid_probability(
-                cm, maximize=False, epsilon=1e-10, certified=False,
-                max_iterations=10_000,
-            )
-
 
 class TestWarmStartValidation:
     """Seeds are validated and side-corrected, never silently clipped."""
@@ -487,16 +475,6 @@ class TestTrapStates:
         )
         assert res.values[mdp.state_index["dead"]] == 0.0
         assert res.upper[mdp.state_index["dead"]] == 0.0
-
-    def test_trap_pinned_in_plain_solver_too(self):
-        mdp = self.trap_mdp()
-        cm = compile_mdp(mdp)
-        seed = np.zeros(cm.num_states)
-        seed[mdp.state_index["dead"]] = 0.9
-        res = solve_reach_avoid_probability(
-            cm, epsilon=1e-10, initial_values=seed, certified=False
-        )
-        assert res.values[mdp.state_index["dead"]] == 0.0
 
 
 class TestUnreachableGoal:

@@ -69,12 +69,13 @@ def _cases() -> list[tuple[str, dict]]:
 def _execute(assay: str, seed: int, policy: str | None,
              reconfig: bool = False, faults: bool = False,
              order: str = "program",
-             router: AdaptiveRouter | None = None) -> str:
+             router: AdaptiveRouter | None = None,
+             scheduler_cls: type[HybridScheduler] = HybridScheduler) -> str:
     rng = np.random.default_rng(seed)
     fault_plan = (FaultInjector(fraction=0.05, fail_range=(0, 30))
                   .inject(W, H, rng) if faults else None)
     chip = MedaChip.sample(W, H, rng, fault_plan=fault_plan, **AGED)
-    scheduler = HybridScheduler(
+    scheduler = scheduler_cls(
         plan(EVALUATION_BIOASSAYS[assay](), W, H),
         router if router is not None else AdaptiveRouter(), W, H,
         activation_order=order,
