@@ -39,13 +39,13 @@ from repro.core.droplet import (
     within_chip,
 )
 from repro.core.fastmdp import (
+    HAZARD_STATE,
     CompiledRoutingModel,
     build_routing_model_fast,
     clear_shape_action_memo,
     compiled_shape_actions,
     extract_fast_strategy,
 )
-from repro.core.mdp import HAZARD_STATE, RoutingModel, build_routing_mdp
 from repro.core.offline import PrecomputeReport, precompute_library, routing_jobs_of
 from repro.core.routing_job import (
     ZONE_MARGIN,
@@ -107,7 +107,6 @@ __all__ = [
     "ReactiveRouter",
     "Router",
     "RoutingJob",
-    "RoutingModel",
     "RoutingStrategy",
     "RoutingTask",
     "StrategyLibrary",
@@ -118,7 +117,6 @@ __all__ = [
     "actuation_matrix",
     "apply_action",
     "baseline_field",
-    "build_routing_mdp",
     "build_routing_model_fast",
     "clear_shape_action_memo",
     "compiled_shape_actions",

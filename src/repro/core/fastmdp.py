@@ -1,9 +1,15 @@
 """Array-first construction of the per-RJ routing MDP.
 
-Semantically identical to :func:`repro.core.mdp.build_routing_mdp` followed
-by :func:`repro.modelcheck.compiled.compile_mdp` — the differential tests
-check that both give the same model statistics and synthesis values — but
-built for the synthesis hot loop.  No build expands states one at a time:
+The routing MDP ``G_RJ`` of Sec. VI-C: the paper fixes the health matrix
+``H`` for the duration of a routing job, so the SMG collapses to an MDP
+over droplet patterns.  The state space is the patterns inside the hazard
+bounds reachable from the start, plus one absorbing ``HAZARD`` sink for
+every unsafe pattern (outside the bounds, or touching a parked droplet);
+goal patterns are absorbing, and every choice costs one cycle.  The
+explicit per-state builder the tests keep as an oracle
+(``tests/oracles.py``) induces the same model; the differential tests
+check that both give the same model statistics and synthesis values.  No
+build here expands states one at a time:
 
 * droplet patterns are numbered arithmetically by shape and anchor, and
   states are plain ``(xa, ya, xb, yb)`` int tuples until the model's
@@ -28,13 +34,13 @@ support is a retained one the values drop into its skeleton (a *replay*);
 otherwise emission, BFS and CSR assembly run again over the same geometry
 (a *rebuild*).  Every path gives a bit-identical model.
 
-Only matrix-backed force fields are supported (the synthesizer's health
-estimates and the baseline's uniform field both are); exotic fields fall
-back to the explicit builder in :mod:`repro.core.synthesis`.
+Only matrix-backed force fields are supported: the synthesizer's health
+estimates and the baseline's uniform field both are.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -51,15 +57,22 @@ from repro.core.actions import (
     ActionClass,
     guard,
 )
-from repro.core.mdp import CYCLE_REWARD
 from repro.core.routing_job import RoutingJob
 from repro.geometry.rect import Rect, _trusted_rect
-from repro.modelcheck.compiled import CompiledMDP
-from repro.modelcheck.reachability import ValueResult
+from repro.modelcheck import interval
+from repro.modelcheck.compiled import CompiledMDP, ValueResult
 from repro.modelcheck.strategy import MemorylessStrategy, StateColumns
+
+#: The absorbing sentinel representing every pattern outside the hazard
+#: bounds.  Collapsing them keeps the state count at "positions + a few
+#: sinks", matching the Table V model sizes.
+HAZARD_STATE = "HAZARD"
 
 #: Index of the absorbing hazard sink in every compiled routing model.
 HAZARD_INDEX = 0
+
+#: Reward assigned to every microfluidic action: one operational cycle.
+CYCLE_REWARD = 1.0
 
 
 @dataclass(frozen=True)
@@ -572,7 +585,7 @@ class _BuildTemplate:
     choice_codes: np.ndarray | None = None
     first_choice: np.ndarray | None = None
     digest: str | None = None
-    #: The batch solver's contexts (``CompiledMDP.contexts``).
+    #: The solver's support contexts (``CompiledMDP.contexts``).
     contexts: dict = field(default_factory=dict)
 
 
@@ -821,9 +834,8 @@ def _model(
         initial=1,
         contexts=tpl.contexts,
     )
-    if tpl.digest is not None:  # None only while _support records it
+    if tpl.first_choice is not None:  # None only while _support records it
         compiled._first_choice_cache.append(tpl.first_choice)
-        compiled._digest_cache.append(tpl.digest)
     return CompiledRoutingModel(
         compiled=compiled, states=tpl.columns.states, job=job,
         columns=tpl.columns, choice_codes=tpl.choice_codes,
@@ -988,8 +1000,6 @@ def _support(
     goal_mask[goal_new[goal_new >= 0]] = True
     hazard_mask = np.zeros(n, dtype=bool)
     hazard_mask[HAZARD_INDEX] = True
-    from repro.core.mdp import HAZARD_STATE
-    from repro.modelcheck.batch import structural_key
 
     inv = np.zeros(n, dtype=np.int64)
     inv[new_id[reach_pids]] = reach_pids
@@ -1014,6 +1024,29 @@ def _support(
     tpl.first_choice = compiled.first_choice()
     tpl.digest = structural_key(compiled)
     return transitions, tpl
+
+
+def structural_key(cm: CompiledMDP) -> str:
+    """Fingerprint of everything a model's solver contexts depend on.
+
+    Two models with equal keys have identical state/choice layout,
+    transition sparsity, labels and initial state — they may differ only
+    in transition probabilities (and rewards), so they can share one
+    context slot (:func:`_publish`).  Probability *values* are excluded on
+    purpose.
+    """
+    t = interval._rows(cm)
+    h = hashlib.sha256()
+    h.update(np.int64(cm.num_states).tobytes())
+    h.update(np.int64(cm.num_choices).tobytes())
+    h.update(np.int64(cm.initial).tobytes())
+    h.update(np.ascontiguousarray(cm.choice_state).tobytes())
+    h.update(np.ascontiguousarray(t.indptr).tobytes())
+    h.update(np.ascontiguousarray(t.indices).tobytes())
+    for name in sorted(cm.labels):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(cm.labels[name]).tobytes())
+    return h.hexdigest()
 
 
 def extract_fast_strategy(

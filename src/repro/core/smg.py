@@ -4,7 +4,7 @@ Game states are triplets ``(delta, H, player)``: the droplet pattern, the
 health matrix, and whose turn it is.  Player 1 (the droplet controller)
 chooses microfluidic actions; player 2 (chip degradation) chooses which MCs
 to degrade.  The paper uses this model in two ways: to *derive* the per-RJ
-MDP by freezing ``H`` (Sec. VI-C — implemented in :mod:`repro.core.mdp`),
+MDP by freezing ``H`` (Sec. VI-C — implemented in :mod:`repro.core.fastmdp`),
 and as the simulation model with ``H`` replaced by the hidden ``D``.
 
 Because the joint state space is astronomically large (the paper notes
@@ -24,15 +24,13 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.actions import ALL_ACTIONS, DEFAULT_MAX_ASPECT, guard
+from repro.core.fastmdp import HAZARD_STATE
 from repro.core.routing_job import RoutingJob
 from repro.core.synthesis import force_field_from_health
 from repro.core.transitions import outcome_distribution
 from repro.degradation.model import DEFAULT_HEALTH_BITS
 from repro.geometry.rect import Rect
 from repro.modelcheck.model import PLAYER_CONTROLLER, PLAYER_ENVIRONMENT, SMG
-
-#: Absorbing sentinel for patterns outside the hazard bounds.
-HAZARD_STATE = "HAZARD"
 
 HealthKey = tuple[tuple[int, ...], ...]
 

@@ -26,7 +26,6 @@ from repro.core.fastmdp import (
     extract_fast_strategy,
     remember_cold_result,
 )
-from repro.core.mdp import RoutingModel, build_routing_mdp
 from repro.core.routing_job import RoutingJob
 from repro.core.transitions import ForceField, MatrixForceField, UniformForceField
 from repro.degradation.model import (
@@ -34,14 +33,12 @@ from repro.degradation.model import (
     health_to_degradation_estimate,
 )
 from repro.modelcheck.compiled import (
-    CompiledMDP,
-    compile_mdp,
+    ValueResult,
     solve_reach_avoid_probability,
     solve_reach_avoid_reward,
 )
 from repro.modelcheck.properties import Objective, Query, reward_query
-from repro.modelcheck.reachability import ValueResult
-from repro.modelcheck.strategy import MemorylessStrategy, extract_strategy
+from repro.modelcheck.strategy import MemorylessStrategy
 
 #: A warm start: the job's last solved policy, a ``{pattern: value}`` map
 #: or ``None`` for a cold solve.
@@ -74,13 +71,18 @@ def force_field_from_degradation(degradation: np.ndarray) -> MatrixForceField:
     return MatrixForceField(np.asarray(degradation, dtype=float) ** 2)
 
 
-def _force_matrix(field: ForceField) -> np.ndarray | None:
-    """The force matrix behind a field, or None for exotic field objects."""
+def _force_matrix(field: ForceField) -> np.ndarray:
+    """The force matrix behind a field.  Only matrix-backed fields
+    (:class:`MatrixForceField`, :class:`UniformForceField`) are
+    synthesizable; any other field raises ``TypeError``."""
     if isinstance(field, MatrixForceField):
         return field.forces
     if isinstance(field, UniformForceField):
         return np.full((field.width, field.height), field.value)
-    return None
+    raise TypeError(
+        f"cannot synthesize against {type(field).__name__}: use a "
+        "MatrixForceField or UniformForceField"
+    )
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class SynthesisResult:
     strategy: MemorylessStrategy | None
     expected_cycles: float
     success_probability: float | None
-    model: "RoutingModel | CompiledRoutingModel | None"
+    model: CompiledRoutingModel | None
     construction_time: float
     solve_time: float
 
@@ -160,16 +162,18 @@ def synthesize_with_field(
     validation are silently dropped (``vi.warm.rejected``) — a wrong seed
     can cost the warm start, never soundness.
 
-    A cold request (``warm_values`` is ``None`` or an empty map) against
-    a matrix-backed field first reads the job template's remembered cold
-    result (:func:`_recall`); a hit skips the build and the solve and
-    returns a slim result (``model=None``, zero times).
+    A cold request (``warm_values`` is ``None`` or an empty map) first
+    reads the job template's remembered cold result (:func:`_recall`); a
+    hit skips the build and the solve and returns a slim result
+    (``model=None``, zero times).  ``field`` must be a
+    :class:`MatrixForceField` or :class:`UniformForceField`; any other
+    field raises ``TypeError``.
     """
     query = query if query is not None else reward_query()
     forces = _force_matrix(field)
     warm = _warm_policy(warm_values)
     memo = None
-    if forces is not None and warm is None:
+    if warm is None:
         memo = (job, forces, (query, float(epsilon)), max_aspect, families)
         hit = _recall(memo)
         if hit is not None:
@@ -178,16 +182,10 @@ def synthesize_with_field(
 
     t0 = time.perf_counter()
     with obs.span("synthesis.construct", job=job.key()):
-        if forces is not None:
-            model: RoutingModel | CompiledRoutingModel = build_routing_model_fast(
-                job, forces, max_aspect=max_aspect, families=families
-            )
-            compiled = model.compiled
-        else:
-            model = build_routing_mdp(
-                job, field, max_aspect=max_aspect, families=families
-            )
-            compiled = compile_mdp(model.mdp)
+        model = build_routing_model_fast(
+            job, forces, max_aspect=max_aspect, families=families
+        )
+        compiled = model.compiled
     t1 = time.perf_counter()
 
     initial_values = _warm_seed(model, query, warm)
@@ -221,7 +219,7 @@ def synthesize_with_field(
     perf.observe("synthesis.total_ms", (t2 - t0) * 1e3)
     perf.observe("synthesis.vi_iterations", result.iterations,
                  bounds=perf.DEFAULT_COUNT_BUCKETS)
-    out = _finalize(job, query, model, compiled, result, t1 - t0, t2 - t1)
+    out = _finalize(job, query, model, result, t1 - t0, t2 - t1)
     if memo is not None:
         _remember(memo, out)
     return out
@@ -265,7 +263,7 @@ def _warm_policy(warm: WarmStart) -> MemorylessStrategy | None:
 
 
 def _warm_seed(
-    model: "RoutingModel | CompiledRoutingModel",
+    model: CompiledRoutingModel,
     query: Query,
     warm: MemorylessStrategy | None,
 ) -> np.ndarray | None:
@@ -279,7 +277,7 @@ def _warm_seed(
     seeded bound: 1 for the Pmin upper iterate, 0 everywhere else
     (``synthesis.warm_seed.joined``).
     """
-    if warm is None or not isinstance(model, CompiledRoutingModel):
+    if warm is None:
         return None
     perf.incr("synthesis.warm_seeded")
     if warm.columns is model.columns:
@@ -294,24 +292,21 @@ def _warm_seed(
 def _finalize(
     job: RoutingJob,
     query: Query,
-    model: "RoutingModel | CompiledRoutingModel",
-    compiled: CompiledMDP,
-    result: "ValueResult",
+    model: CompiledRoutingModel,
+    result: ValueResult,
     construction_time: float,
     solve_time: float,
 ) -> SynthesisResult:
     """Package a solved model into a :class:`SynthesisResult`: extract the
     strategy, then gate it on plan existence and start coverage."""
+    initial = model.compiled.initial
     if query.objective in (Objective.RMIN, Objective.RMAX):
-        expected = float(result.values[compiled.initial])
+        expected = float(result.values[initial])
         probability: float | None = None
     else:
-        probability = float(result.values[compiled.initial])
+        probability = float(result.values[initial])
         expected = float("inf") if probability == 0.0 else float("nan")
-    if isinstance(model, CompiledRoutingModel):
-        strategy: MemorylessStrategy | None = extract_fast_strategy(model, result)
-    else:
-        strategy = extract_strategy(model.mdp, result)
+    strategy: MemorylessStrategy | None = extract_fast_strategy(model, result)
     no_plan = (
         query.objective in (Objective.RMIN, Objective.RMAX)
         and not np.isfinite(expected)

@@ -5,6 +5,7 @@ reach-avoid probability and minimum expected total reward on MDPs, plus
 turn-based stochastic-game values for the full MEDA SMG.
 """
 
+from repro.modelcheck.compiled import ValueResult
 from repro.modelcheck.export import export_prism_explicit, import_prism_explicit
 from repro.modelcheck.interval import IntervalSolution, NonConvergence
 from repro.modelcheck.games import (
@@ -26,14 +27,6 @@ from repro.modelcheck.properties import (
     reward_query,
 )
 from repro.modelcheck.precompute import QualitativeSets, qualitative
-from repro.modelcheck.reachability import (
-    ValueResult,
-    prob1e,
-    qualitative_sets,
-    reach_avoid_probability,
-    reachable_states,
-)
-from repro.modelcheck.rewards import reach_avoid_reward
 from repro.modelcheck.strategy import MemorylessStrategy, extract_strategy
 
 __all__ = [
@@ -55,11 +48,7 @@ __all__ = [
     "game_reach_avoid_probability",
     "game_reach_avoid_reward",
     "import_prism_explicit",
-    "prob1e",
     "probability_query",
     "qualitative",
-    "qualitative_sets",
-    "reach_avoid_probability",
-    "reachable_states",
     "reward_query",
 ]

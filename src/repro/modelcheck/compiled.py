@@ -25,11 +25,11 @@ Solving is a *sound* three-stage pipeline (see :mod:`.precompute`,
 3. **topological SCC ordering** solves the unknown region one condensation
    level at a time, successors first.
 
-Stage 1, the SCC levels and the per-level row/column gathers depend only
-on the transition *support*.  A solve here is the batch kernel of
-:mod:`.batch` run on one model, so that support-derived work comes from a
-process-wide memo keyed on the model's structural fingerprint: a routing
-job re-synthesized under new health values pays only for stage 2.
+Stage 1, the SCC levels and the per-level padded matrices depend only on
+the transition *support*, so they come from the support contexts of
+:mod:`.batch`, kept on the context slot of the fastmdp build template the
+model came from: a routing job re-synthesized under new health values pays
+only for stage 2.
 
 Warm-start seeds are *validated*, not trusted: values outside the
 documented bound raise ``ValueError``, non-finite entries are filled with
@@ -38,9 +38,10 @@ the ``Pmin`` upper side), and the surviving candidate is accepted only if
 one Bellman application confirms it bounds the fixpoint from its side
 (rejections cold-start and count as ``vi.warm.rejected``).
 
-The pure-Python solvers in :mod:`repro.modelcheck.reachability` /
-:mod:`repro.modelcheck.rewards` remain as reference implementations; the
-unit tests check agreement between the two on randomized models.
+These are the only production solvers.  Pure-Python value iteration over
+the explicit :class:`~repro.modelcheck.model.MDP` is kept as a test oracle
+(``tests/oracles.py``); the unit tests check agreement between the two on
+randomized models.
 """
 
 from __future__ import annotations
@@ -50,13 +51,52 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from repro.modelcheck import interval, precompute
+from repro import perf
+from repro.modelcheck import batch, interval, precompute
 from repro.modelcheck.model import MDP
-from repro.modelcheck.reachability import (
-    DEFAULT_EPSILON,
-    DEFAULT_MAX_ITERATIONS,
-    ValueResult,
-)
+
+#: Convergence threshold for value iteration (absolute sup-norm).
+DEFAULT_EPSILON = 1e-9
+
+#: Hard cap on iterations; with qualitative precomputation the remaining
+#: reach-avoid VI contracts geometrically, so hitting the cap indicates a
+#: modelling bug.
+DEFAULT_MAX_ITERATIONS = 100_000
+
+
+@dataclass(frozen=True)
+class ValueResult:
+    """Values per state plus the optimal choice index where defined.
+
+    ``choice[s]`` is -1 for states with no enabled choices or where every
+    choice is equally (non-)optimal because the state is absorbing/goal.
+
+    ``lower``/``upper`` are certified pointwise bounds on the true values
+    (``lower <= V <= upper``) when the producing solver computed them (the
+    interval pipeline here); the game solvers leave them ``None``.
+    """
+
+    values: np.ndarray
+    choice: np.ndarray
+    iterations: int
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
+
+    @property
+    def certified(self) -> bool:
+        """Whether this result carries two-sided error bounds."""
+        return self.lower is not None and self.upper is not None
+
+    @property
+    def gap(self) -> float:
+        """Largest certified interval width over states where both bounds
+        are finite (``nan`` when the result is uncertified)."""
+        if self.lower is None or self.upper is None:
+            return float("nan")
+        finite = np.isfinite(self.lower) & np.isfinite(self.upper)
+        if not finite.any():
+            return 0.0
+        return float(np.max(self.upper[finite] - self.lower[finite]))
 
 
 @dataclass(frozen=True)
@@ -69,13 +109,10 @@ class CompiledMDP:
     transitions: sparse.csr_matrix
     labels: dict[str, np.ndarray]
     initial: int
-    #: The batch solver's context slot for this model's support, ``None``
-    #: to build contexts per solve (see :func:`.batch.reward_context`).
+    #: The context slot for this model's support, ``None`` to build
+    #: contexts per solve (see :func:`.batch.reward_context`).
     contexts: dict | None = field(default=None, repr=False, compare=False)
     _first_choice_cache: list = field(
-        default_factory=list, repr=False, compare=False
-    )
-    _digest_cache: list = field(
         default_factory=list, repr=False, compare=False
     )
 
@@ -258,49 +295,49 @@ def solve_reach_avoid_probability(
     fixpoint, otherwise the solve silently cold-starts
     (``vi.warm.rejected``).
 
-    The qualitative sets come from the support-keyed memo of
-    :func:`repro.modelcheck.batch.qualitative_context` (a batch of one).
+    The qualitative sets come from the model's context slot
+    (:func:`repro.modelcheck.batch.qualitative_context`).
     """
-    from repro.modelcheck.batch import solve_reach_avoid_probability_batch
-
-    return solve_reach_avoid_probability_batch(
-        [cm], goal, avoid, maximize=maximize, epsilon=epsilon,
-        max_iterations=max_iterations, initial_values=[initial_values],
-    )[0]
-
-
-def solve_prob1e(
-    cm: CompiledMDP, goal: str = "goal", avoid: str = "hazard"
-) -> np.ndarray:
-    """Boolean mask of states with a strategy reaching ``goal`` w.p. 1.
-
-    Thin wrapper over :func:`repro.modelcheck.precompute.prob1e_mask` (the
-    vectorized nested fixpoint ``nu Z. mu Y. goal | Pre(Z, Y)``), kept for
-    API compatibility.
-    """
-    return precompute.prob1e_mask(
-        cm, cm.label_mask(goal), cm.label_mask(avoid)
+    seed = None
+    if initial_values is not None:
+        seed = _sanitize_probability_seed(
+            initial_values, cm.num_states, maximize
+        )
+        perf.incr("vi.probability.warm_solves")
+    else:
+        perf.incr("vi.probability.cold_solves")
+    cm, shareable = batch._admit(cm)
+    goal_mask = cm.label_mask(goal)
+    avoid_mask = cm.label_mask(avoid)
+    if np.any(goal_mask & avoid_mask):
+        raise ValueError("goal and avoid labels overlap")
+    if shareable:
+        sets = batch.qualitative_context(cm, goal, avoid, maximize)
+    else:
+        sets = precompute.qualitative(cm, goal_mask, avoid_mask, maximize)
+    solution = interval.solve_probability_interval(
+        cm, zero=sets.zero, one=sets.one, maximize=maximize,
+        epsilon=epsilon, max_iterations=max_iterations, seed=seed,
     )
-
-
-def _reward_region(
-    cm: CompiledMDP, goal_mask: np.ndarray, avoid_mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(goal_zero, active, usable)`` for total-reward solving.
-
-    ``usable`` restricts to choices whose support stays inside the
-    probability-one region (PRISM total-reward semantics: any chance of
-    leaving it means reward accrues forever on the non-reaching runs).
-    """
-    sure = precompute.prob1e_mask(cm, goal_mask, avoid_mask)
-    n = cm.num_states
-    owners = cm.choice_state
-    struct = precompute.structure(cm)
-    stays = (struct @ (~sure).astype(np.int8)) == 0
-    usable = stays & sure[owners] & ~goal_mask[owners]
-    active = np.zeros(n, dtype=bool)
-    active[owners[usable]] = True
-    return goal_mask & sure, active, usable
+    values = 0.5 * (solution.lower + solution.upper)
+    frozen = goal_mask | avoid_mask
+    remapped = _extract(
+        cm, values, ~frozen[cm.choice_state], None, maximize, epsilon
+    )
+    remapped[frozen] = -1
+    # The extraction Bellman application counts as an iteration, so even a
+    # fully precomputed solve reports >= 1.
+    iterations = solution.iterations + 1
+    perf.incr("vi.probability.iterations", iterations)
+    perf.incr("vi.interval.iters", solution.iterations)
+    perf.observe("vi.interval.gap", solution.gap, bounds=GAP_BUCKETS)
+    return ValueResult(
+        values=values,
+        choice=_to_local(cm, remapped),
+        iterations=iterations,
+        lower=solution.lower,
+        upper=solution.upper,
+    )
 
 
 def solve_reach_avoid_reward(
@@ -328,16 +365,61 @@ def solve_reach_avoid_reward(
     (``vi.warm.rejected``).  Goal states and states outside the prob-1
     region keep their pinned values regardless of the seed.
 
-    The certified solve is the batch kernel on one model
-    (:func:`~repro.modelcheck.batch.solve_reach_avoid_reward_batch`),
-    sharing its support-keyed context memo.
+    The support-derived half (prob-1 region, SCC levels, per-level padded
+    matrices) is the model's :func:`~repro.modelcheck.batch.reward_context`;
+    the levels are then solved one at a time, successors first.
     """
-    from repro.modelcheck.batch import solve_reach_avoid_reward_batch
-
-    return solve_reach_avoid_reward_batch(
-        [cm], goal, avoid, minimize=minimize, epsilon=epsilon,
-        max_iterations=max_iterations, initial_values=[initial_values],
-    )[0]
+    if initial_values is None:
+        seed = None
+        perf.incr("vi.reward.cold_solves")
+    else:
+        seed = _sanitize_reward_seed(initial_values, cm.num_states)
+        perf.incr("vi.reward.warm_solves")
+    cm, shareable = batch._admit(cm)
+    context = batch.reward_context if shareable else batch.build_context
+    ctx = context(cm, goal, avoid)
+    n = cm.num_states
+    T = interval._rows(cm)
+    lower = np.full(n, np.inf)
+    upper = np.full(n, np.inf)
+    lower[ctx.goal_zero] = 0.0
+    upper[ctx.goal_zero] = 0.0
+    lower[ctx.active] = 0.0
+    budget = interval._Budget(
+        max_iterations, "reward iteration did not converge"
+    )
+    targets = interval._level_targets(epsilon, len(ctx.levels))
+    for lvl, target in zip(ctx.levels, targets):
+        interval._solve_reward_level(
+            lower, upper, lvl, lvl.matrix(T),
+            lvl.padded(cm.choice_reward, not minimize), budget,
+            target=float(target), epsilon=epsilon, minimize=minimize,
+            seed=seed,
+        )
+    solution = interval.IntervalSolution(
+        lower, upper, budget.iterations, len(ctx.levels)
+    )
+    values = np.where(
+        np.isfinite(solution.lower) & np.isfinite(solution.upper),
+        0.5 * (solution.lower + solution.upper),
+        solution.lower,
+    )
+    remapped = _extract(
+        cm, values, ctx.usable, cm.choice_reward, not minimize, epsilon,
+        seg=ctx.extract,
+    )
+    # The extraction Bellman application counts as an iteration.
+    iterations = solution.iterations + 1
+    perf.incr("vi.reward.iterations", iterations)
+    perf.incr("vi.interval.iters", solution.iterations)
+    perf.observe("vi.interval.gap", solution.gap, bounds=GAP_BUCKETS)
+    return ValueResult(
+        values=values,
+        choice=_to_local(cm, remapped),
+        iterations=iterations,
+        lower=solution.lower,
+        upper=solution.upper,
+    )
 
 
 #: Histogram buckets for certified-gap observations (``vi.interval.gap``).

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.modelcheck.model import PLAYER_CONTROLLER, SMG
-from repro.modelcheck.reachability import (
+from repro.modelcheck.compiled import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITERATIONS,
     ValueResult,
 )
+from repro.modelcheck.model import PLAYER_CONTROLLER, SMG
 
 
 def game_reach_avoid_reward(

@@ -57,8 +57,9 @@ while passing it).  This module replaces that with *certified* solving:
 
 The module is deliberately free of model/label handling — callers hand in
 masks (probability) or one condensation level at a time (rewards:
-:func:`_solve_reward_level`, driven by :mod:`.batch`, which keeps each
-reward level's layout); :mod:`.compiled` owns the public query API.
+:func:`_solve_reward_level`, driven by :mod:`.compiled` over the level
+layouts that :mod:`.batch` keeps per support); :mod:`.compiled` owns the
+public query API.
 """
 
 from __future__ import annotations
@@ -1082,9 +1083,10 @@ def _solve_reward_level(
 ) -> None:
     """Solve one condensation level of a total-reward objective in place.
 
-    The solver (:mod:`.batch`) runs it for every level, successors first,
-    on one model's padded level matrix ``P`` (:meth:`_SlotLayout.matrix`)
-    and padded choice rewards ``reward`` (:meth:`_SlotLayout.padded`).
+    The reward solver (:func:`.compiled.solve_reach_avoid_reward`) runs it
+    for every level, successors first, on one model's padded level matrix
+    ``P`` (:meth:`_SlotLayout.matrix`) and padded choice rewards
+    ``reward`` (:meth:`_SlotLayout.padded`).
     Every Bellman application, the direct solve's settling prelude and
     its policy iteration read that one matrix.
 

@@ -14,8 +14,8 @@ from typing import Hashable
 import numpy as np
 
 from repro.geometry.rect import Rect, _trusted_rect
+from repro.modelcheck.compiled import ValueResult
 from repro.modelcheck.model import MDP
-from repro.modelcheck.reachability import ValueResult
 
 State = Hashable
 

@@ -28,6 +28,11 @@ from repro.obs.openmetrics import CONTENT_TYPE, render_openmetrics
 
 DEFAULT_PORT = 9178
 
+#: Listen backlog of the server socket.  ``socketserver``'s default of 5
+#: overflows when a burst of serve clients connects at once, and the
+#: overflowing connections are reset.
+LISTEN_BACKLOG = 128
+
 
 class _MonitorHandler(BaseHTTPRequestHandler):
     server_version = "repro-monitor/1.0"
@@ -106,6 +111,13 @@ class _MonitorHandler(BaseHTTPRequestHandler):
         """Silence per-request stderr logging (scrapes come every second)."""
 
 
+class _Listener(ThreadingHTTPServer):
+    """The stdlib threading server with a :data:`LISTEN_BACKLOG` queue."""
+
+    request_queue_size = LISTEN_BACKLOG
+    daemon_threads = True
+
+
 class MonitorServer:
     """The opt-in scrape endpoint: start / stop around a run.
 
@@ -132,15 +144,14 @@ class MonitorServer:
         self.registry = registry
         self.health = health
         self.routes = routes
-        self._server: "ThreadingHTTPServer | None" = None
+        self._server: "_Listener | None" = None
         self._thread: "threading.Thread | None" = None
 
     def start(self) -> int:
         """Bind and serve on a daemon thread; returns the bound port."""
         if self._server is not None:
             raise RuntimeError("monitor server already started")
-        server = ThreadingHTTPServer((self.host, self.port), _MonitorHandler)
-        server.daemon_threads = True
+        server = _Listener((self.host, self.port), _MonitorHandler)
         # Handler context: resolve the registry lazily so a scrape always
         # sees the current process-global registry, even after perf.reset.
         server.monitor_registry = self.registry

@@ -40,9 +40,32 @@ They are slow and simple on purpose; no production path calls them.
   geometry reads.  ``tests/test_batch.py`` checks that equal windows give
   equal models; the template-cache tests use it to see whether a
   geometry is still retained.
+* :func:`build_routing_mdp` (returning a :class:`RoutingModel`) — the
+  routing MDP induced as an explicit
+  :class:`~repro.modelcheck.model.MDP`, one state at a time, for any
+  :class:`~repro.core.transitions.ForceField`.
+  ``tests/test_mdp_build.py`` checks the model's structure on it,
+  ``tests/test_fastmdp.py`` and ``tests/test_fastpath.py`` check the fast
+  builder's statistics and synthesis values against it after
+  ``compile_mdp``, and ``tests/test_export.py`` round-trips it through
+  the PRISM explicit format.
+* :func:`reach_avoid_probability` (with :func:`qualitative_sets`) and
+  :func:`reach_avoid_reward` — uncertified Gauss-Seidel value iteration
+  over an explicit MDP for ``Pmax``/``Pmin`` and ``Rmin``/``Rmax``.
+  ``tests/test_modelcheck.py`` checks small hand-built models on them and
+  ``TestCompiledAgainstReference`` checks the certified solvers of
+  :mod:`repro.modelcheck.compiled` against them on random models.
+* :func:`prob1e` and :func:`reachable_states` — the set-based
+  probability-one and reachability fixpoints.
+  ``tests/test_modelcheck.py`` checks
+  :func:`repro.modelcheck.precompute.prob1e_mask` against the first and
+  the explicit model on the second.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -52,30 +75,40 @@ from scipy.sparse import linalg as sparse_linalg
 from repro.biochip.chip import MedaChip
 from repro.core.actions import (
     ACTIONS,
+    ALL_ACTIONS,
     DEFAULT_MAX_ASPECT,
     Action,
     ActionClass,
     apply_action,
     frontier,
+    guard,
 )
 from repro.core.droplet import actuation_matrix
 from repro.core import fastmdp
 from repro.core.fastmdp import (
+    CYCLE_REWARD,
     HAZARD_INDEX,
+    HAZARD_STATE,
     CompiledRoutingModel,
     _ActionSpec,
     _compile_shape_actions,
 )
-from repro.core.mdp import CYCLE_REWARD, HAZARD_STATE
 from repro.core.routing_job import RoutingJob
-from repro.core.transitions import MatrixForceField, Outcome
+from repro.core.transitions import (
+    ForceField,
+    MatrixForceField,
+    Outcome,
+    outcome_distribution,
+)
 from repro.geometry.rect import Rect
-from repro.modelcheck import compiled, interval
-from repro.modelcheck.compiled import CompiledMDP
-from repro.modelcheck.reachability import (
+from repro.modelcheck import batch, compiled, interval
+from repro.modelcheck.compiled import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITERATIONS,
+    CompiledMDP,
+    ValueResult,
 )
+from repro.modelcheck.model import MDP
 from repro.modelcheck.strategy import StateColumns
 
 IntRect = tuple[int, int, int, int]
@@ -759,7 +792,7 @@ def solve_reward_reference(cm, *, minimize=True, seed=None,
     ``solve_level``: ``ValueResult``-shaped ``(values, choice, lower,
     upper, iterations)``."""
     n = cm.num_states
-    goal_zero, active, usable = compiled._reward_region(
+    goal_zero, active, usable = batch._reward_region(
         cm, cm.label_mask("goal"), cm.label_mask("hazard")
     )
     if seed is not None:
@@ -789,3 +822,317 @@ def solve_reward_reference(cm, *, minimize=True, seed=None,
                                  not minimize, epsilon)
     return (values, compiled._to_local(cm, remapped), lower, upper,
             budget.iterations + 1)
+
+
+# -- The explicit routing-model builder --------------------------------------
+
+
+@dataclass(frozen=True)
+class RoutingModel:
+    """An explicit routing MDP plus the job it was induced from."""
+
+    mdp: MDP
+    job: RoutingJob
+
+    @property
+    def num_states(self) -> int:
+        return self.mdp.num_states
+
+    @property
+    def num_choices(self) -> int:
+        return self.mdp.num_choices
+
+    @property
+    def num_transitions(self) -> int:
+        return self.mdp.num_transitions
+
+
+def build_routing_mdp(
+    job: RoutingJob,
+    field: ForceField,
+    max_aspect: float = DEFAULT_MAX_ASPECT,
+    families: tuple[ActionClass, ...] | None = None,
+) -> RoutingModel:
+    """Induce the routing MDP ``G_RJ`` (Sec. VI-C) as an explicit
+    :class:`~repro.modelcheck.model.MDP`, one state at a time.
+
+    States are enumerated breadth-first from the start pattern; every
+    landing outside the hazard bounds (or touching an obstacle) goes to
+    the single absorbing ``HAZARD`` sink, goal patterns are absorbing and
+    every choice costs ``CYCLE_REWARD``.  ``field`` may be any
+    :class:`~repro.core.transitions.ForceField`; ``families`` restricts
+    the action set (``None`` enables all five families).
+    """
+    if job.is_dispense:
+        raise ValueError("dispense jobs are materialized, not routed")
+    mdp = MDP()
+    mdp.set_initial(job.start)
+    mdp.add_state(HAZARD_STATE)
+    mdp.add_label("hazard", HAZARD_STATE)
+
+    seen: set[Rect] = {job.start}
+    queue: deque[Rect] = deque([job.start])
+    while queue:
+        delta = queue.popleft()
+        if job.goal.contains(delta):
+            mdp.add_label("goal", delta)
+            continue  # goal states are absorbing
+        for action in ALL_ACTIONS:
+            if families is not None and action.klass not in families:
+                continue
+            if not guard(delta, action, max_aspect=max_aspect):
+                continue
+            successors: list[tuple[object, float]] = []
+            for outcome in outcome_distribution(delta, action, field):
+                landing = outcome.delta
+                safe = job.hazard.contains(landing) and (
+                    landing == job.start or not job.blocked(landing)
+                )
+                if safe:
+                    successors.append((landing, outcome.probability))
+                    if landing not in seen:
+                        seen.add(landing)
+                        queue.append(landing)
+                else:
+                    successors.append((HAZARD_STATE, outcome.probability))
+            mdp.add_choice(delta, action.name, successors, reward=CYCLE_REWARD)
+
+    return RoutingModel(mdp=mdp, job=job)
+
+
+# -- Pure-Python value iteration over an explicit MDP -------------------------
+
+
+def _prepare(mdp: MDP, goal: str, avoid: str) -> tuple[set[int], set[int]]:
+    goal_states = mdp.label_set(goal)
+    avoid_states = mdp.label_set(avoid)
+    if overlap := goal_states & avoid_states:
+        raise ValueError(f"states {overlap} are both goal and avoid")
+    return goal_states, avoid_states
+
+
+def _live_choices(mdp: MDP, s: int, frozen: set[int]):
+    return [] if s in frozen else mdp.enabled(s)
+
+
+def _exists_reach(mdp: MDP, target: set[int], frozen: set[int]) -> set[int]:
+    """States with a positive-probability path into ``target`` that only
+    uses choices of non-frozen states (goal/avoid are absorbing here)."""
+    reach = set(target)
+    changed = True
+    while changed:
+        changed = False
+        for s in range(mdp.num_states):
+            if s in reach:
+                continue
+            for c in _live_choices(mdp, s, frozen):
+                if any(t in reach for t, _ in c.successors):
+                    reach.add(s)
+                    changed = True
+                    break
+    return reach
+
+
+def _prob0e_set(
+    mdp: MDP, goal_states: set[int], avoid_states: set[int]
+) -> set[int]:
+    """``Pmin = 0``: the greatest fixpoint of non-goal states that are
+    absorbed at value 0 or own a choice whose support stays in the set."""
+    frozen = goal_states | avoid_states
+    z = set(range(mdp.num_states)) - goal_states
+    while True:
+        new_z = set()
+        for s in z:
+            live = _live_choices(mdp, s, frozen)
+            if not live or any(
+                all(t in z for t, _ in c.successors) for c in live
+            ):
+                new_z.add(s)
+        if new_z == z:
+            return z
+        z = new_z
+
+
+def _prob1e_set(
+    mdp: MDP, goal_states: set[int], avoid_states: set[int]
+) -> set[int]:
+    """The nested fixpoint ``nu Z. mu Y. goal | Pre(Z, Y)`` (labels
+    already resolved)."""
+    n = mdp.num_states
+    candidates = {
+        s
+        for s in range(n)
+        if s not in avoid_states and (s in goal_states or not mdp.is_absorbing(s))
+    }
+    while True:
+        reached = set(goal_states & candidates)
+        changed = True
+        while changed:
+            changed = False
+            for s in candidates:
+                if s in reached or s in goal_states:
+                    continue
+                for c in mdp.enabled(s):
+                    succs = [t for t, _ in c.successors]
+                    if all(t in candidates for t in succs) and any(
+                        t in reached for t in succs
+                    ):
+                        reached.add(s)
+                        changed = True
+                        break
+        if reached == candidates:
+            return candidates
+        candidates = reached
+
+
+def qualitative_sets(
+    mdp: MDP, goal_states: set[int], avoid_states: set[int], maximize: bool
+) -> tuple[set[int], set[int]]:
+    """``(zero, one)`` state sets for one objective.
+
+    ``Pmax``: ``zero`` is ``prob0a`` (no strategy reaches the goal) and
+    ``one`` is ``prob1e``.  ``Pmin``: ``zero`` is ``prob0e`` (some
+    strategy dodges the goal forever) and ``one`` is ``prob1a`` (the
+    complement of exists-reach of ``prob0e``).
+    """
+    frozen = goal_states | avoid_states
+    if maximize:
+        reach = _exists_reach(mdp, goal_states, frozen)
+        zero = set(range(mdp.num_states)) - reach
+        one = _prob1e_set(mdp, goal_states, avoid_states)
+    else:
+        zero = _prob0e_set(mdp, goal_states, avoid_states)
+        one = set(range(mdp.num_states)) - _exists_reach(mdp, zero, frozen)
+    return zero, one
+
+
+def prob1e(mdp: MDP, goal: str = "goal", avoid: str = "hazard") -> set[int]:
+    """States where some strategy reaches ``goal`` w.p. 1, avoiding
+    ``avoid``; avoid states and absorbing non-goal states never qualify."""
+    goal_states, avoid_states = _prepare(mdp, goal, avoid)
+    return _prob1e_set(mdp, goal_states, avoid_states)
+
+
+def reachable_states(mdp: MDP, from_state: int | None = None) -> set[int]:
+    """Indices reachable from ``from_state`` (default: the initial state)."""
+    start = mdp.initial if from_state is None else from_state
+    if start is None:
+        raise ValueError("model has no initial state")
+    seen = {start}
+    frontier_ = [start]
+    while frontier_:
+        s = frontier_.pop()
+        for c in mdp.enabled(s):
+            for t, _ in c.successors:
+                if t not in seen:
+                    seen.add(t)
+                    frontier_.append(t)
+    return seen
+
+
+def _better(v: float, best: float | None, maximize: bool) -> bool:
+    return best is None or (v > best if maximize else v < best)
+
+
+def reach_avoid_probability(
+    mdp: MDP,
+    goal: str = "goal",
+    avoid: str = "hazard",
+    maximize: bool = True,
+    epsilon: float = DEFAULT_EPSILON,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> ValueResult:
+    """``Pmax`` (or ``Pmin``) of ``[] !avoid && <> goal`` for every state:
+    the qualitative sets pin the exact 0/1 states, Gauss-Seidel sweeps
+    iterate the rest until a sweep moves no value by ``epsilon``, and one
+    greedy pass picks the choices.  Uncertified (no bounds)."""
+    goal_states, avoid_states = _prepare(mdp, goal, avoid)
+    n = mdp.num_states
+    zero, one = qualitative_sets(mdp, goal_states, avoid_states, maximize)
+    values = np.zeros(n)
+    for s in one:
+        values[s] = 1.0
+    choice = np.full(n, -1, dtype=int)
+    frozen = goal_states | avoid_states
+    pinned = frozen | zero | one
+
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        delta = 0.0
+        for s in range(n):
+            if s in pinned or mdp.is_absorbing(s):
+                continue
+            best: float | None = None
+            for c in mdp.enabled(s):
+                v = sum(p * values[t] for t, p in c.successors)
+                if _better(v, best, maximize):
+                    best = v
+            delta = max(delta, abs(best - values[s]))
+            values[s] = best
+        if delta < epsilon:
+            break
+    else:
+        raise RuntimeError(
+            f"value iteration did not converge in {max_iterations} steps"
+        )
+
+    for s in range(n):
+        if s in frozen or mdp.is_absorbing(s):
+            continue
+        best = None
+        for c_idx, c in enumerate(mdp.enabled(s)):
+            v = sum(p * values[t] for t, p in c.successors)
+            if _better(v, best, maximize):
+                best, choice[s] = v, c_idx
+    return ValueResult(values=values, choice=choice, iterations=iterations)
+
+
+def reach_avoid_reward(
+    mdp: MDP,
+    goal: str = "goal",
+    avoid: str = "hazard",
+    minimize: bool = True,
+    epsilon: float = DEFAULT_EPSILON,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> ValueResult:
+    """``Rmin`` (or ``Rmax``) of the cumulated reward until ``goal``.
+
+    PRISM total-reward semantics: goal states are 0, states outside the
+    ``prob1e`` region are ``inf``, and the iteration (from 0) uses only
+    choices whose support stays inside that region.  Uncertified.
+    """
+    goal_states = mdp.label_set(goal)
+    sure = prob1e(mdp, goal=goal, avoid=avoid)
+    n = mdp.num_states
+    values = np.full(n, np.inf)
+    choice = np.full(n, -1, dtype=int)
+    for g in goal_states & sure:
+        values[g] = 0.0
+    usable: list[list[int]] = [[] for _ in range(n)]
+    for s in sure - goal_states:
+        for c_idx, c in enumerate(mdp.enabled(s)):
+            if all(t in sure for t, _ in c.successors):
+                usable[s].append(c_idx)
+    active = [s for s in sure if s not in goal_states and usable[s]]
+    for s in active:
+        values[s] = 0.0
+
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        delta = 0.0
+        for s in active:
+            best: float | None = None
+            for c_idx in usable[s]:
+                c = mdp.enabled(s)[c_idx]
+                v = c.reward + sum(p * values[t] for t, p in c.successors)
+                if _better(v, best, not minimize):
+                    best, choice[s] = v, c_idx
+            delta = max(delta, abs(best - values[s]))
+            values[s] = best
+        if delta < epsilon:
+            break
+    else:
+        raise RuntimeError(
+            f"reward iteration did not converge in {max_iterations} steps"
+        )
+    return ValueResult(values=values, choice=choice, iterations=iterations)

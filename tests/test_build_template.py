@@ -28,11 +28,11 @@ from repro.core.actions import ActionClass
 from repro.core.fastmdp import (
     build_routing_model_fast,
     clear_build_template_cache,
+    structural_key,
 )
 from repro.core.routing_job import RoutingJob
 from repro.core.synthesis import force_field_from_health
 from repro.geometry.rect import Rect
-from repro.modelcheck.batch import structural_key
 
 W, H = 24, 18
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.mdp import build_routing_mdp
 from repro.core.routing_job import RoutingJob
 from repro.core.synthesis import force_field_from_health
 from repro.geometry.rect import Rect
 from repro.modelcheck.compiled import compile_mdp, solve_reach_avoid_reward
 from repro.modelcheck.export import export_prism_explicit, import_prism_explicit
 from repro.modelcheck.model import MDP
+from tests.oracles import build_routing_mdp
 
 
 def small_model() -> MDP:

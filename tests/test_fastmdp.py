@@ -1,7 +1,8 @@
 """Differential tests: the fast (compiled) builder vs the reference builder.
 
-``build_routing_model_fast`` must be semantically identical to
-``build_routing_mdp`` + ``compile_mdp``: same state space, same choice
+``build_routing_model_fast`` must be semantically identical to the
+explicit oracle ``tests.oracles.build_routing_mdp`` + ``compile_mdp``:
+same state space, same choice
 structure, and — most importantly — the same synthesis values for both
 query types under arbitrary health matrices and obstacle sets.
 """
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fastmdp import build_routing_model_fast, extract_fast_strategy
-from repro.core.mdp import build_routing_mdp
 from repro.core.routing_job import RoutingJob
 from repro.core.synthesis import force_field_from_health
 from repro.geometry.rect import Rect
@@ -24,6 +24,7 @@ from repro.modelcheck.compiled import (
     solve_reach_avoid_reward,
 )
 from repro.modelcheck.strategy import extract_strategy
+from tests.oracles import build_routing_mdp
 
 W, H = 24, 18
 

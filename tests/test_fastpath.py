@@ -24,7 +24,6 @@ from repro.core.fastmdp import (
     clear_shape_action_memo,
     compiled_shape_actions,
 )
-from repro.core.mdp import build_routing_mdp
 from repro.core.routing_job import RoutingJob
 from repro.core.strategy import StrategyLibrary
 from repro.core.synthesis import (
@@ -38,7 +37,7 @@ from repro.modelcheck.compiled import (
     solve_reach_avoid_probability,
     solve_reach_avoid_reward,
 )
-from tests.oracles import build_routing_model_scalar
+from tests.oracles import build_routing_mdp, build_routing_model_scalar
 
 W, H = 24, 18
 
@@ -251,9 +250,9 @@ class TestWarmStartedSynthesis:
         assert perf.get("vi.reward.warm_solves") == 1
         assert library.warm_start(job) is s2.policy
 
-    def test_uncompiled_path_ignores_warm_values(self):
-        # Exotic force fields fall back to the explicit builder; warm values
-        # must be silently ignored there, not crash.
+    def test_exotic_field_raises_type_error(self):
+        # Only matrix-backed fields are synthesizable; any other field is
+        # refused up front, warm start or not, before anything is counted.
         from repro.core.transitions import ForceField
 
         class Weird(ForceField):
@@ -266,8 +265,11 @@ class TestWarmStartedSynthesis:
                 return 1.0
 
         job = _job()
-        result = synthesize_with_field(job, Weird(), warm_values={"x": 1.0})
-        assert result.strategy is not None
+        perf.reset()
+        for warm in (None, {"x": 1.0}):
+            with pytest.raises(TypeError, match="Weird"):
+                synthesize_with_field(job, Weird(), warm_values=warm)
+        assert perf.get("synthesis.count") == 0
 
 
 class TestPerfRegistry:

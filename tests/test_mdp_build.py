@@ -1,4 +1,6 @@
-"""Tests for the per-RJ MDP induction (Sec. VI-C)."""
+"""Tests for the per-RJ MDP induction (Sec. VI-C), on the explicit
+builder kept as an oracle (``tests.oracles.build_routing_mdp``); the
+fast builder is checked against it in ``tests/test_fastmdp.py``."""
 
 from __future__ import annotations
 
@@ -6,10 +8,11 @@ import numpy as np
 import pytest
 
 from repro.core.droplet import OFF_CHIP
-from repro.core.mdp import HAZARD_STATE, build_routing_mdp
+from repro.core.fastmdp import HAZARD_STATE
 from repro.core.routing_job import RoutingJob
 from repro.core.transitions import UniformForceField
 from repro.geometry.rect import Rect
+from tests.oracles import build_routing_mdp
 
 
 def field(w: int = 40, h: int = 40, v: float = 1.0) -> UniformForceField:

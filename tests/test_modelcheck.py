@@ -10,23 +10,23 @@ from hypothesis import strategies as st
 from repro import perf
 from repro.modelcheck.compiled import (
     compile_mdp,
-    solve_prob1e,
     solve_reach_avoid_probability,
     solve_reach_avoid_reward,
 )
 from repro.modelcheck.model import MDP, Choice
+from repro.modelcheck.precompute import prob1e_mask
 from repro.modelcheck.properties import (
     Objective,
     probability_query,
     reward_query,
 )
-from repro.modelcheck.reachability import (
+from repro.modelcheck.strategy import extract_strategy
+from tests.oracles import (
     prob1e,
     reach_avoid_probability,
+    reach_avoid_reward,
     reachable_states,
 )
-from repro.modelcheck.rewards import reach_avoid_reward
-from repro.modelcheck.strategy import extract_strategy
 
 
 def chain_mdp(p: float = 1.0) -> MDP:
@@ -263,7 +263,7 @@ class TestCompiledAgainstReference:
         mdp = random_mdp(seed)
         ref = prob1e(mdp)
         cm = compile_mdp(mdp)
-        vec = solve_prob1e(cm)
+        vec = prob1e_mask(cm, cm.label_mask("goal"), cm.label_mask("hazard"))
         assert set(np.flatnonzero(vec)) == ref
 
     @given(st.integers(0, 10_000))

@@ -275,9 +275,11 @@ def assert_same_records(new_settled, ref_settled, new_evals, ref_evals):
         if a is not None:
             assert np.array_equal(a, b)
     assert len(new_evals) == len(ref_evals)
+    # An evaluation against an infinite exit value reads NaN on both
+    # paths; identical means NaN in the same places.
     for (ba, xa), (bb, xb) in zip(new_evals, ref_evals):
-        assert np.array_equal(ba, bb)
-        assert np.array_equal(xa, xb)
+        assert np.array_equal(ba, bb, equal_nan=True)
+        assert np.array_equal(xa, xb, equal_nan=True)
 
 
 def assert_same_run(new: _Run, ref: _Run) -> None:

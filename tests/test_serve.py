@@ -17,6 +17,7 @@ import pytest
 
 from repro import obs
 from repro.engine import StrategyStore
+from repro.obs import monitor
 from repro.serve import (
     AssayJob,
     AssaySpec,
@@ -179,6 +180,30 @@ class TestHTTPRoundTrip:
         with pytest.raises(ServeError) as missing:
             client.job("job-999999")
         assert missing.value.status == 404
+
+
+class TestListenBacklog:
+    def test_unserved_listener_queues_a_burst_of_connects(self):
+        # Nothing accepts, so every connect must fit in the listen queue;
+        # socketserver's default backlog of 5 takes 6 of these 32.
+        server = monitor._Listener(("127.0.0.1", 0), monitor._MonitorHandler)
+        clients = []
+        try:
+            connected = 0
+            for _ in range(32):
+                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                clients.append(sock)
+                sock.settimeout(0.5)
+                try:
+                    sock.connect(server.server_address)
+                except OSError:
+                    continue
+                connected += 1
+        finally:
+            for sock in clients:
+                sock.close()
+            server.server_close()
+        assert connected == 32, f"{connected} of 32 connected"
 
 
 class TestDrain:

@@ -1,14 +1,14 @@
 """Differential tests for the support-keyed solver contexts.
 
-Every certified solve runs the batch kernel, and the kernel takes its
-support-derived precompute (prob-1 region, SCC levels, per-level padded
-matrices, qualitative sets) from the context slot of the build template
-the model came from.  The contract under test: a solve against a filled
-slot is bit-identical, in every ``ValueResult`` field, to the same solve
-right after ``clear_context_cache()`` — and both equal an uncached
-oracle that derives every level from the model on each call.  Also covered: threaded builds and solves
-against a small template bound, the slot and cache size figures, and
-the LRU order of the build-template cache.
+Every certified solve takes its support-derived precompute (prob-1
+region, SCC levels, per-level padded matrices, qualitative sets) from the
+context slot of the build template the model came from.  The contract
+under test: a solve against a filled slot is bit-identical, in every
+``ValueResult`` field, to the same solve right after
+``clear_context_cache()`` — and both equal an uncached oracle that
+derives every level from the model on each call.  Also covered: threaded
+builds and solves against a small template bound, the slot and cache
+size figures, and the LRU order of the build-template cache.
 """
 
 from __future__ import annotations
@@ -31,15 +31,13 @@ from repro.core.synthesis import force_field_from_health
 from repro.geometry.rect import Rect
 from repro.modelcheck import batch, compiled, interval
 from repro.modelcheck.compiled import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_ITERATIONS,
     CompiledMDP,
     solve_reach_avoid_probability,
     solve_reach_avoid_reward,
 )
 from repro.modelcheck.interval import NonConvergence
-from repro.modelcheck.reachability import (
-    DEFAULT_EPSILON,
-    DEFAULT_MAX_ITERATIONS,
-)
 from tests.oracles import window_token
 
 W, H = 24, 18
@@ -85,7 +83,7 @@ def _uncached_reward(cm, initial_values=None, epsilon=DEFAULT_EPSILON):
     Recomputes the prob-1 region, the SCC levels and each level's padded
     matrix for this one model, and runs the per-level body on them.
     """
-    goal_zero, active, usable = compiled._reward_region(
+    goal_zero, active, usable = batch._reward_region(
         cm, cm.label_mask("goal"), cm.label_mask("hazard")
     )
     n = cm.num_states
@@ -138,7 +136,7 @@ def _with_stored_zero(cm: CompiledMDP) -> CompiledMDP:
     The zero points at another state of the prob-1 region, so it adds an
     edge to the SCC graph without touching the probabilities.
     """
-    _, active, usable = compiled._reward_region(
+    _, active, usable = batch._reward_region(
         cm, cm.label_mask("goal"), cm.label_mask("hazard")
     )
     t = interval._rows(cm)
@@ -176,7 +174,7 @@ def _fresh():
 class TestWarmContextMatchesCold:
     def test_cold_solves_over_health_sweep(self):
         models = [_model(JOB, seed) for seed in SWEEP]
-        assert len({batch.structural_key(cm) for cm in models}) == 1
+        assert len({fastmdp.structural_key(cm) for cm in models}) == 1
         for cm in models:
             cold = _cold(solve_reach_avoid_reward, cm)
             warm = solve_reach_avoid_reward(cm)
@@ -209,7 +207,7 @@ class TestWarmContextMatchesCold:
     def test_stored_zero_model_is_solved_but_never_cached(self):
         source = _model(JOB, 2)
         cm = _with_stored_zero(source)
-        assert not batch.supports_batching(cm)
+        assert not batch._admit(cm)[1]
         assert cm.contexts is None
         cold = _cold(solve_reach_avoid_reward, cm)
         hits = perf.get("vi.batch.precompute.hits")

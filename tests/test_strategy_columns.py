@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.mdp import HAZARD_STATE
+from repro.core.fastmdp import HAZARD_STATE
 from repro.core.routing_job import RoutingJob, zone
 from repro.core.strategy import RoutingStrategy, strategy_from_synthesis
 from repro.core.synthesis import synthesize

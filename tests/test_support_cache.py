@@ -218,7 +218,7 @@ class TestContexts:
         perf.reset()
         b = build_routing_model_fast(moved, forces).compiled
         assert perf.get("fastmdp.template.misses") == 1
-        assert batch.structural_key(a) == batch.structural_key(b)
+        assert fastmdp.structural_key(a) == fastmdp.structural_key(b)
         assert b.contexts is a.contexts
         solve_reach_avoid_reward(b)
         assert perf.get("vi.batch.precompute.hits") == 1

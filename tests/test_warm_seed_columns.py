@@ -25,11 +25,11 @@ from repro.biochip.chip import MedaChip
 from repro.biochip.simulator import MedaSimulator
 from repro.core.baseline import AdaptiveRouter
 from repro.core.fastmdp import (
+    HAZARD_STATE,
     build_routing_model_fast,
     clear_build_template_cache,
     clear_cold_results,
 )
-from repro.core.mdp import HAZARD_STATE
 from repro.core.routing_job import RoutingJob, zone
 from repro.core.scheduler import HybridScheduler
 from repro.core.synthesis import (
