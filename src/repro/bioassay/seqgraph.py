@@ -8,9 +8,8 @@ output droplet) and ordered topologically for the planner and RJ helper.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.bioassay.ops import MO, MOType
 
@@ -27,19 +26,41 @@ class SequencingGraph:
         self._position = {mo.name: i for i, mo in enumerate(self.mos)}
         if len(self._by_name) != len(self.mos):
             raise ValueError(f"bioassay {self.name!r} has duplicate MO names")
-        self._graph = nx.DiGraph()
-        for mo in self.mos:
-            self._graph.add_node(mo.name)
-        for mo in self.mos:
+        # Adjacency by list position, each edge once, in insertion order:
+        # a consumer's predecessors in ``pre`` order, a producer's
+        # successors in consumer list order.
+        self._succ: list[list[int]] = [[] for _ in self.mos]
+        self._pred: list[list[int]] = [[] for _ in self.mos]
+        for i, mo in enumerate(self.mos):
             for pred in mo.pre:
                 if pred not in self._by_name:
                     raise ValueError(
                         f"MO {mo.name!r} references unknown predecessor {pred!r}"
                     )
-                self._graph.add_edge(pred, mo.name)
-        if not nx.is_directed_acyclic_graph(self._graph):
+                p = self._position[pred]
+                if p not in self._pred[i]:
+                    self._pred[i].append(p)
+                    self._succ[p].append(i)
+        self._order = self._kahn()
+        if self._order is None:
             raise ValueError(f"bioassay {self.name!r} has a dependency cycle")
         self._check_consumption()
+
+    def _kahn(self) -> list[int] | None:
+        """Kahn's topological order, the ready MO with the lowest list
+        position first; ``None`` when a cycle leaves MOs unordered."""
+        indegree = [len(pred) for pred in self._pred]
+        ready = [i for i, d in enumerate(indegree) if d == 0]
+        heapq.heapify(ready)
+        order: list[int] = []
+        while ready:
+            i = heapq.heappop(ready)
+            order.append(i)
+            for j in self._succ[i]:
+                indegree[j] -= 1
+                if indegree[j] == 0:
+                    heapq.heappush(ready, j)
+        return order if len(order) == len(self.mos) else None
 
     def _check_consumption(self) -> None:
         """Each producer output droplet feeds at most one consumer."""
@@ -68,21 +89,22 @@ class SequencingGraph:
 
     def topological(self) -> list[MO]:
         """MOs in a dependency-respecting order (stable by list position)."""
-        order = nx.lexicographical_topological_sort(
-            self._graph, key=self._position.__getitem__
-        )
-        return [self._by_name[n] for n in order]
+        return [self.mos[i] for i in self._order]
 
     def successors(self, name: str) -> list[MO]:
-        return [self._by_name[n] for n in self._graph.successors(name)]
+        return [self.mos[i] for i in self._succ[self._position[name]]]
 
     def predecessors(self, name: str) -> list[MO]:
-        return [self._by_name[n] for n in self._graph.predecessors(name)]
+        return [self.mos[i] for i in self._pred[self._position[name]]]
 
     @property
     def depth(self) -> int:
-        """Length of the longest dependency chain."""
-        return int(nx.dag_longest_path_length(self._graph)) + 1
+        """Number of MOs on the longest dependency chain."""
+        chain = [1] * len(self.mos)
+        for i in self._order:
+            for j in self._succ[i]:
+                chain[j] = max(chain[j], chain[i] + 1)
+        return max(chain, default=1)
 
     def count(self, mo_type: MOType) -> int:
         """Number of MOs of a given type."""

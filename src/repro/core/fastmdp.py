@@ -12,8 +12,9 @@ check that both give the same model statistics and synthesis values.  No
 build here expands states one at a time:
 
 * droplet patterns are numbered arithmetically by shape and anchor, and
-  states are plain ``(xa, ya, xb, yb)`` int tuples until the model's
-  ``Rect`` inventory is made;
+  a model keeps its states as int16 ``(xa, ya, xb, yb)`` corner rows
+  (:class:`~repro.modelcheck.strategy.StateColumns`), whose ``Rect``
+  inventory is made only when asked for;
 * per-shape action semantics (guards, frontier legs, successor offsets)
   and the whole-shape tables the build kernel reads are compiled once per
   process, keyed by ``(w, h, max_aspect, families)``;
@@ -22,8 +23,9 @@ build here expands states one at a time:
   prefix-sum gather and one product table per shape, emits the positive
   ones, and restricts the model to the component reachable from the start
   with one C-level sparse BFS;
-* transitions are assembled into CSR form directly, without explicit
-  model objects.
+* transitions are laid out in canonical CSR form directly, with one
+  stable sort, without explicit model objects or scipy's
+  ``sum_duplicates``.
 
 Builds are cached in three parts (DESIGN.md §9): per job geometry, the
 force-independent *geometry* (gathers, successor targets, shape blocks);
@@ -58,7 +60,7 @@ from repro.core.actions import (
     guard,
 )
 from repro.core.routing_job import RoutingJob
-from repro.geometry.rect import Rect, _trusted_rect
+from repro.geometry.rect import Rect
 from repro.modelcheck import interval
 from repro.modelcheck.compiled import CompiledMDP, ValueResult
 from repro.modelcheck.strategy import MemorylessStrategy, StateColumns
@@ -175,6 +177,8 @@ def _shape_tables(specs: tuple[_ActionSpec, ...]) -> _ShapeActions:
     for si, spec in enumerate(specs):
         stays = [o for o in spec.outcomes if o[1] is None]
         assert len(stays) == 1, "every action has exactly one stay outcome"
+        # _canonical_layout relies on scipy sorting rows this short stably.
+        assert len(spec.outcomes) <= 16, "a choice has at most 16 outcomes"
         for pattern, target in [
             o for o in spec.outcomes if o[1] is not None
         ] + stays:
@@ -252,12 +256,17 @@ class CompiledRoutingModel:
     """A routing MDP in compiled (array) form plus its state inventory."""
 
     compiled: CompiledMDP
-    states: list[Rect | str]
     job: RoutingJob
-    #: The state inventory as strategy columns (``states`` included) and
-    #: each choice's int16 code into ``columns.labels``.
+    #: The state inventory as strategy columns and each choice's int16
+    #: code into ``columns.labels``.
     columns: StateColumns
     choice_codes: np.ndarray
+
+    @property
+    def states(self) -> list[Rect | str]:
+        """Each state as a ``Rect`` or the hazard sink's label, derived
+        from the columns on first use."""
+        return self.columns.states
 
     @cached_property
     def choice_labels(self) -> list[str]:
@@ -566,14 +575,11 @@ class _BuildTemplate:
     support replays it with new values (:func:`build_routing_model_fast`).
     """
 
-    # CSR skeleton; ``value_gather`` (int32) None = no transitions.  With
-    # ``dup_steps`` (the canonical shortcut, see :func:`_support`) it picks
-    # each canonical entry's first value in scipy's post-``sort_indices``
-    # order and ``dup_steps`` adds the rest of its duplicate run
-    # (:func:`_canonical_data`).  Without it the gather gives the values
-    # in row order and the replay re-runs ``sum_duplicates``.
+    # Canonical CSR skeleton (:func:`_canonical_layout`): ``value_gather``
+    # (int32) picks each canonical entry's first value and ``dup_steps``
+    # adds the rest of its duplicate run (:func:`_canonical_data`).
     value_gather: np.ndarray | None = None
-    dup_steps: tuple | None = None
+    dup_steps: tuple = ()
     indices: np.ndarray | None = None
     indptr: np.ndarray | None = None
     num_choices: int = 0
@@ -583,7 +589,9 @@ class _BuildTemplate:
     labels: dict | None = None
     columns: StateColumns | None = None
     choice_codes: np.ndarray | None = None
-    first_choice: np.ndarray | None = None
+    #: ``CompiledMDP._first_choice_cache`` of every model of the
+    #: template: the first of them computes it, the rest read it.
+    first_choice: list = field(default_factory=list)
     digest: str | None = None
     #: The solver's support contexts (``CompiledMDP.contexts``).
     contexts: dict = field(default_factory=dict)
@@ -745,9 +753,10 @@ def build_routing_model_fast(
     equals a retained template's, the values drop into its CSR skeleton (a
     replay — the common case in resynthesis storms, where only the health
     fingerprint changes, and on chips that have aged alike); otherwise
-    :func:`_support` emits, restricts and assembles the model again over
-    the same geometry and publishes a new template.  All three paths give
-    bit-identical models, so the cache is transparent to every caller.
+    :func:`_support` emits, restricts and lays out the skeleton again over
+    the same geometry and publishes a new template, whose values then
+    drop in the same way.  All three paths give bit-identical models, so
+    the cache is transparent to every caller.
     """
     if job.is_dispense:
         raise ValueError("dispense jobs are materialized, not routed")
@@ -771,10 +780,10 @@ def build_routing_model_fast(
         return _replay(tpl, job, values)
     if entry.supports:
         perf.incr("fastmdp.template.rebuilds")
-    transitions, tpl = _support(entry.geometry, job, values, mask)
+    tpl = _support(entry.geometry, mask)
     with _TEMPLATE_LOCK:
         _publish(key, entry, support, tpl)
-    return _model(tpl, job, transitions)
+    return _replay(tpl, job, values)
 
 
 def _canonical_data(
@@ -795,28 +804,14 @@ def _replay(
     tpl: _BuildTemplate, job: RoutingJob, values: np.ndarray
 ) -> CompiledRoutingModel:
     """The model for ``values`` whose support equals the template's."""
-    shape = (max(tpl.num_choices, 1), tpl.n)
-    if tpl.value_gather is None:
-        transitions = sparse.csr_matrix(shape)
-    elif tpl.dup_steps is not None:
-        # Canonical shortcut: no per-replay sort.
-        transitions = sparse.csr_matrix(
-            (
-                _canonical_data(values, tpl.value_gather, tpl.dup_steps),
-                tpl.indices.copy(), tpl.indptr.copy(),
-            ),
-            shape=shape,
-        )
-        transitions.has_canonical_format = True
-    else:
-        transitions = sparse.csr_matrix(
-            (
-                np.take(values, tpl.value_gather), tpl.indices.copy(),
-                tpl.indptr.copy(),
-            ),
-            shape=shape,
-        )
-        transitions.sum_duplicates()
+    transitions = sparse.csr_matrix(
+        (
+            _canonical_data(values, tpl.value_gather, tpl.dup_steps),
+            tpl.indices.copy(), tpl.indptr.copy(),
+        ),
+        shape=(max(tpl.num_choices, 1), tpl.n),
+    )
+    transitions.has_canonical_format = True
     return _model(tpl, job, transitions)
 
 
@@ -833,12 +828,11 @@ def _model(
         labels=tpl.labels,
         initial=1,
         contexts=tpl.contexts,
+        _first_choice_cache=tpl.first_choice,
     )
-    if tpl.first_choice is not None:  # None only while _support records it
-        compiled._first_choice_cache.append(tpl.first_choice)
     return CompiledRoutingModel(
-        compiled=compiled, states=tpl.columns.states, job=job,
-        columns=tpl.columns, choice_codes=tpl.choice_codes,
+        compiled=compiled, job=job, columns=tpl.columns,
+        choice_codes=tpl.choice_codes,
     )
 
 
@@ -863,49 +857,98 @@ def _choices(
     return np.concatenate(rows), np.concatenate(owners)
 
 
-def _support(
-    geo: _Geometry,
-    job: RoutingJob,
-    values: np.ndarray,
-    mask: np.ndarray,
-) -> "tuple[sparse.csr_matrix, _BuildTemplate]":
-    """Record the template of one support of ``geo`` and build the
-    transitions of ``values`` on it.
+def _reachable(geo: _Geometry, mask: np.ndarray) -> np.ndarray:
+    """Which provisional patterns the start reaches through the positive
+    entries ``mask``, by a C-level sparse BFS
+    (:func:`scipy.sparse.csgraph.breadth_first_order`); the hazard sink
+    is always kept.
 
-    Emits the positive entries (``mask``) as provisional transitions in
-    entry order, restricts the model to the component reachable from the
-    start with a C-level sparse BFS
-    (:func:`scipy.sparse.csgraph.breadth_first_order`), renumbers states
-    (hazard sink 0, start 1, then provisional order) and choices (by
-    owner, stably), and assembles the CSR matrix.
+    The state graph is laid out without a sort: a shape block's pattern
+    ``i`` owns column ``i`` of the block's ``(rows, k)`` entry grid, one
+    slot per outcome row, and a slot of probability zero loops back to
+    its owner, which reaches nothing new.
+    """
+    size = geo.pattern.shape[0]
+    counts = np.zeros(size, dtype=np.int32)
+    slots = []
+    for sh in geo.shapes:
+        k = sh.pids.size
+        end = sh.offset + sh.actions.spec_of_row.size * k
+        positive = mask[sh.offset:end].reshape(-1, k)
+        target = geo.target[sh.offset:end].reshape(-1, k)
+        slots.append(np.where(positive, target, sh.pids).T.ravel())
+        counts[sh.pids] = positive.shape[0]
+    reach = np.zeros(size, dtype=bool)
+    reach[HAZARD_INDEX] = True
+    reach[geo.start_pid] = True
+    if slots:
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.concatenate(slots)
+        graph = interval._raw_csr(np.ones(indices.size), indices, indptr,
+                                  (size, size))
+        reach[sparse.csgraph.breadth_first_order(
+            graph, geo.start_pid, directed=True, return_predecessors=False
+        )] = True
+    return reach
+
+
+def _canonical_layout(
+    rows: np.ndarray, cols: np.ndarray, pos: np.ndarray, num_rows: int
+) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray]:
+    """The canonical CSR skeleton of the transitions ``(rows, cols)``
+    whose values sit at ``values[pos]``, listed in emission order:
+    ``(first, dup_steps, indices, indptr)`` for :func:`_canonical_data`,
+    with one padding row when ``num_rows`` is 0.
+
+    scipy's ``sum_duplicates`` sorts each row by column and sums every run
+    of equal columns left to right.  Its per-row sort is an insertion sort
+    (stable) for rows of at most 16 entries, and a choice has one entry
+    per outcome of its action (at most 16, checked in
+    :func:`_shape_tables`), so one stable sort over ``(row, col)`` gives
+    its order exactly.
+    """
+    n_cols = int(cols.max(initial=0)) + 1
+    order = np.argsort(rows * n_cols + cols, kind="stable")
+    rows, cols, pos = rows[order], cols[order], pos[order]
+    new_run = np.ones(rows.size, dtype=bool)
+    new_run[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(new_run)
+    dup = np.flatnonzero(~new_run)  # entries that continue a run
+    run = np.cumsum(new_run)[dup] - 1
+    depth = dup - starts[run]  # a continuing entry's place in its run
+    dup_steps = tuple(
+        (run[depth == j], pos[dup[depth == j]])
+        for j in range(1, int(depth.max(initial=0)) + 1)
+    )
+    counts = np.bincount(rows[starts], minlength=num_rows)
+    assert (counts > 0).all(), "every action has at least one outcome"
+    indptr = np.zeros(max(num_rows, 1) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:num_rows + 1])
+    return (pos[starts].astype(np.int32), dup_steps,
+            cols[starts].astype(np.int32), indptr)
+
+
+def _support(geo: _Geometry, mask: np.ndarray) -> _BuildTemplate:
+    """Record the template of the support ``mask`` of ``geo``.
+
+    Emits the positive entries as provisional transitions in entry order,
+    restricts the model to the component reachable from the start with a
+    C-level sparse BFS (:func:`scipy.sparse.csgraph.breadth_first_order`),
+    renumbers states (hazard sink 0, start 1, then provisional order) and
+    choices (by owner, stably), and lays out the canonical CSR skeleton
+    (:func:`_canonical_layout`).  The state inventory is kept as int16
+    corners; no ``Rect`` is made here.
     """
     perf.incr("fastmdp.builds")
     tpl = _BuildTemplate()
     entries = np.flatnonzero(mask)
     row_arr, owner_arr = _choices(geo, entries)
-    col_arr = geo.target[entries].astype(np.int64)
-    val_arr = values[entries]
+    col_arr = geo.target[entries]
     total = geo.pattern.shape[0] - 1
     start_pid = geo.start_pid
 
-    # -- restrict to the component reachable from the start ------------------
-    reach = np.zeros(total + 1, dtype=bool)
-    reach[HAZARD_INDEX] = True  # the sink exists even when unreachable
-    reach[start_pid] = True
-    # State adjacency (owner state -> successor state) from the emitted
-    # transitions: transition t belongs to choice row_arr[t], whose owner
-    # pattern is owner_arr[row_arr[t]].
-    if row_arr.size:
-        edge_src = owner_arr[row_arr]
-        graph = sparse.csr_matrix(
-            (np.ones(edge_src.size, dtype=np.int8), (edge_src, col_arr)),
-            shape=(total + 1, total + 1),
-        )
-        order = sparse.csgraph.breadth_first_order(
-            graph, start_pid, directed=True, return_predecessors=False
-        )
-        reach[order] = True
-
+    reach = _reachable(geo, mask)
     reach_pids = np.flatnonzero(reach)
     n = reach_pids.size
     new_id = np.full(total + 1, -1, dtype=np.int64)
@@ -919,81 +962,14 @@ def _support(
     perm = np.argsort(new_owner, kind="stable")
     final_choices = keep_choice[perm]
     num_choices = final_choices.size
-    choice_state = new_owner[perm]
-    choice_codes = geo.code[final_choices]
     choice_new = np.full(owner_arr.size, -1, dtype=np.int64)
     choice_new[final_choices] = np.arange(num_choices, dtype=np.int64)
 
-    if row_arr.size:
-        rows_f = choice_new[row_arr]
-        tmask = rows_f >= 0
-        rows_f = rows_f[tmask]
-        cols_f = new_id[col_arr[tmask]]
-        vals_f = val_arr[tmask]
-        kept = entries[tmask]
-        counts = np.bincount(rows_f, minlength=num_choices)
-        assert (counts > 0).all(), "every action has at least one outcome"
-        t_order = np.argsort(rows_f, kind="stable")
-        indptr = np.zeros(max(num_choices, 1) + 1, dtype=np.int64)
-        indptr[1 : num_choices + 1] = np.cumsum(counts)
-        cols_sorted = cols_f[t_order]
-        tpl.value_gather = kept[t_order].astype(np.int32)
-        tpl.indices = cols_sorted.copy()
-        tpl.indptr = indptr.copy()
-        transitions = sparse.csr_matrix(
-            (vals_f[t_order], cols_sorted, indptr),
-            shape=(max(num_choices, 1), n),
-        )
-        transitions.sum_duplicates()
-        if vals_f.size:
-            # One-time probe of scipy's canonicalization: feeding entry
-            # ranks as data through ``sort_indices`` recovers the exact
-            # permutation it applies, and run boundaries in the sorted
-            # (row, col) sequence mark the duplicates ``sum_duplicates``
-            # merges.  A replay can then gather and add straight into
-            # canonical form.  The self-check against the matrix just
-            # built guards the recording; on mismatch the replay path
-            # simply keeps re-sorting.
-            nnz0 = cols_sorted.size
-            probe = sparse.csr_matrix(
-                (
-                    np.arange(1.0, nnz0 + 1.0), cols_sorted.copy(),
-                    indptr.copy(),
-                ),
-                shape=(max(num_choices, 1), n),
-            )
-            probe.sort_indices()
-            perm2 = probe.data.astype(np.int64) - 1
-            cols2 = probe.indices
-            rowrep = np.repeat(
-                np.arange(probe.shape[0], dtype=np.int64),
-                np.diff(probe.indptr),
-            )
-            new_run = np.ones(nnz0, dtype=bool)
-            new_run[1:] = (cols2[1:] != cols2[:-1]) | \
-                (rowrep[1:] != rowrep[:-1])
-            starts = np.flatnonzero(new_run)
-            run = np.cumsum(new_run) - 1  # run of each sorted entry
-            depth = np.arange(nnz0) - starts[run]  # its place in the run
-            sorted_pos = kept[t_order[perm2]]
-            dup_steps = tuple(
-                (run[depth == j], sorted_pos[depth == j])
-                for j in range(1, int(depth.max()) + 1)
-            )
-            first = sorted_pos[starts]
-            if (
-                np.array_equal(
-                    _canonical_data(values, first, dup_steps),
-                    transitions.data,
-                )
-                and np.array_equal(cols2[starts], transitions.indices)
-            ):
-                tpl.value_gather = first.astype(np.int32)
-                tpl.dup_steps = dup_steps
-                tpl.indices = transitions.indices.copy()
-                tpl.indptr = transitions.indptr.copy()
-    else:
-        transitions = sparse.csr_matrix((max(num_choices, 1), n))
+    rows = choice_new[row_arr]
+    kept = rows >= 0
+    tpl.value_gather, tpl.dup_steps, tpl.indices, tpl.indptr = \
+        _canonical_layout(rows[kept], new_id[col_arr[kept]], entries[kept],
+                          num_choices)
 
     goal_mask = np.zeros(n, dtype=bool)
     goal_new = new_id[geo.goal_pids]
@@ -1007,23 +983,22 @@ def _support(
     corners = np.stack([xa, ya, xa + w - 1, ya + h - 1], axis=1)
     corners = corners.astype(np.int16)
     corners[HAZARD_INDEX] = 0
-    state_objects: list[Rect | str] = [HAZARD_STATE] + [
-        _trusted_rect(*c) for c in corners[1:].tolist()
-    ]
     tpl.columns = StateColumns(
-        states=state_objects, corners=corners,
+        corners=corners,
         label_states=((HAZARD_INDEX, HAZARD_STATE),),
         labels=tuple(geo.labels.tolist()),
     )
     tpl.num_choices = num_choices
     tpl.n = n
-    tpl.choice_state = choice_state
+    tpl.choice_state = new_owner[perm]
     tpl.labels = {"goal": goal_mask, "hazard": hazard_mask}
-    tpl.choice_codes = choice_codes
-    compiled = _model(tpl, job, transitions).compiled
-    tpl.first_choice = compiled.first_choice()
-    tpl.digest = structural_key(compiled)
-    return transitions, tpl
+    tpl.choice_codes = geo.code[final_choices]
+    # A choiceless model's one padding row is not part of its structure.
+    tpl.digest = _structure_digest(
+        n, tpl.choice_state, tpl.indptr[:num_choices + 1], tpl.indices,
+        tpl.labels, initial=1,
+    )
+    return tpl
 
 
 def structural_key(cm: CompiledMDP) -> str:
@@ -1036,16 +1011,26 @@ def structural_key(cm: CompiledMDP) -> str:
     purpose.
     """
     t = interval._rows(cm)
+    return _structure_digest(cm.num_states, cm.choice_state, t.indptr,
+                             t.indices, cm.labels, cm.initial)
+
+
+def _structure_digest(
+    num_states: int, choice_state: np.ndarray, indptr: np.ndarray,
+    indices: np.ndarray, labels: dict, initial: int,
+) -> str:
+    """:func:`structural_key` of a model's parts (a template's, before any
+    of its models exists)."""
     h = hashlib.sha256()
-    h.update(np.int64(cm.num_states).tobytes())
-    h.update(np.int64(cm.num_choices).tobytes())
-    h.update(np.int64(cm.initial).tobytes())
-    h.update(np.ascontiguousarray(cm.choice_state).tobytes())
-    h.update(np.ascontiguousarray(t.indptr).tobytes())
-    h.update(np.ascontiguousarray(t.indices).tobytes())
-    for name in sorted(cm.labels):
+    h.update(np.int64(num_states).tobytes())
+    h.update(np.int64(choice_state.size).tobytes())
+    h.update(np.int64(initial).tobytes())
+    h.update(np.ascontiguousarray(choice_state).tobytes())
+    h.update(np.ascontiguousarray(indptr).tobytes())
+    h.update(np.ascontiguousarray(indices).tobytes())
+    for name in sorted(labels):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(cm.labels[name]).tobytes())
+        h.update(np.ascontiguousarray(labels[name]).tobytes())
     return h.hexdigest()
 
 

@@ -3,7 +3,14 @@
 Implements Sec. III-C / IV of the paper: the exponential force-decay model,
 the simulated PCB validation experiments (Figs. 5-6), model fitting, and the
 fault-injection modes used in the evaluation (Sec. VII-C).
+
+The model and the fault modes load with the package.  The paper-only
+submodules, :mod:`.fitting` (which needs ``scipy.optimize``) and
+:mod:`.pcb` (which needs :mod:`repro.circuits`), load on first use of one
+of their names, so a routing run never imports them.
 """
+
+import importlib
 
 from repro.degradation.faults import (
     CLUSTER_SIZE,
@@ -11,13 +18,6 @@ from repro.degradation.faults import (
     FaultMode,
     FaultPlan,
     no_faults,
-)
-from repro.degradation.fitting import (
-    ForceFit,
-    adjusted_r2,
-    fit_capacitance_slope,
-    fit_decay_rate,
-    fit_force_curve,
 )
 from repro.degradation.model import (
     DEFAULT_HEALTH_BITS,
@@ -27,13 +27,29 @@ from repro.degradation.model import (
     quantize_health,
     sample_params,
 )
-from repro.degradation.pcb import (
-    DegradationCurve,
-    Oscilloscope,
-    PCBBiochip,
-    PCBElectrode,
-    run_degradation_experiment,
-)
+
+#: Each lazily loaded name and the submodule that defines it.
+_LAZY = {
+    "ForceFit": "fitting",
+    "adjusted_r2": "fitting",
+    "fit_capacitance_slope": "fitting",
+    "fit_decay_rate": "fitting",
+    "fit_force_curve": "fitting",
+    "DegradationCurve": "pcb",
+    "Oscilloscope": "pcb",
+    "PCBBiochip": "pcb",
+    "PCBElectrode": "pcb",
+    "run_degradation_experiment": "pcb",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CLUSTER_SIZE",

@@ -64,10 +64,10 @@ def _reward_region(
     probability-one region (PRISM total-reward semantics: any chance of
     leaving it means reward accrues forever on the non-reaching runs).
     """
-    sure = precompute.prob1e_mask(cm, goal_mask, avoid_mask)
+    struct = precompute.structure(cm)
+    sure = precompute.prob1e_mask(cm, goal_mask, avoid_mask, struct)
     n = cm.num_states
     owners = cm.choice_state
-    struct = precompute.structure(cm)
     stays = (struct @ (~sure).astype(np.int8)) == 0
     usable = stays & sure[owners] & ~goal_mask[owners]
     active = np.zeros(n, dtype=bool)

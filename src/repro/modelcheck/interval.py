@@ -256,6 +256,12 @@ def _scc_levels(
     outside the mask.  States in level ``k`` only depend (transitively,
     within the mask) on states in levels ``< k`` and on their own strongly
     connected component.
+
+    ``rows`` ascend and choices are grouped by owner in ascending order,
+    so the masked state edges are already grouped by source: the state
+    graph is laid out as CSR directly, and only each row's successors
+    are sorted, to merge repeats (scipy's strong components do not
+    terminate on a graph that repeats an edge).
     """
     sel = choice_mask[rows] & state_mask[cols]
     src = owners[rows[sel]]
@@ -263,9 +269,10 @@ def _scc_levels(
     keep = state_mask[src] & (src != dst)
     src, dst = src[keep], dst[keep]
 
-    adj = sparse.csr_matrix(
-        (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(n, n)
-    )
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    adj = _raw_csr(np.ones(dst.size), dst.astype(np.int32), indptr, (n, n))
+    adj.sum_duplicates()
     ncomp, comp = csgraph.connected_components(
         adj, directed=True, connection="strong"
     )
@@ -451,23 +458,26 @@ def _exit_policy(level: "_SlotLayout",
     return chosen if bool(np.all(chosen >= 0)) else None
 
 
-#: An empty matrix made by the public constructor; :func:`_raw_csr` starts
-#: each matrix from a copy of its attributes.
-_CSR_PROTO = sparse.csr_matrix((0, 0))
+#: The attributes of an empty matrix made by the public constructor, taken
+#: before any format flag is computed; :func:`_raw_csr` starts each matrix
+#: from a copy of them, so no flag is ever inherited (a copied
+#: ``has_canonical_format`` would make ``sum_duplicates`` a no-op).
+_CSR_ATTRS = dict(sparse.csr_matrix((0, 0)).__dict__)
 
 
 def _raw_csr(data, indices, indptr, shape) -> sparse.csr_matrix:
     """CSR from pre-validated arrays, skipping the constructor entirely.
 
     The arrays come from skeletons derived off a canonical matrix (or a
-    gather through one), so re-running ``check_format`` per model per
-    level would only re-verify what the construction guarantees.  Even
-    an empty ``csr_matrix(shape)`` allocates and checks a zero
-    ``indptr``; copying the prototype's attributes and setting the
-    arrays and shape costs none of that.
+    gather through one), or from row counts the caller laid out itself
+    (the build's and the SCC levels' state graphs), so re-running
+    ``check_format`` per model per level would only re-verify what the
+    construction guarantees.  Even an empty ``csr_matrix(shape)``
+    allocates and checks a zero ``indptr``; copying the prototype's
+    attributes and setting the arrays and shape costs none of that.
     """
     out = sparse.csr_matrix.__new__(sparse.csr_matrix)
-    out.__dict__.update(_CSR_PROTO.__dict__)
+    out.__dict__.update(_CSR_ATTRS)
     out._shape = shape
     out.data = data
     out.indices = indices
@@ -526,9 +536,13 @@ class _SlotLayout:
     def of(cls, T: sparse.csr_matrix, idx: np.ndarray, own: np.ndarray,
            states: np.ndarray) -> "_SlotLayout":
         """The layout of the choices ``idx`` (owners ``own``, each one of
-        the sorted ``states``) of the rows ``T``."""
+        the sorted ``states``) of the rows ``T``.  Global states map to
+        positions and columns through lookup tables over ``T``'s
+        columns, so no pass sorts or searches."""
         n = states.size
-        pos = np.searchsorted(states, own)
+        at = np.zeros(T.shape[1], dtype=np.intp)
+        at[states] = np.arange(n)
+        pos = at[own]
         counts = np.bincount(pos, minlength=n)
         slots = max(int(counts.max(initial=0)), 1)
         order = np.argsort(pos, kind="stable")
@@ -540,17 +554,20 @@ class _SlotLayout:
         used = choice >= 0
         gather, lens, _ = _rows_of(T.indptr, choice[used])
         succ = T.indices[gather]
-        cols = np.union1d(states, succ)
+        member = np.zeros(T.shape[1], dtype=bool)
+        member[states] = True
+        member[succ] = True
+        column = np.cumsum(member) - 1  # column of each member state
         row_len = np.zeros(slots * n, dtype=np.int64)
         row_len[used] = lens
         return cls(
             states=states,
-            cols=cols,
-            inner=np.searchsorted(cols, states),
+            cols=np.flatnonzero(member),
+            inner=column[states],
             slots=slots,
             choice=choice,
             gather=gather.astype(np.int32),
-            indices=np.searchsorted(cols, succ).astype(np.int32),
+            indices=column[succ].astype(np.int32),
             indptr=np.r_[0, np.cumsum(row_len)].astype(np.int32),
         )
 
@@ -644,7 +661,11 @@ def _settle(
             continue
         cur = q[held]
         margin = _CHECK_RTOL * (1.0 + np.abs(cur))
-        improve = (best > cur + margin) if maximize else (best < cur - margin)
+        # An infinite held value has an infinite margin: ``inf - inf`` is
+        # NaN, which compares False, so the held choice stays.
+        with np.errstate(invalid="ignore"):
+            improve = (best > cur + margin) if maximize \
+                else (best < cur - margin)
         if improve.any():
             held = np.where(improve, greedy, held)
             stable = 0
@@ -810,7 +831,11 @@ def _pi_rounds(
         best = q[greedy]
         cur = q[chosen]
         margin = _CHECK_RTOL * (1.0 + np.abs(cur))
-        improve = (best > cur + margin) if maximize else (best < cur - margin)
+        # An infinite current value has an infinite margin: ``inf - inf``
+        # is NaN, which compares False, so the chosen choice stays.
+        with np.errstate(invalid="ignore"):
+            improve = (best > cur + margin) if maximize \
+                else (best < cur - margin)
         if not improve.any():
             return x
         chosen = np.where(improve, greedy, chosen)

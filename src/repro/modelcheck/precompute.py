@@ -37,6 +37,7 @@ import numpy as np
 from scipy import sparse
 
 from repro import perf
+from repro.modelcheck import interval
 
 
 @dataclass(frozen=True)
@@ -58,12 +59,16 @@ def structure(cm) -> sparse.csr_matrix:
 
     ``CompiledMDP.transitions`` pads a single empty row when the model has
     no choices at all; the padding is sliced off so row indices line up
-    with ``choice_state``.
+    with ``choice_state``.  A canonical model that stores no zero (every
+    fastmdp model a solve admits, see :func:`.batch._admit`) shares its
+    index arrays with the result.
     """
-    t = cm.transitions
-    if t.shape[0] != cm.num_choices:
-        t = t[: cm.num_choices]
-    return (t > 0).astype(np.int8)
+    t = interval._rows(cm)
+    positive = t.data > 0.0
+    if not (t.has_canonical_format and positive.all()):
+        return (t > 0).astype(np.int8)
+    return interval._raw_csr(positive.view(np.int8), t.indices, t.indptr,
+                             t.shape)
 
 
 def _exists_reach(

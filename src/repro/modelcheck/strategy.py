@@ -43,28 +43,50 @@ class StateColumns:
     """A model's state inventory in columnar form, shared read-only by
     every strategy extracted from the model.
 
-    ``states[i]`` is state ``i``; ``corners[i]`` its ``(xa, ya, xb, yb)``
-    as int16 when it is a :class:`~repro.geometry.rect.Rect` pattern and
-    zeros when it is a label state, listed as ``(i, name)`` in
-    ``label_states``.  ``labels`` is the action label table the
-    strategies' int16 action codes index.  The lookup structures below
-    are derived on first use and then shared by those strategies.
+    ``corners[i]`` is state ``i``'s ``(xa, ya, xb, yb)`` as int16 when it
+    is a :class:`~repro.geometry.rect.Rect` pattern and zeros when it is a
+    label state, listed as ``(i, name)`` in ``label_states``.  ``labels``
+    is the action label table the strategies' int16 action codes index.
+    The state objects and the lookup structures below are derived on
+    first use and then shared by those strategies; a strategy that is
+    only looked up never builds a ``Rect``.
     """
 
-    states: list
     corners: np.ndarray
     label_states: tuple[tuple[int, str], ...]
     labels: tuple[str, ...]
 
     @cached_property
-    def index(self) -> dict[State, int]:
-        """``{state: i}``: what a strategy's per-cycle lookup reads."""
-        return dict(zip(self.states, range(len(self.states))))
+    def states(self) -> list:
+        """``states[i]``: state ``i`` as a ``Rect`` or its label name."""
+        # Corners come from a model build or a validated payload, so the
+        # Rects skip their own check.
+        states: list = [_trusted_rect(*row) for row in self.corners.tolist()]
+        for i, name in self.label_states:
+            states[i] = name
+        return states
+
+    @cached_property
+    def index(self) -> dict:
+        """``{key: i}``, keyed by the ``(xa, ya, xb, yb)`` tuple of a
+        pattern state and by the name of a label state (see
+        :meth:`find`)."""
+        keys: list = list(map(tuple, self.corners.tolist()))
+        for i, name in self.label_states:
+            keys[i] = name
+        return dict(zip(keys, range(len(keys))))
+
+    def find(self, state: State) -> int | None:
+        """The index of ``state`` (a ``Rect`` or a label name), or None:
+        what a strategy's per-cycle lookup reads."""
+        if isinstance(state, Rect):
+            state = (state.xa, state.ya, state.xb, state.yb)
+        return self.index.get(state)
 
     @cached_property
     def _sorted_rects(self) -> tuple[np.ndarray, np.ndarray]:
         """The Rect states' packed corners, sorted, and their indices."""
-        rect = np.ones(len(self.states), dtype=bool)
+        rect = np.ones(len(self.corners), dtype=bool)
         rect[[i for i, _ in self.label_states]] = False
         idx = np.flatnonzero(rect)
         keys = _packed(self.corners)[idx]
@@ -79,7 +101,7 @@ class StateColumns:
         one match.
         """
         keys, idx = self._sorted_rects
-        out = np.full(len(other.states), -1, dtype=np.int64)
+        out = np.full(len(other.corners), -1, dtype=np.int64)
         if len(keys):
             want = _packed(other.corners)
             at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
@@ -180,7 +202,7 @@ class MemorylessStrategy:
         if codes is None:
             return self._decisions.get(state)
         columns = self._columns
-        i = columns.index.get(state)
+        i = columns.find(state)
         if i is None:
             return None
         code = codes.item(i)
@@ -234,8 +256,8 @@ class MemorylessStrategy:
             if action is not None:
                 codes[i] = labels.setdefault(action, len(labels))
         self._columns = StateColumns(
-            states=list(values), corners=corners,
-            label_states=tuple(label_states), labels=tuple(labels),
+            corners=corners, label_states=tuple(label_states),
+            labels=tuple(labels),
         )
         self._value_vec = np.fromiter(values.values(), dtype=float, count=n)
         self._codes = codes
@@ -291,13 +313,9 @@ class MemorylessStrategy:
         xa, ya, xb, yb = corners[is_rect].T
         if not ((xa <= xb) & (ya <= yb)).all():
             raise ValueError("degenerate state rectangle")
-        # Corners were validated above, so the Rects skip their own check.
-        states: list = [_trusted_rect(*row) for row in corners.tolist()]
-        for i, name in label_states:
-            states[i] = name
         values = values.view()
         values.flags.writeable = False
-        columns = StateColumns(states, corners, label_states, labels)
+        columns = StateColumns(corners, label_states, labels)
         return cls.from_columns(
             columns, values, codes, float(payload["initial_value"])
         )

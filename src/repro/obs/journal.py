@@ -15,7 +15,9 @@ per line::
 Sinks are pluggable: a filesystem path (JSONL file, flushed per event so a
 crashed run still leaves a readable journal), any writable text stream, a
 callable receiving each record dict, or ``None`` for an in-memory journal
-(the default; inspect via :attr:`RunJournal.records`).
+(the default; inspect via :attr:`RunJournal.records`).  Only the in-memory
+journal keeps its records: one with a sink hands each record on and
+retains nothing, so a long-lived server's journal does not grow.
 
 :func:`journal_scope` stamps correlation fields (e.g. a serving job id)
 into every record emitted from the current thread while the scope is
@@ -142,16 +144,19 @@ class RunJournal:
                 record[key] = jsonable(value)
             for key, value in scoped.items():
                 record.setdefault(key, jsonable(value))
-            self._records.append(record)
             if self._fh is not None:
                 self._fh.write(json.dumps(record) + "\n")
                 self._fh.flush()
             elif self._callback is not None:
                 self._callback(record)
+            else:
+                self._records.append(record)
 
     @property
     def records(self) -> list[dict[str, Any]]:
-        """Every record emitted so far (kept even with a file sink)."""
+        """Every record emitted so far by an in-memory journal (one made
+        with no sink); a journal with a file, stream or callable sink
+        keeps none, and this is empty."""
         with self._lock:
             return list(self._records)
 

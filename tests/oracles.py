@@ -261,18 +261,14 @@ def build_routing_model_scalar(
         labels={"goal": goal_mask, "hazard": hazard_mask},
         initial=1,
     )
-    state_objects: list[Rect | str] = [HAZARD_STATE] + [
-        Rect(*r) for r in states[1:]  # type: ignore[misc]
-    ]
     label_table = tuple(dict.fromkeys(choice_labels))
     columns = StateColumns(
-        states=state_objects,
         corners=np.array([(0, 0, 0, 0)] + states[1:], dtype=np.int16),
         label_states=((HAZARD_INDEX, HAZARD_STATE),),
         labels=label_table,
     )
     return CompiledRoutingModel(
-        compiled=compiled, states=state_objects, job=job, columns=columns,
+        compiled=compiled, job=job, columns=columns,
         choice_codes=np.array(
             [label_table.index(label) for label in choice_labels],
             dtype=np.int16,
@@ -532,7 +528,11 @@ def settle_reference(layout, base, x, budget, maximize):
             continue
         cur = q[held]
         margin = interval._CHECK_RTOL * (1.0 + np.abs(cur))
-        improve = (best > cur + margin) if maximize else (best < cur - margin)
+        # An infinite held value has an infinite margin: ``inf - inf`` is
+        # NaN, which compares False, so the held choice stays.
+        with np.errstate(invalid="ignore"):
+            improve = (best > cur + margin) if maximize \
+                else (best < cur - margin)
         if improve.any():
             held = np.where(improve, greedy, held)
             stable = 0
@@ -632,7 +632,11 @@ def policy_fixpoint_reference(states, Tl, Tblock, rl, own, outside, block,
         best = q[greedy]
         cur = q[chosen]
         margin = interval._CHECK_RTOL * (1.0 + np.abs(cur))
-        improve = (best > cur + margin) if maximize else (best < cur - margin)
+        # An infinite current value has an infinite margin: ``inf - inf``
+        # is NaN, which compares False, so the chosen choice stays.
+        with np.errstate(invalid="ignore"):
+            improve = (best > cur + margin) if maximize \
+                else (best < cur - margin)
         if not improve.any():
             return x
         chosen = np.where(improve, greedy, chosen)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bioassay.library import (
@@ -15,6 +16,52 @@ from repro.bioassay.library import (
 from repro.bioassay.ops import MO, MO_ARITY, MOType
 from repro.bioassay.planner import Planner, PlannerConfig, plan
 from repro.bioassay.seqgraph import SequencingGraph
+from tests.test_placement import _random_graph
+
+
+def _nx():
+    """networkx, the DAG oracle (a test-only dependency)."""
+    return pytest.importorskip("networkx")
+
+
+def _nx_graph(graph: SequencingGraph):
+    """The networkx oracle of ``graph``'s dependency DAG."""
+    g = _nx().DiGraph()
+    g.add_nodes_from(mo.name for mo in graph.mos)
+    g.add_edges_from((pred, mo.name) for mo in graph.mos for pred in mo.pre)
+    return g
+
+
+def _shuffled(graph: SequencingGraph, seed: int) -> SequencingGraph:
+    """``graph`` with its MOs listed in a seeded random order, so list
+    position no longer follows the dependencies."""
+    rng = np.random.default_rng(seed)
+    mos = [graph.mos[i] for i in rng.permutation(len(graph.mos))]
+    return SequencingGraph(graph.name, mos)
+
+
+def _remix() -> SequencingGraph:
+    """A split whose two outputs one mix consumes: ``pre`` names the same
+    producer twice, which is one edge of the DAG."""
+    return SequencingGraph("remix", [
+        MO("d", MOType.DIS, size=(4, 4)),
+        MO("s", MOType.SPT, pre=("d",)),
+        MO("m", MOType.MIX, pre=("s", "s"), pre_output=(0, 1)),
+        MO("o", MOType.OUT, pre=("m",)),
+    ])
+
+
+#: Library assays, their seeded shuffles, the placement tests' seeded
+#: random mix trees and a repeated predecessor.
+ORACLE_GRAPHS = (
+    [(name, lambda name=name: ALL_BIOASSAYS[name]())
+     for name in sorted(ALL_BIOASSAYS)]
+    + [(f"{name}-shuffled", lambda name=name: _shuffled(
+        ALL_BIOASSAYS[name](), 7)) for name in sorted(ALL_BIOASSAYS)]
+    + [(f"random-{seed}", lambda seed=seed: _random_graph(seed))
+       for seed in range(8)]
+    + [("remix", _remix)]
+)
 
 
 class TestMO:
@@ -100,20 +147,55 @@ class TestSequencingGraph:
 
     @pytest.mark.parametrize("name", sorted(ALL_BIOASSAYS))
     def test_topological_ties_break_by_list_position(self, name):
-        import networkx as nx
-
         graph = ALL_BIOASSAYS[name]()
         names = [mo.name for mo in graph.mos]
-        want = list(nx.lexicographical_topological_sort(
-            graph._graph, key=names.index))
+        want = list(_nx().lexicographical_topological_sort(
+            _nx_graph(graph), key=names.index))
         assert [mo.name for mo in graph.topological()] == want
 
     def test_depth(self):
         assert master_mix().depth == 4  # dis -> mix1 -> mix2 -> out
 
+    def test_dependency_cycle_rejected(self):
+        with pytest.raises(ValueError, match="has a dependency cycle"):
+            SequencingGraph("x", [
+                MO("a", MOType.MAG, pre=("b",)),
+                MO("b", MOType.MAG, pre=("a",)),
+            ])
+
+    def test_self_dependency_rejected(self):
+        with pytest.raises(ValueError, match="has a dependency cycle"):
+            SequencingGraph("x", [MO("a", MOType.MAG, pre=("a",))])
+
+    def test_unknown_predecessor_message(self):
+        with pytest.raises(
+            ValueError, match="MO 'o' references unknown predecessor 'ghost'"
+        ):
+            SequencingGraph("x", [MO("o", MOType.OUT, pre=("ghost",))])
+
     def test_count(self):
         assert master_mix().count(MOType.DIS) == 3
         assert master_mix().count(MOType.MIX) == 2
+
+
+class TestNetworkxOracle:
+    """The stdlib DAG orders, walks and measures a graph as networkx does."""
+
+    @pytest.mark.parametrize("name,make", ORACLE_GRAPHS,
+                             ids=[name for name, _ in ORACLE_GRAPHS])
+    def test_graph_queries_match_networkx(self, name, make):
+        nx = _nx()
+        graph = make()
+        g = _nx_graph(graph)
+        position = {mo.name: i for i, mo in enumerate(graph.mos)}
+        assert [mo.name for mo in graph.topological()] == list(
+            nx.lexicographical_topological_sort(g, key=position.__getitem__))
+        for mo in graph.mos:
+            assert [m.name for m in graph.successors(mo.name)] == list(
+                g.successors(mo.name))
+            assert [m.name for m in graph.predecessors(mo.name)] == list(
+                g.predecessors(mo.name))
+        assert graph.depth == nx.dag_longest_path_length(g) + 1
 
 
 class TestLibrary:

@@ -131,3 +131,42 @@ class TestEquivalence:
         job = RoutingJob(OFF_CHIP, Rect(3, 3, 6, 6), Rect(1, 1, 9, 9))
         with pytest.raises(ValueError):
             build_routing_model_fast(job, np.ones((W, H)))
+
+
+class TestCanonicalLayout:
+    """The support build's canonical skeleton equals scipy's
+    ``sum_duplicates`` bit for bit: entry order, indices, indptr and the
+    left-to-right summation of every duplicate run."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_sum_duplicates(self, seed):
+        from scipy import sparse
+
+        from repro.core import fastmdp
+
+        rng = np.random.default_rng(seed)
+        num_rows, num_cols = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        # Up to 16 entries per row (a choice's outcome bound), few columns
+        # so duplicate runs of every depth occur.
+        lens = rng.integers(1, 17, size=num_rows)
+        rows = rng.permutation(np.repeat(np.arange(num_rows), lens))
+        cols = rng.integers(0, num_cols, size=rows.size)
+        values = rng.random(rows.size + 5) * 10.0 ** rng.integers(
+            -8, 2, size=rows.size + 5)
+        pos = rng.permutation(values.size)[:rows.size]
+        first, dup_steps, indices, indptr = fastmdp._canonical_layout(
+            rows, cols, pos, num_rows)
+        # A row longer than the column count repeats a column.
+        assert len(dup_steps) >= min(lens.max() - num_cols, 1)
+        order = np.argsort(rows, kind="stable")
+        want = sparse.csr_matrix(
+            (values[pos[order]], cols[order],
+             np.r_[0, np.cumsum(np.bincount(rows, minlength=num_rows))]),
+            shape=(num_rows, num_cols),
+        )
+        want.sum_duplicates()
+        got = fastmdp._canonical_data(values, first, dup_steps)
+        assert np.array_equal(got, want.data)
+        assert np.array_equal(indices, want.indices)
+        assert np.array_equal(indptr, want.indptr)
+        assert (indices.dtype, indptr.dtype) == (np.int32, np.int32)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -80,6 +81,23 @@ class TestRunJournalSinks:
         journal = RunJournal(seen.append)
         journal.emit("x", cycle=4)
         assert seen[0]["event"] == "x" and seen[0]["cycle"] == 4
+
+    def test_journal_with_a_sink_retains_nothing(self, tmp_path):
+        # A sink receives every record; the journal itself keeps none, so
+        # a long-lived server's journal stays bounded.
+        seen = []
+        stream = io.StringIO()
+        for sink in (seen.append, tmp_path / "run.jsonl", stream):
+            journal = RunJournal(sink)
+            for i in range(50):
+                journal.emit("tick", cycle=i)
+            assert journal.records == []
+            assert not journal._records
+            assert len(journal) == 50
+            journal.close()
+        assert len(seen) == 50
+        assert len(read_journal(tmp_path / "run.jsonl")) == 50
+        assert len(stream.getvalue().splitlines()) == 50
 
     def test_read_journal_rejects_garbage(self, tmp_path):
         # Garbage *before* the end is corruption, not a crash artifact —
